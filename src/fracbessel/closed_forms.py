@@ -15,11 +15,12 @@ cancels between numerator and denominator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .gammafns import gamma_ratio, is_pole
 from .series import (
     HypergeomSpec,
@@ -43,6 +44,9 @@ class TheoremParams:
     k: float
 
     def __post_init__(self):
+        require_finite(
+            "TheoremParams", self.alpha, self.beta, self.eta, self.lam, self.v, self.c, self.k
+        )
         if not (self.alpha > 0):
             raise DomainError(f"TheoremParams: alpha must be positive, got {self.alpha!r}")
         if not (self.v > -1):
@@ -106,8 +110,8 @@ class ClosedForm:
 
 def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> SeriesValue:
     """Evaluate a ClosedForm at x > 0, propagating the series bookkeeping."""
-    if not (x > 0):
-        raise DomainError(f"evaluate_closed_form: x must be positive, got {x!r}")
+    if not (0 < x < math.inf):
+        raise DomainError(f"evaluate_closed_form: x must be positive and finite, got {x!r}")
     z = cf.argument(x)
     if isinstance(cf.series, WrightSpec):
         sv = eval_wright(cf.series, z, tol)
@@ -162,66 +166,61 @@ def theorem24_spec(p: TheoremParams) -> ClosedForm:
     return ClosedForm(pref_log, 1, power, series, scale, -2.0, label="2.4")
 
 
-_WRIGHT_COROLLARIES = {
-    "rl_left": "cor2.2",
-    "ek_left": "cor2.3",
-    "rl_right": "cor2.5",
-    "ek_right": "cor2.6",
+# variant -> (Fox-Wright label, pFq label)
+_COROLLARIES = {
+    "rl_left": ("cor2.2", "cor3.2"),
+    "ek_left": ("cor2.3", "cor3.3"),
+    "rl_right": ("cor2.5", "cor3.5"),
+    "ek_right": ("cor2.6", "cor3.6"),
 }
 
 
-def _substitute_beta(variant: str, p: TheoremParams) -> TheoremParams:
-    if variant.startswith("rl"):
-        beta = -p.alpha
-    elif variant.startswith("ek"):
-        beta = 0.0
-    else:
-        raise DomainError(f"unknown corollary variant {variant!r}")
-    return TheoremParams(p.alpha, beta, p.eta, p.lam, p.v, p.c, p.k)
+def _cancel_common_pairs(w: WrightSpec) -> WrightSpec:
+    """Drop each upper pair that equals a lower pair: the same step, and the
+    coefficient within 1e-12 relative (the two sides may round the same sum
+    differently, e.g. (L+eta)+alpha against (L+alpha)+eta)."""
+    lower = list(w.lower)
+    upper = []
+    for a, A in w.upper:
+        match = next(
+            (i for i, (b, B) in enumerate(lower) if B == A and math.isclose(a, b, rel_tol=1e-12)),
+            None,
+        )
+        if match is None:
+            upper.append((a, A))
+        else:
+            del lower[match]
+    return WrightSpec(tuple(upper), tuple(lower))
 
 
 def corollary_wright_spec(variant: str, p: TheoremParams) -> ClosedForm:
-    """Fox-Wright corollaries: the parent theorem at beta = -alpha (rl_*) or
-    beta = 0 (ek_*), with the cancelling gamma pair removed (1-Psi-2 forms)."""
-    if variant not in _WRIGHT_COROLLARIES:
+    """Fox-Wright corollaries: the parent theorem (2.1 left, 2.4 right) at
+    beta = -alpha (rl_*) or beta = 0 (ek_*), with the gamma pairs that cancel
+    there removed (1-Psi-2 forms)."""
+    if variant not in _COROLLARIES:
         raise DomainError(
             f"unknown corollary variant {variant!r}; expected one of "
-            f"{sorted(_WRIGHT_COROLLARIES)}"
+            f"{sorted(_COROLLARIES)}"
         )
-    q = _substitute_beta(variant, p)
-    if variant == "rl_left":
-        vk1, pref_log, power, scale = _left_base(q)
-        big_l = q.big_l
-        series = WrightSpec(
-            upper=((big_l, 2.0),),
-            lower=((big_l + q.alpha, 2.0), (vk1, 1.0)),
-        )
-        arg_pow = 2.0
-    elif variant == "ek_left":
-        vk1, pref_log, power, scale = _left_base(q)
-        big_l = q.big_l
-        series = WrightSpec(
-            upper=((big_l + q.eta, 2.0),),
-            lower=((big_l + q.alpha + q.eta, 2.0), (vk1, 1.0)),
-        )
-        arg_pow = 2.0
-    elif variant == "rl_right":
-        vk1, pref_log, power, scale = _right_base(q)
-        m = q.big_m
-        series = WrightSpec(
-            upper=((m - q.alpha, 2.0),),
-            lower=((m, 2.0), (vk1, 1.0)),
-        )
-        arg_pow = -2.0
-    else:  # ek_right
-        vk1, pref_log, power, scale = _right_base(q)
-        m = q.big_m
-        series = WrightSpec(
-            upper=((m + q.eta, 2.0),),
-            lower=((m + q.alpha + q.eta, 2.0), (vk1, 1.0)),
-        )
-        arg_pow = -2.0
-    return ClosedForm(pref_log, 1, power, series, scale, arg_pow, label=_WRIGHT_COROLLARIES[variant])
+    beta = -p.alpha if variant.startswith("rl") else 0.0
+    q = TheoremParams(p.alpha, beta, p.eta, p.lam, p.v, p.c, p.k)
+    parent = theorem21_spec(q) if variant.endswith("left") else theorem24_spec(q)
+    return dataclasses.replace(
+        parent, series=_cancel_common_pairs(parent.series), label=_COROLLARIES[variant][0]
+    )
+
+
+def _gamma_normalization(w: WrightSpec, owner: str) -> tuple[float, int]:
+    """(log|r|, sign) of r = prod Gamma(upper coefficients) / prod Gamma(lower
+    coefficients); a coefficient on the gamma pole lattice cannot be
+    normalized and raises DomainError."""
+    for coeff, _ in w.upper + w.lower:
+        if is_pole(coeff):
+            raise DomainError(
+                f"{owner}: coefficient {coeff!r} on the gamma pole lattice; "
+                "the hypergeometric form degenerates"
+            )
+    return gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
 
 
 def duplication_reduce(
@@ -257,15 +256,7 @@ def duplication_reduce(
                 )
     prefactor = 1.0
     if include_gamma_prefactor:
-        for coeff, _ in w.upper + w.lower:
-            if is_pole(coeff):
-                raise DomainError(
-                    f"duplication_reduce: coefficient {coeff!r} on the gamma pole "
-                    "lattice; the hypergeometric form degenerates"
-                )
-        log_r, sign = gamma_ratio(
-            [a for a, _ in w.upper], [b for b, _ in w.lower]
-        )
+        log_r, sign = _gamma_normalization(w, "duplication_reduce")
         prefactor = sign * math.exp(log_r)
     arg_scale = 4.0 ** (n_up2 - n_low2)
     return HypergeomSpec(tuple(upper), tuple(lower), prefactor), arg_scale
@@ -277,15 +268,7 @@ def _reduce_closed_form(cf: ClosedForm, label: str) -> ClosedForm:
     w = cf.series
     assert isinstance(w, WrightSpec)
     spec, arg_scale = duplication_reduce(w, include_gamma_prefactor=False)
-    for coeff, _ in w.upper + w.lower:
-        if is_pole(coeff):
-            raise DomainError(
-                f"{label}: coefficient {coeff!r} on the gamma pole lattice; "
-                "the hypergeometric form degenerates"
-            )
-    log_r, sign = gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
-    if sign == 0:
-        raise DomainError(f"{label}: gamma normalization vanishes; form degenerates")
+    log_r, sign = _gamma_normalization(w, label)
     return ClosedForm(
         prefactor_log=cf.prefactor_log + log_r,
         prefactor_sign=cf.prefactor_sign * sign,
@@ -307,19 +290,6 @@ def theorem34_spec(p: TheoremParams) -> ClosedForm:
     return _reduce_closed_form(theorem24_spec(p), "3.4")
 
 
-_PFQ_COROLLARIES = {
-    "rl_left": "cor3.2",
-    "ek_left": "cor3.3",
-    "rl_right": "cor3.5",
-    "ek_right": "cor3.6",
-}
-
-
 def corollary_pfq_spec(variant: str, p: TheoremParams) -> ClosedForm:
     """Hypergeometric (2F3) twins of the Fox-Wright corollaries."""
-    if variant not in _PFQ_COROLLARIES:
-        raise DomainError(
-            f"unknown corollary variant {variant!r}; expected one of "
-            f"{sorted(_PFQ_COROLLARIES)}"
-        )
-    return _reduce_closed_form(corollary_wright_spec(variant, p), _PFQ_COROLLARIES[variant])
+    return _reduce_closed_form(corollary_wright_spec(variant, p), _COROLLARIES[variant][1])

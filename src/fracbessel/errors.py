@@ -1,5 +1,7 @@
 """Exception types distinguishing input-domain, convergence, and accuracy failures."""
 
+import math
+
 
 class DomainError(ValueError):
     """Arguments outside the mathematical domain of an operation.
@@ -23,3 +25,9 @@ class AccuracyError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+def require_finite(owner: str, *values: float) -> None:
+    """Raise DomainError unless every value is a finite number."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{owner}: parameters must be finite, got {values!r}")

@@ -16,6 +16,8 @@ an expansion in powers of u = 1-w.  Three regimes cover every input:
   expansion, a finite polynomial plus u^max(m,0) * (analytic + log(u) *
   analytic) series with digamma coefficients.
 
+Every series here, polynomials included, is summed by series.sum_series.
+
 ``kernel_split`` exposes the decomposition itself (coefficient, power of u,
 optional log(u) factor, analytic series per branch) so quadrature can absorb
 each u-power into an exact endpoint weight instead of sampling a singular
@@ -27,6 +29,8 @@ below that offset the connection coefficients lose more to cancellation
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,26 +39,18 @@ import numpy as np
 
 from .errors import DomainError
 from .gammafns import digamma, gamma_ratio, is_pole
+from .series import MAX_TERMS, sum_series
 
-_SERIES_MAX = 4000
 _INT_TOL = 2e-9
 
 
-def _series_2f1(a: float, b: float, c: float, w: np.ndarray, tol: float = 1e-15) -> np.ndarray:
-    """Direct 2F1 series, vectorized over w with |w| <= ~0.6."""
-    if is_pole(c):
-        raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    for n in range(_SERIES_MAX):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * w
-        total += term
-        m = float(np.max(np.abs(term)))
-        if m == 0.0:
-            break
-        if m <= tol * max(float(np.max(np.abs(total))), 1e-300):
-            break
-    return total
+def _series_2f1(
+    a: float, b: float, c: float, w: np.ndarray, weights=None, max_terms: int = MAX_TERMS
+) -> np.ndarray:
+    """Direct 2F1 series sum_n (a)_n (b)_n / ((c)_n n!) w^n, vectorized over w
+    with |w| <= ~0.6; weights and max_terms as in sum_series."""
+    ratio = lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
+    return sum_series(np.ones_like(w), ratio, w, 1e-15, weights, max_terms).value
 
 
 def _terminating_index(x: float) -> int | None:
@@ -129,139 +125,46 @@ def _gamma_ratio_value(num: Sequence[float], den: Sequence[float]) -> float:
     return sign * math.exp(log_r) if sign else 0.0
 
 
-def _poly_series(coeffs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    arr = np.asarray(coeffs, dtype=float)
-
-    def f(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        total = np.zeros_like(u)
-        for cn in arr[::-1]:
-            total = total * u + cn
-        return total
-
-    return f
-
-
-def _digamma_weighted_series(
-    A: float,
-    B: float,
-    C: float,
-    t0: float,
-    d0: float,
-    sigmas: Sequence[float],
-    rhos: Sequence[float],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """sum_n t_n d_n u^n with t_{n+1} = t_n (A+n)(B+n)/((C+n)(n+1)) from t_0,
-    and d_{n+1} = d_n + sum_i sigmas[i]/(rhos[i] + n) from d_0."""
-
-    def f(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        poly = np.full_like(u, t0)
-        total = poly * d0
-        d = d0
-        for n in range(_SERIES_MAX):
-            poly = poly * ((A + n) * (B + n) / ((C + n) * (n + 1.0))) * u
-            d = d + sum(s / (r + n) for s, r in zip(sigmas, rhos))
-            total = total + poly * d
-            m = float(np.max(np.abs(poly))) * (abs(d) + 1.0)
-            if m == 0.0:
-                break
-            if m <= 1e-16 * max(float(np.max(np.abs(total))), 1e-300):
-                break
-        return total
-
-    return f
-
-
-def _rising_poly_coeffs(a: float, b: float, m: int) -> list[float]:
-    """[(a)_n (b)_n / (n! (1-m)_n)] for n = 0..m-1 (all denominators nonzero)."""
-    coeffs = [1.0]
-    for n in range(m - 1):
-        coeffs.append(coeffs[-1] * (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)))
-    return coeffs
-
-
 def log_connection_parts(a: float, b: float, c: float, m: int) -> list[KernelTerm]:
     """Kernel decomposition when c - a - b equals the integer m.
 
     The two-branch connection formula degenerates there; instead the kernel
-    obeys the logarithmic expansion: for m >= 1
+    obeys the logarithmic expansion: for m >= 0
 
         2F1 = Cf * P(u) + Cl * u^m * (S_d(u) + log(u) * S(u)),
 
-    with P a degree-(m-1) polynomial, S the plain coefficient series, S_d the
-    same series weighted by digamma sums; m = 0 drops the polynomial, and
-    m <= -1 moves the polynomial to exponent m and the series to exponent 0.
-    Coefficients at a gamma pole of their denominator are exactly zero.
+    with P the first m terms of 2F1(a, b; 1-m; u) (absent at m = 0), S the
+    series u -> 2F1(a+m, b+m; m+1; u) / m!, and S_d the same series weighted
+    by digamma sums.  m <= -1 follows from Euler's transformation
+    2F1(a,b;c;1-u) = u^m 2F1(c-a, c-b; c; 1-u), whose c-a-b is -m: every
+    exponent shifts by m.  Coefficients at a gamma pole of their denominator
+    are exactly zero.
     """
+    if m < 0:
+        return [
+            dataclasses.replace(t, exponent=t.exponent + m)
+            for t in log_connection_parts(a + m, b + m, c, -m)
+        ]
     terms: list[KernelTerm] = []
-    if m == 0:
-        # within this branch c == a+b, and c is the less-rounded of the two
-        c0 = _gamma_ratio_value([c], [a, b])
-        if c0:
-            d0 = 2.0 * digamma(1.0) - digamma(a) - digamma(b)
-            terms.append(
-                KernelTerm(
-                    c0, 0.0, False,
-                    _digamma_weighted_series(a, b, 1.0, 1.0, d0, (2.0, -1.0, -1.0), (1.0, a, b)),
-                )
-            )
-            terms.append(KernelTerm(-c0, 0.0, True, lambda u: _series_2f1(a, b, 1.0, u)))
-        return terms
-
-    if m > 0:
+    if m:
         cf = _gamma_ratio_value([float(m), c], [a + m, b + m])
         if cf:
-            terms.append(KernelTerm(cf, 0.0, False, _poly_series(_rising_poly_coeffs(a, b, m))))
-        cl = -((-1.0) ** m) * _gamma_ratio_value([c], [a, b])
-        if cl:
-            t0 = 1.0 / math.factorial(m)
-            d0 = (
-                -digamma(1.0)
-                - digamma(m + 1.0)
-                + digamma(a + m)
-                + digamma(b + m)
-            )
             terms.append(
-                KernelTerm(
-                    cl, float(m), False,
-                    _digamma_weighted_series(
-                        a + m, b + m, m + 1.0, t0, d0,
-                        (-1.0, -1.0, 1.0, 1.0), (1.0, m + 1.0, a + m, b + m),
-                    ),
-                )
+                KernelTerm(cf, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - m, u, max_terms=m))
             )
-            terms.append(
-                KernelTerm(cl, float(m), True, lambda u, s0=t0: s0 * _series_2f1(a + m, b + m, m + 1.0, u))
-            )
-        return terms
-
-    mq = -m
-    cf = _gamma_ratio_value([float(mq), c], [a, b])
-    if cf:
-        terms.append(
-            KernelTerm(cf, float(m), False, _poly_series(_rising_poly_coeffs(a - mq, b - mq, mq)))
-        )
-    cl = -((-1.0) ** mq) * _gamma_ratio_value([c], [a - mq, b - mq])
+    cl = -((-1.0) ** m) * _gamma_ratio_value([c], [a, b])
     if cl:
-        t0 = 1.0 / math.factorial(mq)
-        d0 = (
-            -digamma(1.0)
-            - digamma(mq + 1.0)
-            + digamma(a)
-            + digamma(b)
-        )
-        terms.append(
-            KernelTerm(
-                cl, 0.0, False,
-                _digamma_weighted_series(
-                    a, b, mq + 1.0, t0, d0, (-1.0, -1.0, 1.0, 1.0), (1.0, mq + 1.0, a, b)
-                ),
-            )
-        )
-        terms.append(
-            KernelTerm(cl, 0.0, True, lambda u, s0=t0: s0 * _series_2f1(a, b, mq + 1.0, u))
-        )
+        am, bm, t0 = a + m, b + m, 1.0 / math.factorial(m)
+        # weights d_n = psi(a+m+n) + psi(b+m+n) - psi(n+1) - psi(m+n+1), by recurrence
+        d0 = digamma(am) + digamma(bm) - digamma(1.0) - digamma(m + 1.0)
+        step = lambda n: 1.0 / (am + n) + 1.0 / (bm + n) - 1.0 / (n + 1.0) - 1.0 / (m + n + 1.0)
+
+        def weighted(u: np.ndarray) -> np.ndarray:
+            d = itertools.accumulate(map(step, itertools.count()), initial=d0)
+            return t0 * _series_2f1(am, bm, m + 1.0, u, weights=d)
+
+        terms.append(KernelTerm(cl, float(m), False, weighted))
+        terms.append(KernelTerm(cl, float(m), True, lambda u: t0 * _series_2f1(am, bm, m + 1.0, u)))
     return terms
 
 
@@ -314,12 +217,9 @@ def hyp2f1_kernel(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
         a, b = b, a
         m = mb
     if m is not None:
-        total = np.ones_like(w)
-        term = np.ones_like(w)
-        for n in range(m):
-            term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * w
-            total += term
-        return total
+        return _series_2f1(a, b, c, w, max_terms=m + 1)
+    if is_pole(c):
+        raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")
 
     out = np.empty_like(w)
     near = w <= 0.5

@@ -16,11 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .gammafns import gamma_sign, is_pole
-from .series import KBesselParams
-
-_KB_MAX_TERMS = 5000
+from .errors import DomainError
+from .series import KBesselParams, kbessel_reduced_series
 
 
 @dataclass(frozen=True)
@@ -67,40 +64,6 @@ def monomial(lam: float) -> Integrand:
         smooth_at_zero=ones,
         smooth_at_infinity=ones,
         label=f"monomial(lam={lam})",
-    )
-
-
-def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), elementwise.
-
-    This is W(z) with the leading (z/(2k))^(v/k) power stripped, the piece
-    the operators absorb into their quadrature weight.  Truncation: all
-    elements' next terms below tol relative to their partial sums, twice.
-    """
-    vk = kb.v / kb.k
-    y = -kb.c / (4.0 * kb.k) * np.square(z)
-
-    n0 = 0
-    while is_pole(n0 + 1.0 + vk):
-        n0 += 1
-    c0 = gamma_sign(n0 + 1.0 + vk) * math.exp(-math.lgamma(n0 + 1) - math.lgamma(n0 + 1.0 + vk))
-    term = c0 * np.power(y, n0) if n0 else np.full_like(y, c0)
-    total = term.copy()
-    ok_runs = 0
-    n = n0
-    while n < _KB_MAX_TERMS:
-        n += 1
-        term = term * (y / (n * (n + vk)))
-        total += term
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)):
-            ok_runs += 1
-            if ok_runs >= 2:
-                return total
-        else:
-            ok_runs = 0
-    raise ConvergenceError(
-        f"k-Bessel series did not settle within {_KB_MAX_TERMS} terms "
-        f"(|y| up to {float(np.max(np.abs(y)))!r})"
     )
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, require_finite
 from .gammafns import gamma_ratio, log_gamma
 from .hyp2f1 import hyp2f1_kernel, kernel_split
 from .integrands import Integrand
@@ -82,6 +82,7 @@ class SaigoParams:
             raise DomainError("SaigoParams: the general family requires an explicit beta")
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "eta", float(self.eta))
+        require_finite("SaigoParams", self.alpha, self.beta, self.eta)
 
     @property
     def kernel_abc(self) -> tuple[float, float, float]:
@@ -89,20 +90,12 @@ class SaigoParams:
         return (self.alpha + self.beta, -self.eta, self.alpha)
 
 
-def _integrate_soft(g, lo, hi, exp_lo, exp_hi, tol) -> QuadratureResult:
-    """integrate_jacobi that degrades to its best estimate instead of raising,
+def _integrate_soft(integrate, *args) -> QuadratureResult:
+    """integrate(*args) that degrades to its best estimate instead of raising,
     so a struggling sub-integral still contributes its value and (honest)
     error to the combined transform, which makes the final accuracy call."""
     try:
-        return integrate_jacobi(g, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=tol)
-    except AccuracyError as exc:
-        return QuadratureResult(exc.value, exc.error_estimate, 0)
-
-
-def _integrate_soft_log(g, h, exp_lo, tol) -> QuadratureResult:
-    """Soft-degrading wrapper around integrate_log_jacobi (see above)."""
-    try:
-        return integrate_log_jacobi(g, h, exp_lo=exp_lo, tol=tol)
+        return integrate(*args)
     except AccuracyError as exc:
         return QuadratureResult(exc.value, exc.error_estimate, 0)
 
@@ -132,15 +125,6 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
     return result
 
 
-def _kernel_is_polynomial(a: float, b: float) -> bool:
-    """True when the kernel 2F1 terminates (an upper parameter on 0,-1,-2,...)."""
-    for x in (a, b):
-        r = round(x)
-        if r <= 0 and abs(x - r) <= 1e-9:
-            return True
-    return False
-
-
 def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
     """Shared left/right quadrature over u in (0,1).
 
@@ -165,17 +149,12 @@ def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
     parts = []
     # upper half: kernel argument w = 1-u <= 1/2, direct series territory
     g_hi = lambda u: hyp2f1_kernel(a, b, c, 1.0 - u) * smooth(u) * np.power(u, exp0)
-    parts.append((1.0, _integrate_soft(g_hi, 0.5, 1.0, 0.0, al - 1.0, tol / 4)))
+    parts.append((1.0, _integrate_soft(integrate_jacobi, g_hi, 0.5, 1.0, 0.0, al - 1.0, tol / 4)))
 
-    if _kernel_is_polynomial(a, b):
-        # polynomial kernel: analytic everywhere, single weighted piece suffices
-        g_lo = lambda u: hyp2f1_kernel(a, b, c, 1.0 - u) * smooth(u) * np.power(1.0 - u, al - 1.0)
-        parts.append((1.0, _integrate_soft(g_lo, 0.0, 0.5, exp0, 0.0, tol / 4)))
-        return parts
-
-    # One weighted piece per kernel branch: the u^exponent factor joins the
-    # endpoint weight exactly; branches carrying a log(u) factor (integer
-    # eta-beta case) go to the dedicated dyadic log-weight rule.
+    # One weighted piece per kernel branch (a terminating kernel is a single
+    # analytic branch): the u^exponent factor joins the endpoint weight
+    # exactly; branches carrying a log(u) factor (integer eta-beta case) go
+    # to the dedicated dyadic log-weight rule.
     for term in kernel_split(a, b, c, gamma, c_minus_a, c_minus_b):
         e0 = exp0 + term.exponent
         if not (e0 > -1.0):
@@ -184,16 +163,16 @@ def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
             )
         g = lambda u, s=term.series: s(u) * smooth(u) * np.power(1.0 - u, al - 1.0)
         if term.log_factor:
-            parts.append((term.coef, _integrate_soft_log(g, 0.5, e0, tol / 4)))
+            parts.append((term.coef, _integrate_soft(integrate_log_jacobi, g, 0.5, e0, tol / 4)))
         else:
-            parts.append((term.coef, _integrate_soft(g, 0.0, 0.5, e0, 0.0, tol / 4)))
+            parts.append((term.coef, _integrate_soft(integrate_jacobi, g, 0.0, 0.5, e0, 0.0, tol / 4)))
     return parts
 
 
 def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
     """Left-sided generalized fractional integral of f at x."""
-    if not (x > 0):
-        raise DomainError(f"saigo_left: x must be positive, got {x!r}")
+    if not (0 < x < math.inf):
+        raise DomainError(f"saigo_left: x must be positive and finite, got {x!r}")
     p0 = f.exponent_at_zero
     if p0 is None:
         raise DomainError("saigo_left: integrand must declare its t->0 power exponent")
@@ -206,8 +185,8 @@ def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qua
 
 def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
     """Right-sided generalized fractional integral of f at x."""
-    if not (x > 0):
-        raise DomainError(f"saigo_right: x must be positive, got {x!r}")
+    if not (0 < x < math.inf):
+        raise DomainError(f"saigo_right: x must be positive and finite, got {x!r}")
     qi = f.exponent_at_infinity
     if qi is None:
         raise DomainError("saigo_right: integrand must declare its t->inf power exponent")

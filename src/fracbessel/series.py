@@ -1,17 +1,20 @@
 """Series evaluation: generalized hypergeometric pFq, Fox-Wright, and k-Bessel.
 
-All three evaluators share the same truncation contract: summation stops
-once three consecutive terms are below tol relative to the running sum
-AND the estimated discarded tail is below tol at the result's scale.
-The tail estimate is reported so callers can propagate error budgets.
+Every term-ratio series in the package, these three and the kernel 2F1
+series in hyp2f1, is summed by ``sum_series`` under its one truncation
+contract (see there).  The tail estimate is reported so callers can
+propagate error budgets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+import numpy as np
+
+from .errors import ConvergenceError, DomainError, require_finite
 from .gammafns import gamma_sign, is_pole, log_gamma
 
 MAX_TERMS = 10_000
@@ -39,6 +42,7 @@ class HypergeomSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
+        require_finite("HypergeomSpec", *self.upper, *self.lower, self.prefactor)
         for b in self.lower:
             if is_pole(b):
                 raise DomainError(f"HypergeomSpec: lower parameter {b!r} is a nonpositive integer")
@@ -64,6 +68,7 @@ class WrightSpec:
         low = tuple((float(b), float(B)) for b, B in self.lower)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", low)
+        require_finite("WrightSpec", *itertools.chain.from_iterable(up + low))
         for _, step in up + low:
             if not (step > 0):
                 raise DomainError(f"WrightSpec: steps must be positive, got {step!r}")
@@ -85,6 +90,7 @@ class KBesselParams:
     k: float
 
     def __post_init__(self):
+        require_finite("KBesselParams", self.v, self.c, self.k)
         if not (self.v > -1):
             raise DomainError(f"KBesselParams: v must exceed -1, got {self.v!r}")
         if not (self.k > 0):
@@ -96,19 +102,59 @@ def wright_convergence_index(spec: WrightSpec) -> float:
     return 1.0 + sum(B for _, B in spec.lower) - sum(A for _, A in spec.upper)
 
 
-def _finish(value: float, n_used: int, tail: float, tol: float) -> SeriesValue:
-    converged = tail <= tol * max(abs(value), _TINY) and math.isfinite(value)
-    return SeriesValue(value, n_used, tail, converged)
+def _max_abs(x: np.ndarray) -> float:
+    return abs(x).max(initial=0.0)
 
 
-def _tail_estimate(t_next: float, ratio: float) -> float:
-    """Bound the discarded tail from its first term and a growth ratio."""
-    a = abs(t_next)
-    if a == 0.0:
-        return 0.0
-    if ratio < 0.9:
-        return a / (1.0 - ratio)
-    return math.inf
+def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesValue:
+    """Sum w_0 t_0 + w_1 t_1 + ... with t_{n+1} = t_n * ratio(n) * z.
+
+    t0 and z are floats, or arrays for a sum vectorized over nodes; ratio(n)
+    is a float, and weights, when given, yields the scalar w_0, w_1, ...
+    (all 1 when absent).  The value is an array when t0 is.
+
+    The truncation contract, the only one in the package: with ||.|| the
+    max over the array (abs for a float), summation stops once three
+    consecutive terms are each <= tol * ||partial sum|| and so is the tail
+    estimate ||w_n t_n|| / (1 - q), q being the ratio of the last two term
+    norms (an infinite tail when q >= 0.9).  An exactly-zero term t_n means
+    the series terminated, with tail 0.  A zero weight (a denominator gamma
+    pole) skips its term, which does not count toward the run.  Reaching
+    max_terms returns converged=False with an infinite tail.
+    """
+    # scalar sums stay in plain float arithmetic; arrays take two reductions
+    # per term, through the array methods
+    norm = _max_abs if isinstance(t0, np.ndarray) else abs
+    term = t0
+    total = 0.0
+    run = 0
+    last = 0.0
+    for n in range(max_terms):
+        if n:
+            term = term * ratio(n - 1) * z
+        part = term
+        if weights is not None:
+            w = next(weights)
+            if w == 0.0:
+                continue
+            part = term * w
+        size = norm(part)
+        if size == 0.0:
+            return SeriesValue(total + part, n, 0.0, True)
+        total += part
+        s = norm(total)
+        bound = tol * max(s, _TINY)
+        if size <= bound:
+            run += 1
+            if run >= 3:
+                q = size / last
+                tail = size / (1.0 - q) if q < 0.9 else math.inf
+                if tail <= bound:
+                    return SeriesValue(total, n + 1, tail, bool(s < math.inf))
+        else:
+            run = 0
+        last = size
+    return SeriesValue(total, max_terms, math.inf, False)
 
 
 def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
@@ -128,35 +174,22 @@ def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
             return SeriesValue(spec.prefactor * g, 0, 0.0, True)
         raise ConvergenceError(f"eval_pfq: p=q+1 series diverges at |z|={abs(z)!r} >= 1")
 
-    total = 0.0
-    term = 1.0
-    small_run = 0
-    n = 0
-    while n < MAX_TERMS:
-        total += term
-        n += 1
+    def ratio(n: int) -> float:
         num = 1.0
         for a in spec.upper:
-            num *= a + (n - 1)
-        den = float(n)
+            num *= a + n
+        den = n + 1.0
         for b in spec.lower:
-            den *= b + (n - 1)
-        if den == 0.0:
-            raise DomainError("eval_pfq: lower parameter hit a nonpositive integer")
-        nxt = term * num / den * z
-        if nxt == 0.0:  # terminating series (an upper parameter hit 0)
-            return SeriesValue(spec.prefactor * total, n, 0.0, True)
-        if abs(nxt) <= tol * max(abs(total), _TINY):
-            small_run += 1
-            if small_run >= 3:
-                ratio = abs(nxt) / max(abs(term), _TINY)
-                tail = _tail_estimate(nxt, ratio)
-                if tail <= tol * max(abs(total), _TINY):
-                    return _finish(spec.prefactor * total, n, abs(spec.prefactor) * tail, tol)
-        else:
-            small_run = 0
-        term = nxt
-    return SeriesValue(spec.prefactor * total, n, math.inf, False)
+            den *= b + n
+        return num / den
+
+    sv = sum_series(1.0, ratio, z, tol)
+    return SeriesValue(
+        spec.prefactor * sv.value,
+        sv.terms_used,
+        abs(spec.prefactor) * sv.trunc_estimate,
+        sv.converged,
+    )
 
 
 def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
@@ -179,9 +212,9 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
     return sign * math.exp(num - den)
 
 
-def _wright_log_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int):
-    """(log|t_n|, sign) of the n-th Fox-Wright term, or (None, 0) when a
-    denominator gamma pole annihilates the term.  Numerator poles raise."""
+def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> float:
+    """The n-th Fox-Wright term, assembled in the log domain; exactly zero when
+    a denominator gamma pole annihilates it.  Numerator poles raise."""
     log_abs = n * log_abs_z - math.lgamma(n + 1)
     sign = 1 if (sign_z > 0 or n % 2 == 0) else -1
     for a, A in spec.upper:
@@ -195,17 +228,18 @@ def _wright_log_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int):
     for b, B in spec.lower:
         arg = b + B * n
         if is_pole(arg):
-            return None, 0
+            return 0.0
         log_abs -= math.lgamma(arg)
         sign *= gamma_sign(arg)
-    return log_abs, sign
+    return sign * math.exp(log_abs)
 
 
 def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     """Sum the Fox-Wright series sum_n prod Gamma(a+An)/prod Gamma(b+Bn) z^n/n!.
 
-    Terms are assembled in the log domain with sign tracking.  Denominator
-    gamma poles zero out the affected term; numerator poles are domain errors.
+    Terms are assembled in the log domain with sign tracking (steps may be
+    any positive reals) and enter the sum as its weights.  Denominator gamma
+    poles zero out the affected term; numerator poles are domain errors.
     Convergence: index > 0, or index == 0 with |z| <= 0.9 * radius.
     """
     delta = wright_convergence_index(spec)
@@ -221,47 +255,43 @@ def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
             )
 
     if z == 0.0:
-        log_abs, sign = _wright_log_term(spec, 0, 0.0, 1)
-        value = 0.0 if sign == 0 else sign * math.exp(log_abs)
-        return SeriesValue(value, 1, 0.0, True)
+        return SeriesValue(_wright_term(spec, 0, 0.0, 1), 1, 0.0, True)
 
     log_abs_z = math.log(abs(z))
     sign_z = 1 if z > 0 else -1
-
-    total = 0.0
-    small_run = 0
-    prev_abs = None
-    n = 0
-    while n < MAX_TERMS:
-        log_t, sign = _wright_log_term(spec, n, log_abs_z, sign_z)
-        if sign == 0:
-            n += 1
-            continue
-        t = sign * math.exp(log_t)
-        total += t
-        n += 1
-        a_t = abs(t)
-        if a_t <= tol * max(abs(total), _TINY):
-            small_run += 1
-            if small_run >= 3 and prev_abs is not None:
-                ratio = a_t / max(prev_abs, _TINY)
-                tail = _tail_estimate(t if t != 0 else a_t, ratio)
-                if tail <= tol * max(abs(total), _TINY):
-                    return _finish(total, n, tail, tol)
-        else:
-            small_run = 0
-        prev_abs = a_t
-    return SeriesValue(total, n, math.inf, False)
+    terms = (_wright_term(spec, n, log_abs_z, sign_z) for n in itertools.count())
+    return sum_series(1.0, lambda n: 1.0, 1.0, tol, weights=terms)
 
 
-def _kb_term(vk: float, log_abs_y: float, sign_y: int, n: int) -> float:
-    """n-th reduced k-Bessel term y^n / (Gamma(n+1+v/k) n!), zero at gamma poles."""
-    arg = n + 1.0 + vk
-    if is_pole(arg):
-        return 0.0
-    log_t = n * log_abs_y - math.lgamma(n + 1) - math.lgamma(arg)
-    sign = gamma_sign(arg) * (1 if (sign_y > 0 or n % 2 == 0) else -1)
-    return sign * math.exp(log_t)
+def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
+    """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), z a float or an array.
+
+    Reciprocal-gamma convention: terms at a pole of Gamma(n+1+v/k) vanish,
+    so the sum starts at the first n0 off the pole lattice.
+    """
+    vk = kb.v / kb.k
+    y = -kb.c / (4.0 * kb.k) * (z * z)
+    n0 = 0
+    while is_pole(n0 + 1.0 + vk):
+        n0 += 1
+    c0 = gamma_sign(n0 + 1.0 + vk) * math.exp(-math.lgamma(n0 + 1) - math.lgamma(n0 + 1.0 + vk))
+    ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
+    return sum_series(c0 * y**n0, ratio, y, tol)
+
+
+def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), elementwise.
+
+    This is W(z) with the leading (z/(2k))^(v/k) power stripped, the piece
+    the operators absorb into their quadrature weight.
+    """
+    sv = _kbessel_sum(kb, z, tol)
+    if not sv.converged:
+        raise ConvergenceError(
+            f"k-Bessel series did not settle within {MAX_TERMS} terms "
+            f"(z up to {float(np.max(z))!r})"
+        )
+    return sv.value
 
 
 def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> SeriesValue:
@@ -270,8 +300,7 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
     Evaluated as (z/(2k))^(v/k) * sum_n y^n / (Gamma(n + 1 + v/k) n!) with
     y = -c z^2 / (4k); the k-gamma in the definition is expanded as
     k^(n + v/k) * Gamma(n + 1 + v/k).  Reduces to the classical Bessel J_v
-    at k = 1, c = 1.  The series is entire; for c z^2 > 0 it alternates and
-    the first discarded term bounds the tail.
+    at k = 1, c = 1.  The series is entire.
     """
     if z < 0:
         raise DomainError(f"eval_k_bessel: z must be >= 0, got {z!r}")
@@ -284,31 +313,5 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
         raise DomainError("eval_k_bessel: z=0 diverges for v < 0")
 
     pref = math.exp(vk * math.log(z / (2.0 * params.k)))
-    y = -params.c * z * z / (4.0 * params.k)
-    if y == 0.0:
-        t0 = _kb_term(vk, 0.0, 1, 0)
-        return SeriesValue(pref * t0, 1, 0.0, True)
-    log_abs_y = math.log(abs(y))
-    sign_y = 1 if y > 0 else -1
-
-    total = 0.0
-    small_run = 0
-    n = 0
-    while n < MAX_TERMS:
-        t = _kb_term(vk, log_abs_y, sign_y, n)
-        total += t
-        n += 1
-        a_t = abs(t)
-        if t != 0.0 and a_t <= tol * max(abs(total), _TINY):
-            small_run += 1
-            if small_run >= 3:
-                t_next = _kb_term(vk, log_abs_y, sign_y, n)
-                if y < 0 and abs(t_next) < a_t:
-                    tail = abs(t_next)  # alternating, terms decreasing
-                else:
-                    tail = _tail_estimate(t_next, abs(t_next) / max(a_t, _TINY))
-                if tail <= tol * max(abs(total), _TINY):
-                    return _finish(pref * total, n, pref * tail, tol)
-        elif t != 0.0:
-            small_run = 0
-    return SeriesValue(pref * total, n, math.inf, False)
+    sv = _kbessel_sum(params, z, tol)
+    return SeriesValue(pref * sv.value, sv.terms_used, pref * sv.trunc_estimate, sv.converged)

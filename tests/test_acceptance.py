@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+import fracbessel
 from fracbessel import (
     THEOREM_IDS,
     KBesselParams,
@@ -237,9 +238,14 @@ def test_acceptance_8_deterministic_reports(capsys, tmp_path):
     cfg = SuiteConfig(theorems=THEOREM_IDS, n_draws=1, seed=123, tol=1e-5)
     in_process = [run_suite(cfg).to_json() for _ in range(2)]
 
+    # the child runs in tmp_path, where a relative PYTHONPATH would not resolve
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(fracbessel.__file__)))
     rendered = []
     for name, threads in (("single.json", "1"), ("multi.json", "4")):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_dir] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             env[var] = threads

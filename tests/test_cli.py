@@ -168,6 +168,15 @@ def test_transform_beta_flag_agreement_with_family(capsys):
     assert code == 2 and "beta" in err
 
 
+@pytest.mark.parametrize("beta,eta", [("nan", "1.0"), ("0.2", "inf")])
+def test_transform_non_finite_order_exits_2(capsys, beta, eta):
+    code, _, err = run(
+        capsys, "transform", "--family", "saigo", "--side", "left",
+        "--alpha", "0.8", "--beta", beta, "--eta", eta, "--x", "1", "--monomial", "1.4",
+    )
+    assert code == 2 and "finite" in err
+
+
 def test_transform_uncertifiable_tolerance_exits_3(capsys):
     # lam == beta makes the exact image zero by cancellation: the quadrature
     # cannot certify a relative target that tight and must say so
@@ -363,8 +372,19 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_installed_entry_point_resolves():
-    from importlib.metadata import entry_points
+    import importlib
+    import pathlib
+    import tomllib
+    from importlib.metadata import PackageNotFoundError, distribution
 
-    eps = entry_points(group="console_scripts")
-    names = {ep.name: ep.value for ep in eps}
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts.get("fracbessel") == "fracbessel.cli:main"
+    module, _, attr = scripts["fracbessel"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    try:
+        eps = distribution("fracbessel").entry_points
+    except PackageNotFoundError:
+        return  # not installed: the declaration above is all there is to check
+    names = {ep.name: ep.value for ep in eps if ep.group == "console_scripts"}
     assert names.get("fracbessel") == "fracbessel.cli:main"

@@ -154,23 +154,25 @@ def test_right_form_series_layout():
     assert cf.power_of_x == pytest.approx((0.1 - 0.4) / 1.5 - 0.3 - 1.0)
 
 
-def test_rl_left_corollary_drops_cancelling_pair():
-    # At beta = -alpha the eta-bearing upper/lower pairs coincide and cancel,
-    # leaving upper {(L, 2)} over lower {(L+alpha, 2), (v/k+1, 1)}.
-    p = TheoremParams(alpha=0.7, beta=-0.7, eta=0.9, lam=0.3, v=0.5, c=1.0, k=1.0)
-    cf = corollary_wright_spec("rl_left", p)
-    big_l = p.big_l
-    _assert_pairs(cf.series.upper, [(big_l, 2.0)])
-    _assert_pairs(cf.series.lower, [(big_l + 0.7, 2.0), (1.5, 1.0)])
-
-
-def test_ek_right_corollary_series_layout():
-    # v=0, k=1 puts the plain factorial pair (1, 1) in the lower list
-    p = TheoremParams(alpha=0.7, beta=0.0, eta=0.9, lam=0.3, v=0.0, c=1.0, k=1.0)
-    cf = corollary_wright_spec("ek_right", p)
-    m = p.big_m
-    _assert_pairs(cf.series.upper, [(m + 0.9, 2.0)])
-    _assert_pairs(cf.series.lower, [(m + 1.6, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize(
+    "variant,v,upper,lower",
+    [
+        # beta = -alpha: the eta-bearing upper/lower pairs coincide and cancel
+        ("rl_left", 0.5, lambda L, M: [(L, 2.0)], lambda L, M: [(L + 0.7, 2.0), (1.5, 1.0)]),
+        # beta = 0: the bare (L, 2) pair cancels
+        ("ek_left", 0.5, lambda L, M: [(L + 0.9, 2.0)], lambda L, M: [(L + 1.6, 2.0), (1.5, 1.0)]),
+        ("rl_right", 0.5, lambda L, M: [(M - 0.7, 2.0)], lambda L, M: [(M, 2.0), (1.5, 1.0)]),
+        # v=0, k=1 puts the plain factorial pair (1, 1) in the lower list
+        ("ek_right", 0.0, lambda L, M: [(M + 0.9, 2.0)], lambda L, M: [(M + 1.6, 2.0), (1.0, 1.0)]),
+    ],
+    ids=["rl_left", "ek_left", "rl_right", "ek_right"],
+)
+def test_corollary_series_layout(variant, v, upper, lower):
+    # the given beta is replaced by the variant's pinned one
+    p = TheoremParams(alpha=0.7, beta=0.1, eta=0.9, lam=0.3, v=v, c=1.0, k=1.0)
+    cf = corollary_wright_spec(variant, p)
+    _assert_pairs(cf.series.upper, upper(p.big_l, p.big_m))
+    _assert_pairs(cf.series.lower, lower(p.big_l, p.big_m))
 
 
 def test_left_hypergeometric_twin_layout():

@@ -50,6 +50,15 @@ def test_sample_params_respects_validity_margin(tid, margin):
             assert p.big_m + min(p.beta, p.eta) >= margin - 1e-12
 
 
+def test_sample_params_draws_inside_narrow_lambda_window():
+    # this seed's 3.4 draw leaves lambda only the window [0.1, 0.10041],
+    # which all 1000 rejection draws on [0.1, 2.5] miss
+    (d,) = sample_params("3.4", 1, seed=920406030)
+    p = d.params
+    assert 0.1 <= p.lam <= 0.1005
+    assert p.big_m + p.beta >= 0.05 and p.big_m + p.eta >= 0.05
+
+
 def test_sample_params_pins_beta_for_reduced_families():
     for d in sample_params("cor2.2", 10, seed=1):
         assert d.params.beta == pytest.approx(-d.params.alpha)

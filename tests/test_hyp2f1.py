@@ -90,6 +90,7 @@ def _eval_split(a, b, c, u):
         (0.7, -1.3, 0.4, -0.5641955370599286679),     # c - a - b = 1
         (0.45, -0.8, 1.65, 0.76337979948915553616),   # c - a - b = 2
         (1.6, -0.3, 0.3, -77379355.534277553756),     # c - a - b = -1
+        (1.75, 0.5, 0.25, 22256715694512596.66344),   # c - a - b = -2
     ],
 )
 def test_kernel_split_reconstructs_integer_exponent_kernel(a, b, c, at_1e8):

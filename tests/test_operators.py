@@ -8,6 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracbessel import (
+    HypergeomSpec,
+    KBesselParams,
+    TheoremParams,
+    WrightSpec,
+    evaluate_closed_form,
+    theorem21_spec,
+)
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import gamma_ratio
 from fracbessel.integrands import monomial
@@ -61,6 +69,40 @@ def test_params_alpha_must_be_positive():
         SaigoParams(alpha=0.0, beta=0.1)
     with pytest.raises(DomainError):
         SaigoParams(alpha=-0.3, beta=0.1)
+
+
+_P_FINITE = SaigoParams(alpha=0.8, beta=0.2, eta=1.0)
+_T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SaigoParams(alpha=0.8, beta=math.nan, eta=1.0),
+        lambda: SaigoParams(alpha=0.8, beta=0.2, eta=math.inf),
+        lambda: SaigoParams(alpha=math.inf, family=Family.RIEMANN_LIOUVILLE),
+        lambda: KBesselParams(v=0.5, c=math.nan, k=1.0),
+        lambda: KBesselParams(v=0.5, c=1.0, k=math.inf),
+        lambda: TheoremParams(**{**_T_FINITE, "c": math.nan}),
+        lambda: TheoremParams(**{**_T_FINITE, "lam": -math.inf}),
+        lambda: HypergeomSpec(upper=(math.nan,), lower=(2.0,)),
+        lambda: HypergeomSpec(upper=(1.0,), lower=(2.0,), prefactor=math.inf),
+        lambda: WrightSpec(upper=((1.0, math.inf),), lower=()),
+        lambda: WrightSpec(upper=(), lower=((math.nan, 1.0),)),
+        lambda: saigo_left(monomial(1.4), _P_FINITE, math.inf),
+        lambda: saigo_right(monomial(0.3), _P_FINITE, math.nan),
+        lambda: evaluate_closed_form(theorem21_spec(TheoremParams(**_T_FINITE)), math.inf),
+    ],
+    ids=[
+        "saigo-beta-nan", "saigo-eta-inf", "saigo-alpha-inf", "kbessel-c-nan",
+        "kbessel-k-inf", "theorem-c-nan", "theorem-lam-inf", "pfq-upper-nan",
+        "pfq-prefactor-inf", "wright-step-inf", "wright-coeff-nan",
+        "saigo-left-x-inf", "saigo-right-x-nan", "closed-form-x-inf",
+    ],
+)
+def test_non_finite_input_raises_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 # ------------------------------------------------------- frozen references

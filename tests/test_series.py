@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from fracbessel.series import (
     eval_pfq,
     eval_wright,
     gauss_2f1_at_1,
+    sum_series,
     wright_convergence_index,
 )
 
@@ -171,7 +173,27 @@ def test_wright_truncation_estimate_bounds_refinement(z):
     assert abs(coarse.value - fine.value) <= coarse.trunc_estimate + 1e-15 * abs(fine.value)
 
 
+def test_sum_series_vectorized_tail_estimate_bounds_refinement():
+    # 2F1(1.5, 2.5; 1.2; w) over an array of nodes: one estimate, on the
+    # max norm, covers the truncation error of every node
+    w = np.linspace(0.05, 0.6, 12)
+    ratio = lambda n: (1.5 + n) * (2.5 + n) / ((1.2 + n) * (n + 1.0))
+    coarse = sum_series(np.ones_like(w), ratio, w, 1e-6)
+    fine = sum_series(np.ones_like(w), ratio, w, 1e-13)
+    assert coarse.converged and fine.converged
+    assert coarse.trunc_estimate >= float(np.max(np.abs(coarse.value - fine.value)))
+
+
 # ---------------------------------------------------------------- k-Bessel
+
+
+@pytest.mark.parametrize("z", [0.7, 3.0])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_k_bessel_truncation_estimate_bounds_refinement(z, c):
+    p = KBesselParams(v=0.4, c=c, k=1.3)
+    coarse = eval_k_bessel(p, z, 1e-6)
+    fine = eval_k_bessel(p, z, 1e-13)
+    assert abs(coarse.value - fine.value) <= coarse.trunc_estimate + 1e-15 * abs(fine.value)
 
 
 def test_k_bessel_classical_reduction_grid():
