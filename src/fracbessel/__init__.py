@@ -40,7 +40,6 @@ from .integrands import Integrand, kbessel_integrand, monomial
 from .operators import (
     Family,
     SaigoParams,
-    Side,
     ek_left,
     ek_left_monomial,
     ek_right,
@@ -83,7 +82,6 @@ __all__ = [
     "Report",
     "SaigoParams",
     "SeriesValue",
-    "Side",
     "SuiteConfig",
     "THEOREM_IDS",
     "TheoremParams",

@@ -12,23 +12,21 @@ placed in $FRACBESSEL_REPORT_DIR when that variable is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from .closed_forms import (
-    TheoremParams,
-    corollary_wright_spec,
-    evaluate_closed_form,
-    theorem21_spec,
-    theorem24_spec,
-)
+from .closed_forms import TheoremParams, evaluate_closed_form
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .gammafns import k_gamma
 from .harness import (
+    _VARIANTS,
     THEOREM_IDS,
     SuiteConfig,
+    _csv_table,
+    _jsonable_float,
     render_csv,
     render_text,
     report_from_json,
@@ -212,89 +210,56 @@ def _emit(content: str, out: Optional[str]) -> None:
         fh.write(content)
 
 
-def _scalar_payload(command: str, extra: dict, sv: SeriesValue) -> dict:
-    payload = {"command": command}
-    payload.update(extra)
-    payload.update(
-        {
-            "value": sv.value,
-            "terms_used": sv.terms_used,
-            "trunc_estimate": sv.trunc_estimate,
-            "converged": sv.converged,
-        }
-    )
-    return payload
-
-
 def _emit_payload(payload: dict, output: str, out: Optional[str]) -> None:
     if output == "json":
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+        strict = {k: _jsonable_float(v) if isinstance(v, float) else v for k, v in payload.items()}
+        _emit(json.dumps(strict, sort_keys=True, indent=2) + "\n", out)
     elif output == "csv":
-        keys = list(payload)
-        row = ",".join(_csv_cell(payload[k]) for k in keys)
-        _emit(",".join(keys) + "\n" + row + "\n", out)
+        _emit(_csv_table([payload], list(payload)), out)
     else:
         width = max(len(k) for k in payload)
-        lines = [f"{k:<{width}}  {_text_cell(payload[k])}" for k in payload]
-        _emit("\n".join(lines) + "\n", out)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _text_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        _emit("".join(f"{k:<{width}}  {v}\n" for k, v in payload.items()), out)
 
 
 def cmd_eval(args) -> int:
     if args.kind == "kbessel":
         sv = eval_k_bessel(KBesselParams(v=args.v, c=args.c, k=args.k), args.z, args.tol)
-        extra = {"kind": "kbessel", "v": args.v, "c": args.c, "k": args.k, "z": args.z}
+        extra = {"v": args.v, "c": args.c, "k": args.k, "z": args.z}
     elif args.kind == "wright":
         if args.upper is None or args.lower is None:
             raise DomainError("eval wright needs --upper and --lower (coeff:step pairs)")
         spec = WrightSpec(upper=_wright_pairs(args.upper), lower=_wright_pairs(args.lower))
         sv = eval_wright(spec, args.z, args.tol)
-        extra = {"kind": "wright", "upper": args.upper, "lower": args.lower, "z": args.z}
+        extra = {"upper": args.upper, "lower": args.lower, "z": args.z}
     elif args.kind == "pfq":
         if args.upper is None or args.lower is None:
             raise DomainError("eval pfq needs --upper and --lower (comma-separated numbers)")
         spec = HypergeomSpec(upper=_float_list(args.upper), lower=_float_list(args.lower))
         sv = eval_pfq(spec, args.z, args.tol)
-        extra = {"kind": "pfq", "upper": args.upper, "lower": args.lower, "z": args.z}
+        extra = {"upper": args.upper, "lower": args.lower, "z": args.z}
     else:
         value = k_gamma(args.z, args.k)
         sv = SeriesValue(value=value, terms_used=1, trunc_estimate=0.0, converged=True)
-        extra = {"kind": "gamma_k", "z": args.z, "k": args.k}
-    _emit_payload(_scalar_payload("eval", extra, sv), args.output, args.out)
-    return 0
+        extra = {"z": args.z, "k": args.k}
+    payload = {"command": "eval", "kind": args.kind, **extra, **dataclasses.asdict(sv)}
+    _emit_payload(payload, args.output, args.out)
+    return 0 if sv.converged else 3
 
 
-def _transform_closed_form(args, family: Family, sp: SaigoParams):
-    """Closed-form companion value when one applies; (value, note) with
-    value None when conditions fail."""
+def _transform_closed_form(args, sp: SaigoParams) -> float:
+    """Closed-form companion value: the exact monomial image, or the
+    Fox-Wright image of the k-Bessel integrand for the operator's side and
+    family."""
     if args.monomial is not None:
         image = saigo_left_monomial if args.side == "left" else saigo_right_monomial
         coeff, exponent = image(sp, args.monomial)
-        return coeff * args.x**exponent, ""
+        return coeff * args.x**exponent
     v, c, k = args.kbessel
     p = TheoremParams(alpha=sp.alpha, beta=sp.beta, eta=sp.eta, lam=k, v=v, c=c, k=k)
-    if family is Family.SAIGO:
-        cf = theorem21_spec(p) if args.side == "left" else theorem24_spec(p)
-    else:
-        prefix = "rl" if family is Family.RIEMANN_LIOUVILLE else "ek"
-        cf = corollary_wright_spec(f"{prefix}_{args.side}", p)
-    return evaluate_closed_form(cf, args.x, args.tol / 100.0).value, ""
+    builder = next(
+        b for side, fam, b in _VARIANTS.values() if (side, fam) == (args.side, sp.family)
+    )
+    return evaluate_closed_form(builder(p), args.x, args.tol / 100.0).value
 
 
 def cmd_transform(args) -> int:
@@ -305,11 +270,7 @@ def cmd_transform(args) -> int:
         raise DomainError("--family saigo requires --beta")
     if family is not Family.SAIGO and args.beta is not None:
         raise DomainError(f"--beta is fixed for --family {args.family}; omit it")
-    sp = (
-        SaigoParams(alpha=args.alpha, beta=args.beta, eta=args.eta, family=family)
-        if family is Family.SAIGO
-        else SaigoParams(alpha=args.alpha, eta=args.eta, family=family)
-    )
+    sp = SaigoParams(alpha=args.alpha, beta=args.beta, eta=args.eta, family=family)
 
     if args.monomial is not None:
         if args.reciprocal:
@@ -334,7 +295,7 @@ def cmd_transform(args) -> int:
     closed_value = None
     note = ""
     try:
-        closed_value, note = _transform_closed_form(args, family, sp)
+        closed_value = _transform_closed_form(args, sp)
     except (DomainError, ConvergenceError) as exc:
         note = f"closed form not applicable: {exc}"
 

@@ -16,18 +16,19 @@ sampling uses a per-theorem seeded generator.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .closed_forms import (
-    ClosedForm,
     TheoremParams,
     corollary_pfq_spec,
     corollary_wright_spec,
@@ -37,7 +38,7 @@ from .closed_forms import (
     theorem31_spec,
     theorem34_spec,
 )
-from .errors import AccuracyError, ConvergenceError, DomainError
+from .errors import AccuracyError, ConvergenceError, DomainError, require_finite
 from .integrands import kbessel_integrand
 from .operators import Family, SaigoParams, saigo_left, saigo_right
 from .series import KBesselParams
@@ -63,29 +64,21 @@ _LAMBDA_RANGE = (0.1, 2.5)
 _MAX_LAMBDA_RESAMPLES = 1000
 
 
-def _cor(variant: str, pfq: bool) -> Callable[[TheoremParams], ClosedForm]:
-    builder = corollary_pfq_spec if pfq else corollary_wright_spec
-
-    def build(p: TheoremParams) -> ClosedForm:
-        return builder(variant, p)
-
-    return build
-
-
-# theorem_id -> (side, operator family, closed-form builder)
+# theorem_id -> (side, operator family, closed-form builder); the first id
+# listed for a (side, family) pair is its Fox-Wright form
 _VARIANTS: dict = {
     "2.1": ("left", Family.SAIGO, theorem21_spec),
     "2.4": ("right", Family.SAIGO, theorem24_spec),
     "3.1": ("left", Family.SAIGO, theorem31_spec),
     "3.4": ("right", Family.SAIGO, theorem34_spec),
-    "cor2.2": ("left", Family.RIEMANN_LIOUVILLE, _cor("rl_left", False)),
-    "cor2.3": ("left", Family.ERDELYI_KOBER, _cor("ek_left", False)),
-    "cor2.5": ("right", Family.RIEMANN_LIOUVILLE, _cor("rl_right", False)),
-    "cor2.6": ("right", Family.ERDELYI_KOBER, _cor("ek_right", False)),
-    "cor3.2": ("left", Family.RIEMANN_LIOUVILLE, _cor("rl_left", True)),
-    "cor3.3": ("left", Family.ERDELYI_KOBER, _cor("ek_left", True)),
-    "cor3.5": ("right", Family.RIEMANN_LIOUVILLE, _cor("rl_right", True)),
-    "cor3.6": ("right", Family.ERDELYI_KOBER, _cor("ek_right", True)),
+    "cor2.2": ("left", Family.RIEMANN_LIOUVILLE, partial(corollary_wright_spec, "rl_left")),
+    "cor2.3": ("left", Family.ERDELYI_KOBER, partial(corollary_wright_spec, "ek_left")),
+    "cor2.5": ("right", Family.RIEMANN_LIOUVILLE, partial(corollary_wright_spec, "rl_right")),
+    "cor2.6": ("right", Family.ERDELYI_KOBER, partial(corollary_wright_spec, "ek_right")),
+    "cor3.2": ("left", Family.RIEMANN_LIOUVILLE, partial(corollary_pfq_spec, "rl_left")),
+    "cor3.3": ("left", Family.ERDELYI_KOBER, partial(corollary_pfq_spec, "ek_left")),
+    "cor3.5": ("right", Family.RIEMANN_LIOUVILLE, partial(corollary_pfq_spec, "rl_right")),
+    "cor3.6": ("right", Family.ERDELYI_KOBER, partial(corollary_pfq_spec, "ek_right")),
 }
 
 # Where several printed parameterizations of a form circulate, the shipped
@@ -137,23 +130,58 @@ class ParameterDraw:
     seed_index: int
 
     def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "theorem_id": self.theorem_id,
-            "seed_index": self.seed_index,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "eta": p.eta,
-            "lam": p.lam,
-            "v": p.v,
-            "c": p.c,
-            "k": p.k,
-        }
+        return _flat_dict(self)
 
 
 def _jsonable_float(x: float) -> Optional[float]:
     # canonical JSON stays strict: non-finite floats serialize as null
     return x if math.isfinite(x) else None
+
+
+@lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """(name, type, type is a dataclass) of each field of the dataclass cls."""
+    return tuple(
+        (name, tp, dataclasses.is_dataclass(tp))
+        for name, tp in get_type_hints(cls).items()
+    )
+
+
+def _flat_dict(obj) -> dict:
+    """The fields of a dataclass as one flat dict, nested dataclasses inlined
+    in place and non-finite float fields as None."""
+    d = {}
+    for name, tp, nested in _fields(type(obj)):
+        val = getattr(obj, name)
+        if nested:
+            d.update(_flat_dict(val))
+        else:
+            d[name] = _jsonable_float(val) if tp is float else val
+    return d
+
+
+def _flat_names(cls) -> list:
+    """The keys, in order, that _flat_dict gives an instance of cls."""
+    return [
+        flat_name
+        for name, tp, nested in _fields(cls)
+        for flat_name in (_flat_names(tp) if nested else [name])
+    ]
+
+
+def _from_flat(cls, d: dict):
+    """Inverse of _flat_dict: float fields are coerced with float() and None
+    comes back as NaN; a key that is absent leaves the field's default."""
+    kwargs = {}
+    for name, tp, nested in _fields(cls):
+        if nested:
+            kwargs[name] = _from_flat(tp, d)
+        elif name in d:
+            val = d[name]
+            if tp is float:
+                val = math.nan if val is None else float(val)
+            kwargs[name] = val
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -174,23 +202,7 @@ class VerificationRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        d = self.draw.to_dict()
-        d.update(
-            {
-                "x": self.x,
-                "lhs": _jsonable_float(self.lhs),
-                "rhs": _jsonable_float(self.rhs),
-                "abs_diff": _jsonable_float(self.abs_diff),
-                "rel_residual": _jsonable_float(self.rel_residual),
-                "lhs_error_estimate": _jsonable_float(self.lhs_error_estimate),
-                "rhs_trunc_estimate": _jsonable_float(self.rhs_trunc_estimate),
-                "evaluations": self.evaluations,
-                "terms_used": self.terms_used,
-                "passed": self.passed,
-                "note": self.note,
-            }
-        )
-        return d
+        return _flat_dict(self)
 
 
 @dataclass(frozen=True)
@@ -216,6 +228,7 @@ class SuiteConfig:
             raise DomainError(f"n_draws must be >= 1, got {self.n_draws!r}")
         if not (0 < self.tol <= 1e-2):
             raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol!r}")
+        require_finite("SuiteConfig margin and x_points", self.margin, *self.x_points)
         if self.margin < 0:
             raise DomainError(f"margin must be >= 0, got {self.margin!r}")
         if not self.x_points:
@@ -234,14 +247,7 @@ class SuiteConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "theorems": list(self.theorems),
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "tol": self.tol,
-            "x_points": list(self.x_points),
-            "margin": self.margin,
-        }
+        return _flat_dict(self)
 
 
 @dataclass
@@ -351,12 +357,6 @@ def _draw_lambda(rng, side, alpha, beta, eta, v, k, margin) -> float:
     return lo if side == "left" else hi
 
 
-def _saigo_params(family: Family, p: TheoremParams) -> SaigoParams:
-    if family is Family.SAIGO:
-        return SaigoParams(alpha=p.alpha, beta=p.beta, eta=p.eta, family=family)
-    return SaigoParams(alpha=p.alpha, eta=p.eta, family=family)
-
-
 def check_identity(
     draw: ParameterDraw, x_points: Sequence[float], tol: float = 1e-5
 ) -> list:
@@ -364,74 +364,55 @@ def check_identity(
 
     Both the integrand's series truncation and the quadrature target run at
     tol/100 so the comparison's error budget is dominated by neither side.
-    Domain, convergence, and quadrature-accuracy failures mark only the
-    affected record as failed, with the diagnostic in its note.
+    Setup (domain, convergence), quadrature and closed-form failures mark
+    only the affected record as failed, with the diagnostic in its note: a
+    record passes when it has no note and is within tolerance.
     """
     side, family, builder = _VARIANTS[draw.theorem_id]
     p = draw.params
     inner_tol = tol / 100.0
 
-    cf = None
-    setup_note = ""
+    setup_notes = []
     try:
         cf = builder(p)
-        sp = _saigo_params(family, p)
-        kb = KBesselParams(v=p.v, c=p.c, k=p.k)
+        sp = SaigoParams(alpha=p.alpha, beta=p.beta, eta=p.eta, family=family)
         f = kbessel_integrand(
-            kb, p.lam, reciprocal=(side == "right"), series_tol=inner_tol
+            KBesselParams(v=p.v, c=p.c, k=p.k), p.lam,
+            reciprocal=(side == "right"), series_tol=inner_tol,
         )
         operator = saigo_left if side == "left" else saigo_right
     except (DomainError, ConvergenceError) as exc:
-        setup_note = f"setup failed: {type(exc).__name__}: {exc}"
+        setup_notes.append(f"setup failed: {type(exc).__name__}: {exc}")
 
     records = []
-    nan = float("nan")
     for x in x_points:
         x = float(x)
-        if not (x > 0):
-            raise DomainError(f"evaluation points must be positive, got {x!r}")
-        if setup_note:
-            records.append(
-                VerificationRecord(
-                    draw=draw, x=x, lhs=nan, rhs=nan, abs_diff=nan,
-                    rel_residual=nan, lhs_error_estimate=nan,
-                    rhs_trunc_estimate=nan, evaluations=0, terms_used=0,
-                    passed=False, note=setup_note,
-                )
-            )
-            continue
-
-        note_parts = []
-        degraded = False
-        lhs = lhs_est = nan
-        evaluations = 0
-        try:
-            qr = operator(f, sp, x, tol=inner_tol)
-            lhs, lhs_est, evaluations = qr.value, qr.error_estimate, qr.evaluations
-        except AccuracyError as exc:
-            lhs = exc.value if exc.value is not None else nan
-            lhs_est = exc.error_estimate if exc.error_estimate is not None else nan
-            note_parts.append(f"quadrature accuracy: {exc}")
-            degraded = True
-        except (DomainError, ConvergenceError) as exc:
-            note_parts.append(f"quadrature: {type(exc).__name__}: {exc}")
-            degraded = True
-
-        rhs = rhs_trunc = nan
-        terms_used = 0
-        try:
-            sv = evaluate_closed_form(cf, x, inner_tol)
-            rhs, rhs_trunc, terms_used = sv.value, sv.trunc_estimate, sv.terms_used
-            if not sv.converged:
-                note_parts.append("closed form: series not converged at cap")
-                degraded = True
-        except (DomainError, ConvergenceError) as exc:
-            note_parts.append(f"closed form: {type(exc).__name__}: {exc}")
-            degraded = True
+        if not (0 < x < math.inf):
+            raise DomainError(f"evaluation points must be positive and finite, got {x!r}")
+        notes = list(setup_notes)
+        lhs = lhs_est = rhs = rhs_trunc = math.nan
+        evaluations = terms_used = 0
+        if not notes:
+            try:
+                qr = operator(f, sp, x, tol=inner_tol)
+                lhs, lhs_est, evaluations = qr.value, qr.error_estimate, qr.evaluations
+            except AccuracyError as exc:
+                lhs = exc.value if exc.value is not None else math.nan
+                lhs_est = exc.error_estimate if exc.error_estimate is not None else math.nan
+                notes.append(f"quadrature accuracy: {exc}")
+            except (DomainError, ConvergenceError) as exc:
+                notes.append(f"quadrature: {type(exc).__name__}: {exc}")
+            try:
+                sv = evaluate_closed_form(cf, x, inner_tol)
+                rhs, rhs_trunc, terms_used = sv.value, sv.trunc_estimate, sv.terms_used
+                if not sv.converged:
+                    notes.append("closed form: series not converged at cap")
+            except (DomainError, ConvergenceError) as exc:
+                notes.append(f"closed form: {type(exc).__name__}: {exc}")
 
         abs_diff = abs(lhs - rhs)
         rel = abs_diff / max(abs(lhs), abs(rhs), 1e-300)
-        passed = (not degraded) and bool(
+        passed = not notes and bool(
             rel <= tol or abs_diff <= max(ESTIMATE_FACTOR * lhs_est, ABS_FLOOR)
         )
         records.append(
@@ -439,8 +420,7 @@ def check_identity(
                 draw=draw, x=x, lhs=lhs, rhs=rhs, abs_diff=abs_diff,
                 rel_residual=rel, lhs_error_estimate=lhs_est,
                 rhs_trunc_estimate=rhs_trunc, evaluations=evaluations,
-                terms_used=terms_used, passed=passed,
-                note="; ".join(note_parts),
+                terms_used=terms_used, passed=passed, note="; ".join(notes),
             )
         )
     return records
@@ -478,7 +458,7 @@ def run_suite(config: SuiteConfig) -> Report:
         for tid in dict.fromkeys(config.theorems)
         if tid in ARBITRATION_NOTES
     ]
-    report = Report(
+    return Report(
         suite_id=_suite_id(config),
         config=config,
         records=records,
@@ -486,7 +466,6 @@ def run_suite(config: SuiteConfig) -> Report:
         notes=notes,
         wall_time_s=time.perf_counter() - t0,
     )
-    return report
 
 
 def render_text(report: Report) -> str:
@@ -530,56 +509,34 @@ def render_text(report: Report) -> str:
     return out.getvalue()
 
 
-_CSV_FIELDS = (
-    "theorem_id", "seed_index", "x", "alpha", "beta", "eta", "lam", "v", "c",
-    "k", "lhs", "rhs", "abs_diff", "rel_residual", "lhs_error_estimate",
-    "rhs_trunc_estimate", "evaluations", "terms_used", "passed", "note",
+# CSV rows lead with the record order key, then the rest in to_dict order
+_CSV_LEAD = ("theorem_id", "seed_index", "x")
+_CSV_FIELDS = _CSV_LEAD + tuple(
+    name for name in _flat_names(VerificationRecord) if name not in _CSV_LEAD
 )
+
+
+def _csv_table(rows: Sequence[dict], fieldnames: Sequence[str]) -> str:
+    """Dict rows as CSV text under a header of fieldnames."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def render_csv(report: Report) -> str:
     """One row per record, suitable for external plotting tools."""
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in report.records:
-        writer.writerow({k: r.to_dict()[k] for k in _CSV_FIELDS})
-    return out.getvalue()
+    return _csv_table([r.to_dict() for r in report.records], _CSV_FIELDS)
 
 
 def report_from_json(text: str) -> Report:
     """Rehydrate a Report from its canonical JSON (wall time restored as 0)."""
     data = json.loads(text)
-    cfg = SuiteConfig(**data["config"])
-    records = []
-    for rd in data["records"]:
-        params = TheoremParams(
-            alpha=rd["alpha"], beta=rd["beta"], eta=rd["eta"], lam=rd["lam"],
-            v=rd["v"], c=rd["c"], k=rd["k"],
-        )
-        draw = ParameterDraw(
-            params=params, theorem_id=rd["theorem_id"], seed_index=rd["seed_index"]
-        )
-        nan = float("nan")
-
-        def num(key):
-            val = rd[key]
-            return nan if val is None else float(val)
-
-        records.append(
-            VerificationRecord(
-                draw=draw, x=rd["x"], lhs=num("lhs"), rhs=num("rhs"),
-                abs_diff=num("abs_diff"), rel_residual=num("rel_residual"),
-                lhs_error_estimate=num("lhs_error_estimate"),
-                rhs_trunc_estimate=num("rhs_trunc_estimate"),
-                evaluations=rd["evaluations"], terms_used=rd["terms_used"],
-                passed=rd["passed"], note=rd.get("note", ""),
-            )
-        )
     return Report(
         suite_id=data["suite_id"],
-        config=cfg,
-        records=records,
+        config=SuiteConfig(**data["config"]),
+        records=[_from_flat(VerificationRecord, rd) for rd in data["records"]],
         per_theorem=data["per_theorem"],
         notes=data["notes"],
         wall_time_s=0.0,

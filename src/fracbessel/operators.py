@@ -46,11 +46,6 @@ class Family(str, enum.Enum):
     ERDELYI_KOBER = "erdelyi_kober"
 
 
-class Side(str, enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @dataclass(frozen=True)
 class SaigoParams:
     """Operator orders (alpha > 0, beta, eta); family pins beta where required."""

@@ -163,6 +163,7 @@ def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     Requires p <= q+1; p == q+1 additionally needs |z| < 1, except that
     the Gauss point z=1 of 2F1 with c-a-b > 0 is routed to the closed form.
     """
+    require_finite("eval_pfq", z)
     p, q = len(spec.upper), len(spec.lower)
     if z == 0.0:
         return SeriesValue(spec.prefactor * 1.0, 1, 0.0, True)
@@ -242,6 +243,7 @@ def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     poles zero out the affected term; numerator poles are domain errors.
     Convergence: index > 0, or index == 0 with |z| <= 0.9 * radius.
     """
+    require_finite("eval_wright", z)
     delta = wright_convergence_index(spec)
     if delta < -1e-12:
         raise ConvergenceError(f"eval_wright: convergence index {delta!r} < 0")
@@ -302,6 +304,7 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
     k^(n + v/k) * Gamma(n + 1 + v/k).  Reduces to the classical Bessel J_v
     at k = 1, c = 1.  The series is entire.
     """
+    require_finite("eval_k_bessel", z)
     if z < 0:
         raise DomainError(f"eval_k_bessel: z must be >= 0, got {z!r}")
     vk = params.v / params.k

@@ -68,6 +68,34 @@ def test_eval_rejects_out_of_range_tol(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "kind_args",
+    [
+        ("kbessel", "--z", "nan"),
+        ("wright", "--upper", "2:1", "--lower", "3:1", "--z", "inf"),
+        ("pfq", "--upper", "1,1", "--lower", "2", "--z=-inf"),
+    ],
+    ids=["kbessel", "wright", "pfq"],
+)
+def test_eval_non_finite_argument_exits_2(capsys, kind_args):
+    code, out, err = run(capsys, "eval", *kind_args)
+    assert code == 2 and "finite" in err
+    assert out == ""
+
+
+def test_eval_unconverged_series_exits_3_with_strict_json(capsys):
+    # |z| this close to the radius needs more terms than the cap allows
+    code, out, _ = run(
+        capsys, "eval", "pfq", "--upper", "1,1", "--lower", "2", "--z", "0.99999",
+        "--output", "json",
+    )
+    assert code == 3
+    d = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON {name}"))
+    assert d["converged"] is False
+    assert d["trunc_estimate"] is None
+    assert math.isfinite(d["value"])
+
+
 def test_eval_text_and_csv_layouts(capsys):
     code, out, _ = run(capsys, "eval", "kbessel", "--z", "1", "--output", "text")
     assert code == 0
@@ -371,14 +399,25 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def _project_scripts(text: str) -> dict:
+    """The [project.scripts] table of a pyproject.toml: through tomllib where
+    it exists (Python 3.11+), else read as its flat name = "value" lines."""
+    try:
+        import tomllib
+    except ImportError:
+        table = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        pairs = (line.split("=", 1) for line in table.splitlines() if "=" in line)
+        return {k.strip(): v.strip().strip('"') for k, v in pairs}
+    return tomllib.loads(text)["project"]["scripts"]
+
+
 def test_installed_entry_point_resolves():
     import importlib
     import pathlib
-    import tomllib
     from importlib.metadata import PackageNotFoundError, distribution
 
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    scripts = _project_scripts(pyproject.read_text())
     assert scripts.get("fracbessel") == "fracbessel.cli:main"
     module, _, attr = scripts["fracbessel"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))

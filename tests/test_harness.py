@@ -103,6 +103,8 @@ def test_check_identity_rejects_nonpositive_point():
     draw = ParameterDraw(params=p, theorem_id="2.1", seed_index=0)
     with pytest.raises(DomainError):
         check_identity(draw, (-1.0,), tol=1e-5)
+    with pytest.raises(DomainError, match="finite"):
+        check_identity(draw, (math.inf,), tol=1e-5)
 
 
 def test_check_identity_invalid_params_fail_with_note():
@@ -138,6 +140,10 @@ def test_config_validation_bounds():
         SuiteConfig(x_points=())
     with pytest.raises(DomainError):
         SuiteConfig(x_points=(0.0,))
+    with pytest.raises(DomainError, match="finite"):
+        SuiteConfig(x_points=(math.inf,))
+    with pytest.raises(DomainError, match="finite"):
+        SuiteConfig(margin=math.nan)
 
 
 def test_config_right_sided_points_must_stay_moderate():
@@ -211,11 +217,22 @@ def test_margin_widening_keeps_suite_green():
 # ---------------------------------------------------------------- rendering
 
 
-def test_json_round_trip_is_byte_identical():
-    report = run_suite(SMALL)
+def _setup_failed_report() -> Report:
+    # left-sided validity violated: every record carries NaN values
+    p = TheoremParams(alpha=0.5, beta=1.5, eta=0.2, lam=0.4, v=0.3, c=1.0, k=1.0)
+    draw = ParameterDraw(params=p, theorem_id="2.1", seed_index=0)
+    records = check_identity(draw, (1.0,), tol=1e-5)
+    return Report(suite_id="verify-fail", config=SMALL, records=records)
+
+
+@pytest.mark.parametrize("build", [lambda: run_suite(SMALL), _setup_failed_report],
+                         ids=["all-pass", "setup-failed"])
+def test_json_round_trip_is_byte_identical(build):
+    report = build()
     text = report.to_json()
     rehydrated = report_from_json(text)
     assert rehydrated.to_json() == text
+    assert render_csv(rehydrated) == render_csv(report)
     assert rehydrated.suite_id == report.suite_id
     assert rehydrated.all_passed == report.all_passed
 
@@ -239,11 +256,7 @@ def test_text_rendering_mentions_suite_and_counts():
 
 
 def test_text_rendering_details_failures():
-    p = TheoremParams(alpha=0.5, beta=1.5, eta=0.2, lam=0.4, v=0.3, c=1.0, k=1.0)
-    draw = ParameterDraw(params=p, theorem_id="2.1", seed_index=0)
-    records = check_identity(draw, (1.0,), tol=1e-5)
-    report = Report(suite_id="verify-fail", config=SMALL, records=records)
-    text = render_text(report)
+    text = render_text(_setup_failed_report())
     assert "failing records" in text
     assert "setup failed" in text
 

@@ -13,6 +13,9 @@ from fracbessel import (
     KBesselParams,
     TheoremParams,
     WrightSpec,
+    eval_k_bessel,
+    eval_pfq,
+    eval_wright,
     evaluate_closed_form,
     theorem21_spec,
 )
@@ -92,12 +95,20 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
         lambda: saigo_left(monomial(1.4), _P_FINITE, math.inf),
         lambda: saigo_right(monomial(0.3), _P_FINITE, math.nan),
         lambda: evaluate_closed_form(theorem21_spec(TheoremParams(**_T_FINITE)), math.inf),
+        lambda: eval_pfq(HypergeomSpec(upper=(1.0,), lower=(2.0,)), math.nan),
+        lambda: eval_pfq(HypergeomSpec(upper=(), lower=(2.0,)), -math.inf),
+        lambda: eval_wright(WrightSpec(upper=((2.0, 1.0),), lower=((3.0, 1.0),)), math.inf),
+        lambda: eval_wright(WrightSpec(upper=(), lower=((3.0, 1.0),)), math.nan),
+        lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.nan),
+        lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.inf),
     ],
     ids=[
         "saigo-beta-nan", "saigo-eta-inf", "saigo-alpha-inf", "kbessel-c-nan",
         "kbessel-k-inf", "theorem-c-nan", "theorem-lam-inf", "pfq-upper-nan",
         "pfq-prefactor-inf", "wright-step-inf", "wright-coeff-nan",
         "saigo-left-x-inf", "saigo-right-x-nan", "closed-form-x-inf",
+        "pfq-z-nan", "pfq-z-minus-inf", "wright-z-inf", "wright-z-nan",
+        "kbessel-z-nan", "kbessel-z-inf",
     ],
 )
 def test_non_finite_input_raises_domain_error(build):
