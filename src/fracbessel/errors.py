@@ -18,13 +18,15 @@ class ConvergenceError(RuntimeError):
 class AccuracyError(RuntimeError):
     """A computation finished but could not certify the requested tolerance.
 
-    Carries the best available estimate so callers can degrade gracefully.
+    Carries the best available estimate, and the integrand evaluations spent
+    reaching it, so callers can degrade gracefully.
     """
 
-    def __init__(self, message, value=None, error_estimate=None):
+    def __init__(self, message, value=None, error_estimate=None, evaluations=0):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.evaluations = evaluations
 
 
 def require_finite(owner: str, *values: float) -> None:

@@ -219,6 +219,8 @@ class SuiteConfig:
     def __post_init__(self):
         object.__setattr__(self, "theorems", tuple(self.theorems))
         object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
+        if not self.theorems:
+            raise DomainError("theorems must be non-empty")
         for tid in self.theorems:
             if tid not in _VARIANTS:
                 raise DomainError(
@@ -399,6 +401,7 @@ def check_identity(
             except AccuracyError as exc:
                 lhs = exc.value if exc.value is not None else math.nan
                 lhs_est = exc.error_estimate if exc.error_estimate is not None else math.nan
+                evaluations = exc.evaluations
                 notes.append(f"quadrature accuracy: {exc}")
             except (DomainError, ConvergenceError) as exc:
                 notes.append(f"quadrature: {type(exc).__name__}: {exc}")

@@ -216,7 +216,8 @@ def hyp2f1_kernel(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     if mb is not None and (m is None or mb < m):
         a, b = b, a
         m = mb
-    if m is not None:
+    # a pole c = -n with n < m is met before the series terminates
+    if m is not None and not (is_pole(c) and m > -round(c)):
         return _series_2f1(a, b, c, w, max_terms=m + 1)
     if is_pole(c):
         raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")

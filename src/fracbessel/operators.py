@@ -92,7 +92,7 @@ def _integrate_soft(integrate, *args) -> QuadratureResult:
     try:
         return integrate(*args)
     except AccuracyError as exc:
-        return QuadratureResult(exc.value, exc.error_estimate, 0)
+        return QuadratureResult(exc.value, exc.error_estimate, exc.evaluations)
 
 
 # rounding allowance per combined piece: a few ulps of coefficient error
@@ -116,6 +116,7 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
             f"transform error estimate {err!r} exceeds tol {tol!r}",
             value=value,
             error_estimate=err,
+            evaluations=evals,
         )
     return result
 

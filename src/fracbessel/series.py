@@ -102,8 +102,31 @@ def wright_convergence_index(spec: WrightSpec) -> float:
     return 1.0 + sum(B for _, B in spec.lower) - sum(A for _, A in spec.upper)
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return abs(x).max(initial=0.0)
+class _Stop:
+    """The truncation contract of sum_series, fed one counted term at a time."""
+
+    __slots__ = ("tol", "run", "last")
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.run = 0
+        self.last = 0.0
+
+    def tail(self, size: float, s: float) -> float | None:
+        """Take a counted term's norm and the partial sum's norm; return the
+        tail estimate once the contract is met, else None."""
+        bound = self.tol * max(s, _TINY)
+        if size <= bound:
+            self.run += 1
+            if self.run >= 3:
+                q = size / self.last
+                tail = size / (1.0 - q) if q < 0.9 else math.inf
+                if tail <= bound:
+                    return tail
+        else:
+            self.run = 0
+        self.last = size
+        return None
 
 
 def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesValue:
@@ -111,7 +134,8 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
 
     t0 and z are floats, or arrays for a sum vectorized over nodes; ratio(n)
     is a float, and weights, when given, yields the scalar w_0, w_1, ...
-    (all 1 when absent).  The value is an array when t0 is.
+    (all 1 when absent).  The value is an array when t0 is; ratio is then
+    called with integer arrays of n and must return the array of ratios.
 
     The truncation contract, the only one in the package: with ||.|| the
     max over the array (abs for a float), summation stops once three
@@ -120,40 +144,88 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
     norms (an infinite tail when q >= 0.9).  An exactly-zero term t_n means
     the series terminated, with tail 0.  A zero weight (a denominator gamma
     pole) skips its term, which does not count toward the run.  Reaching
-    max_terms returns converged=False with an infinite tail.
+    max_terms returns converged=False with an infinite tail.  Array sums are
+    formed a block of terms at a time (_sum_blocks) under this same contract.
     """
-    # scalar sums stay in plain float arithmetic; arrays take two reductions
-    # per term, through the array methods
-    norm = _max_abs if isinstance(t0, np.ndarray) else abs
+    if isinstance(t0, np.ndarray):
+        return _sum_blocks(t0, ratio, z, tol, weights, max_terms)
+    stop = _Stop(tol)
     term = t0
     total = 0.0
-    run = 0
-    last = 0.0
     for n in range(max_terms):
         if n:
-            term = term * ratio(n - 1) * z
+            term = term * (ratio(n - 1) * z)
         part = term
         if weights is not None:
             w = next(weights)
             if w == 0.0:
                 continue
             part = term * w
-        size = norm(part)
+        size = abs(part)
         if size == 0.0:
             return SeriesValue(total + part, n, 0.0, True)
         total += part
-        s = norm(total)
-        bound = tol * max(s, _TINY)
-        if size <= bound:
-            run += 1
-            if run >= 3:
-                q = size / last
-                tail = size / (1.0 - q) if q < 0.9 else math.inf
-                if tail <= bound:
-                    return SeriesValue(total, n + 1, tail, bool(s < math.inf))
+        s = abs(total)
+        tail = stop.tail(size, s)
+        if tail is not None:
+            return SeriesValue(total, n + 1, tail, bool(s < math.inf))
+    return SeriesValue(total, max_terms, math.inf, False)
+
+
+_BLOCK = 64
+
+
+def _sum_blocks(t0, ratio, z, tol, weights, max_terms) -> SeriesValue:
+    """sum_series for array t0: up to _BLOCK terms at a time as the columns
+    of one nodes-by-terms array, then the contract scanned over the columns'
+    norms.
+
+    Terms past max_terms are never formed (ratio(n) is called only for
+    n <= max_terms - 2, as in the scalar recurrence).  Terms and partial sums
+    are formed by the scalar path's operations in its order, so a one-node
+    sum equals the scalar path's result bit for bit.
+    """
+    shape = t0.shape
+    term = t0.ravel()
+    z = np.ravel(z) if np.shape(z) == shape else np.full(term.size, z)
+    stop = _Stop(tol)
+    total = 0.0
+    n0 = 0
+    while n0 < max_terms:
+        n1 = min(n0 + _BLOCK, max_terms)
+        # column n is t_{n-1} * ratio(n-1) * z; the first column of all is t0
+        block = np.empty((term.size, n1 - n0))
+        if n0:
+            np.multiply.outer(z, ratio(np.arange(n0 - 1, n1 - 1)), out=block)
+            block[:, 0] *= term
         else:
-            run = 0
-        last = size
+            block[:, 0] = term
+            np.multiply.outer(z, ratio(np.arange(n1 - 1)), out=block[:, 1:])
+        np.multiply.accumulate(block, axis=1, out=block)
+        term = block[:, -1].copy()
+        if weights is None:
+            skip = ()
+            parts = block
+        else:
+            w = np.fromiter(itertools.islice(weights, n1 - n0), float, n1 - n0)
+            skip = set(np.flatnonzero(w == 0.0).tolist())
+            parts = np.multiply(block, w, out=np.zeros_like(block), where=w != 0.0)
+        sizes = np.abs(parts).max(axis=0, initial=0.0).tolist()
+        parts[:, 0] += total
+        sums = np.add.accumulate(parts, axis=1, out=parts)
+        norms = np.abs(sums).max(axis=0, initial=0.0).tolist()
+        for i, (size, s) in enumerate(zip(sizes, norms)):
+            if i in skip:
+                continue
+            if size == 0.0:
+                return SeriesValue(sums[:, i].reshape(shape), n0 + i, 0.0, True)
+            tail = stop.tail(size, s)
+            if tail is not None:
+                return SeriesValue(sums[:, i].reshape(shape), n0 + i + 1, tail, s < math.inf)
+        total = sums[:, -1].copy()
+        n0 = n1
+    if isinstance(total, np.ndarray):
+        total = total.reshape(shape)
     return SeriesValue(total, max_terms, math.inf, False)
 
 

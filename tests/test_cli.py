@@ -249,6 +249,13 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert "unknown theorem id" in err
 
 
+def test_verify_empty_theorem_list_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--theorems", ",")
+    assert code == 2
+    assert out == ""
+    assert "theorems must be non-empty" in err
+
+
 def test_verify_right_sided_small_points_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--theorems", "2.4", "--x-points", "0.2,1")
     assert code == 2

@@ -88,6 +88,23 @@ def test_check_identity_on_known_good_draw():
         assert r.evaluations > 0 and r.terms_used > 0
 
 
+def test_check_identity_refused_transform_keeps_its_work(monkeypatch):
+    # a transform that cannot certify its tolerance still spent evaluations;
+    # the failed record carries them with the best value and estimate
+    from fracbessel import harness
+    from fracbessel.errors import AccuracyError
+
+    def refuse(f, sp, x, tol):
+        raise AccuracyError("budget spent", value=0.5, error_estimate=0.25, evaluations=345)
+
+    monkeypatch.setattr(harness, "saigo_left", refuse)
+    p = TheoremParams(alpha=0.6, beta=0.3, eta=1.2, lam=1.1, v=0.4, c=1.0, k=1.5)
+    draw = ParameterDraw(params=p, theorem_id="2.1", seed_index=0)
+    (r,) = check_identity(draw, (1.0,), tol=1e-5)
+    assert not r.passed and "quadrature accuracy" in r.note
+    assert (r.lhs, r.lhs_error_estimate, r.evaluations) == (0.5, 0.25, 345)
+
+
 def test_check_identity_degenerate_zero_coefficient():
     # c = 0 collapses the series to its leading term, so both sides reduce
     # to an exact power image; the residual should sit near rounding level
@@ -138,6 +155,8 @@ def test_config_validation_bounds():
         SuiteConfig(margin=-0.1)
     with pytest.raises(DomainError):
         SuiteConfig(x_points=())
+    with pytest.raises(DomainError, match="theorems"):
+        SuiteConfig(theorems=())
     with pytest.raises(DomainError):
         SuiteConfig(x_points=(0.0,))
     with pytest.raises(DomainError, match="finite"):

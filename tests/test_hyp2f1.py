@@ -40,6 +40,20 @@ def test_kernel_terminating_negative_integer_is_exact_polynomial():
     np.testing.assert_allclose(hyp2f1_kernel(a, b, c, w), expected, rtol=1e-13)
 
 
+def test_kernel_lower_pole_reached_by_terminating_series_rejected():
+    # 2F1(-m, b; -n; w) is the degree-m polynomial while m <= n; past that
+    # its series meets the pole of (c)_n before it terminates
+    w = np.array([0.3, 0.6])
+    expected = sum(
+        sp.poch(-3.0, j) * sp.poch(0.5, j) / (sp.poch(-5.0, j) * sp.factorial(j)) * w**j
+        for j in range(4)
+    )
+    np.testing.assert_allclose(hyp2f1_kernel(-3.0, 0.5, -5.0, w), expected, rtol=1e-14)
+    for a, b in ((-7.0, 0.5), (0.5, -6.0)):
+        with pytest.raises(DomainError, match="nonpositive integer"):
+            hyp2f1_kernel(a, b, -5.0, w)
+
+
 def test_kernel_rejects_arguments_outside_unit_interval():
     with pytest.raises(DomainError):
         hyp2f1_kernel(1.4, -3.0, 0.9, np.array([1.0]))

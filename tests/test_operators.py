@@ -21,10 +21,11 @@ from fracbessel import (
 )
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import gamma_ratio
-from fracbessel.integrands import monomial
+from fracbessel.integrands import Integrand, monomial
 from fracbessel.operators import (
     Family,
     SaigoParams,
+    _integrate_soft,
     ek_left,
     ek_left_monomial,
     ek_right,
@@ -281,6 +282,28 @@ def test_right_quadrature_matches_image_under_random_valid_draws(
         value, est = exc.value, exc.error_estimate
     expected = coeff * x**exponent
     assert abs(value - expected) <= max(1e-7 * abs(expected), 10.0 * est, 1e-12)
+
+
+def test_refused_transform_and_soft_pieces_report_their_evaluations():
+    # lam == beta: the exact image is zero by cancellation, so a 1e-10
+    # relative target cannot be certified; the refusal still counts every
+    # node the integrand was sampled at
+    seen = []
+
+    def ones(t):
+        seen.append(t.size)
+        return np.ones_like(t)
+
+    f = Integrand(fn=lambda t: np.power(t, -0.75), exponent_at_zero=-0.75, smooth_at_zero=ones)
+    with pytest.raises(AccuracyError) as info:
+        saigo_left(f, SaigoParams(alpha=1.0, beta=0.25, eta=0.25), 0.5, tol=1e-10)
+    assert info.value.evaluations == sum(seen) > 0
+
+    def refuse(*args):
+        raise AccuracyError("budget spent", value=1.0, error_estimate=0.5, evaluations=42)
+
+    r = _integrate_soft(refuse)
+    assert (r.value, r.error_estimate, r.evaluations) == (1.0, 0.5, 42)
 
 
 # ------------------------------------------------------- validity guards

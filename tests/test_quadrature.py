@@ -69,12 +69,27 @@ def test_nonintegrable_exponent_rejected():
 
 
 def test_budget_exhaustion_raises_with_partial_value():
+    seen = []
+
+    def g(u):
+        seen.append(u.size)
+        return np.cos(300.0 * u)
+
     with pytest.raises(AccuracyError) as info:
-        integrate_jacobi(lambda u: np.cos(300.0 * u), 0.0, 1.0,
-                         tol=1e-14, order=2, max_intervals=3)
+        integrate_jacobi(g, 0.0, 1.0, tol=1e-14, order=2, max_intervals=3)
     err = info.value
     assert err.value is not None
     assert err.error_estimate is not None and err.error_estimate > 0
+    # 5 pieces (the whole interval, then two bisections), each an order-2
+    # and an order-4 rule
+    assert err.evaluations == sum(seen) == 5 * (2 + 4)
+
+    seen.clear()
+    with pytest.raises(AccuracyError) as info:
+        integrate_log_jacobi(g, 1.0, 0.0, tol=1e-14, order=3, max_pieces=4)
+    # 4 dyadic pieces, each 3 nodes plus the tail probe in one call
+    assert info.value.evaluations == sum(seen) == 4 * (3 + 1)
+    assert len(seen) == 4
 
 
 def test_result_is_immutable_record():

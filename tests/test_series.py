@@ -1,5 +1,6 @@
 """Series engines: generalized hypergeometric, Fox-Wright, k-Bessel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from fracbessel.errors import ConvergenceError, DomainError
 from fracbessel.series import (
+    _BLOCK,
+    MAX_TERMS,
     HypergeomSpec,
     KBesselParams,
     WrightSpec,
@@ -175,13 +178,80 @@ def test_wright_truncation_estimate_bounds_refinement(z):
 
 def test_sum_series_vectorized_tail_estimate_bounds_refinement():
     # 2F1(1.5, 2.5; 1.2; w) over an array of nodes: one estimate, on the
-    # max norm, covers the truncation error of every node
-    w = np.linspace(0.05, 0.6, 12)
+    # max norm, covers the truncation error of every node (up to w = 0.85
+    # the sums run over several blocks of terms)
     ratio = lambda n: (1.5 + n) * (2.5 + n) / ((1.2 + n) * (n + 1.0))
-    coarse = sum_series(np.ones_like(w), ratio, w, 1e-6)
-    fine = sum_series(np.ones_like(w), ratio, w, 1e-13)
-    assert coarse.converged and fine.converged
-    assert coarse.trunc_estimate >= float(np.max(np.abs(coarse.value - fine.value)))
+    for w_max in (0.6, 0.85):
+        w = np.linspace(0.05, w_max, 12)
+        coarse = sum_series(np.ones_like(w), ratio, w, 1e-6)
+        fine = sum_series(np.ones_like(w), ratio, w, 1e-13)
+        assert coarse.converged and fine.converged
+        assert coarse.trunc_estimate >= float(np.max(np.abs(coarse.value - fine.value)))
+    assert fine.terms_used > 2 * _BLOCK
+
+
+def _tol_stopping_after(n_terms, ratio, z, weights=lambda: None):
+    # the first tol, on a fine geometric grid, at which the sum takes n_terms
+    for k in range(1, 2000):
+        tol = 10.0 ** (-k / 50)
+        if sum_series(1.0, ratio, z, tol, weights()).terms_used == n_terms:
+            return tol
+    raise AssertionError(f"no tol stops after {n_terms} terms")
+
+
+def _kernel_ratio(a, b, c):
+    return lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
+
+
+_SLOW = lambda n: (n + 1.5) / (n + 2.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # stops just below, at, and just past the end of a block of terms
+        *[("block", n, None) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)],
+        # terminating polynomial capped below a block: at the cap, and with
+        # room for the exactly-zero term that ends it
+        ("poly", 6, None),
+        ("poly", 7, None),
+        # an exactly-zero term inside the first and the second block
+        ("zero", 10, -9.0),
+        ("zero", 74, -73.0),
+        # zero weights, inside a block and on both sides of its end
+        ("weights", _BLOCK + 5, None),
+    ],
+    ids=lambda case: f"{case[0]}-{case[1]}",
+)
+def test_sum_series_one_node_array_matches_scalar(case):
+    kind, n, a = case
+    weights = lambda: None
+    max_terms = MAX_TERMS
+    if kind == "block":
+        ratio, z, tol = _SLOW, 0.6, _tol_stopping_after(n, _SLOW, 0.6)
+    elif kind == "poly":
+        ratio, z, tol, max_terms = _kernel_ratio(-5.0, 1.5, 2.5), 0.7, 1e-15, n
+    elif kind == "zero":
+        ratio, z, tol = _kernel_ratio(a, 1.5, 2.5), 0.9, 1e-15
+    else:
+        zeros = {2, _BLOCK - 1, _BLOCK}
+        weights = lambda: (0.0 if k in zeros else 1.0 + 1.0 / (k + 1.0) for k in itertools.count())
+        ratio, z, tol = _SLOW, 0.6, _tol_stopping_after(n, _SLOW, 0.6, weights)
+    ref = sum_series(0.7, ratio, z, tol, weights(), max_terms)
+    arr = sum_series(np.array([0.7]), ratio, np.array([z]), tol, weights(), max_terms)
+    assert arr.value.shape == (1,)
+    # the array path forms each term and partial sum by the scalar path's
+    # operations, in its order
+    assert arr.value[0] == ref.value
+    assert (arr.terms_used, arr.converged, arr.trunc_estimate) == (
+        ref.terms_used, ref.converged, ref.trunc_estimate
+    )
+    if kind == "poly":
+        assert (ref.terms_used, ref.converged) == ((6, False) if n == 6 else (6, True))
+    elif kind == "zero":
+        assert (ref.terms_used, ref.trunc_estimate) == (n, 0.0)
+    else:
+        assert ref.terms_used == n and ref.converged
 
 
 # ---------------------------------------------------------------- k-Bessel
