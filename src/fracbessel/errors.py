@@ -33,3 +33,9 @@ def require_finite(owner: str, *values: float) -> None:
     """Raise DomainError unless every value is a finite number."""
     if not all(map(math.isfinite, values)):
         raise DomainError(f"{owner}: parameters must be finite, got {values!r}")
+
+
+def require_positive_finite(owner: str, name: str, value: float) -> None:
+    """Raise DomainError unless value is a positive finite number."""
+    if not (0 < value < math.inf):
+        raise DomainError(f"{owner}: {name} must be positive and finite, got {value!r}")

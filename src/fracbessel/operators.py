@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, require_finite
+from .errors import AccuracyError, DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_ratio, log_gamma
 from .hyp2f1 import hyp2f1_kernel, kernel_split
 from .integrands import Integrand
@@ -167,8 +167,8 @@ def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
 
 def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
     """Left-sided generalized fractional integral of f at x."""
-    if not (0 < x < math.inf):
-        raise DomainError(f"saigo_left: x must be positive and finite, got {x!r}")
+    require_positive_finite("saigo_left", "x", x)
+    require_positive_finite("saigo_left", "tol", tol)
     p0 = f.exponent_at_zero
     if p0 is None:
         raise DomainError("saigo_left: integrand must declare its t->0 power exponent")
@@ -181,8 +181,8 @@ def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qua
 
 def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
     """Right-sided generalized fractional integral of f at x."""
-    if not (0 < x < math.inf):
-        raise DomainError(f"saigo_right: x must be positive and finite, got {x!r}")
+    require_positive_finite("saigo_right", "x", x)
+    require_positive_finite("saigo_right", "tol", tol)
     qi = f.exponent_at_infinity
     if qi is None:
         raise DomainError("saigo_right: integrand must declare its t->inf power exponent")

@@ -336,6 +336,13 @@ def test_left_transform_nonintegrable_origin_rejected():
         saigo_left(monomial(-0.2), p, 1.0, tol=1e-9)
 
 
+@pytest.mark.parametrize("transform", [saigo_left, saigo_right])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+def test_transform_tol_checked_under_its_own_name(transform, tol):
+    with pytest.raises(DomainError, match=f"^{transform.__name__}: tol"):
+        transform(monomial(-0.5), _P_FINITE, 1.0, tol=tol)
+
+
 def test_transform_requires_positive_x():
     p = SaigoParams(alpha=0.8, beta=0.2, eta=1.0)
     with pytest.raises(DomainError):

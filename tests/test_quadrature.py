@@ -1,10 +1,12 @@
 """Adaptive Gauss-Jacobi quadrature with endpoint power weights."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from fracbessel import quadrature
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import beta_fn
 from fracbessel.quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
@@ -80,16 +82,64 @@ def test_budget_exhaustion_raises_with_partial_value():
     err = info.value
     assert err.value is not None
     assert err.error_estimate is not None and err.error_estimate > 0
-    # 5 pieces (the whole interval, then two bisections), each an order-2
-    # and an order-4 rule
-    assert err.evaluations == sum(seen) == 5 * (2 + 4)
+    # 5 pieces (the whole interval, then two bisections), each one g call on
+    # the order-2 and order-4 nodes together
+    assert seen == [2 + 4] * 5
+    assert err.evaluations == sum(seen)
 
     seen.clear()
     with pytest.raises(AccuracyError) as info:
         integrate_log_jacobi(g, 1.0, 0.0, tol=1e-14, order=3, max_pieces=4)
-    # 4 dyadic pieces, each 3 nodes plus the tail probe in one call
-    assert info.value.evaluations == sum(seen) == 4 * (3 + 1)
-    assert len(seen) == 4
+    # one g call on 4 dyadic pieces (the block stops at max_pieces), each 3
+    # nodes plus the tail probe
+    assert seen == [4 * (3 + 1)]
+    assert info.value.evaluations == sum(seen)
+
+
+def test_non_finite_bound_rejected():
+    # an infinite bound used to bisect the same float-resolution piece forever
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            integrate_jacobi(np.cos, lo, hi)
+
+
+def test_estimate_left_on_float_resolution_piece_raises():
+    # a NaN estimate on a piece that cannot be bisected once looped forever
+    nodes = []
+
+    def g(u):
+        nodes.append(u.size)
+        return np.full_like(u, math.nan)
+
+    with pytest.raises(AccuracyError, match="float resolution") as info:
+        integrate_jacobi(g, 1.0, math.nextafter(1.0, 2.0), order=4)
+    assert info.value.evaluations == sum(nodes) == 4 + 8
+    assert info.value.value is not None and info.value.error_estimate is not None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, order=0),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, order=1.5),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, max_intervals=0),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.inf),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.nan),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=-0.25),
+        lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, order=0),
+        lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, max_pieces=0),
+        lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, tol=math.inf),
+        lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, tol=math.nan),
+    ],
+    ids=[
+        "jacobi-order-0", "jacobi-order-fractional", "jacobi-budget-0",
+        "jacobi-tol-inf", "jacobi-tol-nan", "jacobi-tol-negative",
+        "log-order-0", "log-budget-0", "log-tol-inf", "log-tol-nan",
+    ],
+)
+def test_control_arguments_validated(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_result_is_immutable_record():
@@ -138,3 +188,150 @@ def test_log_weight_domain_validation():
         integrate_log_jacobi(lambda u: u, 2.0, -0.5)
     with pytest.raises(DomainError):
         integrate_log_jacobi(lambda u: u, 0.5, -0.5, tol=0.0)
+
+
+# ------------------------------------- one integrand call per piece / block
+
+
+def _counting(g):
+    seen = []
+
+    def counted(u):
+        seen.append(u.size)
+        return g(u)
+
+    return counted, seen
+
+
+def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, order):
+    """The adaptive rule with one g call per Gauss rule:
+    (value, estimate, evaluations)."""
+    evals = 0
+
+    def rule_value(plo, phi, n):
+        nonlocal evals
+        aj = exp_hi if phi == hi else 0.0
+        bj = exp_lo if plo == lo else 0.0
+        x, w = quadrature._rule(n, aj, bj)
+        h2 = (phi - plo) / 2.0
+        u = plo + h2 * (x + 1.0)
+        vals = g(u)
+        evals += u.size
+        if phi != hi and exp_hi != 0.0:
+            vals = vals * np.power(hi - u, exp_hi)
+        if plo != lo and exp_lo != 0.0:
+            vals = vals * np.power(u - lo, exp_lo)
+        return h2 ** (aj + bj + 1.0) * float(np.dot(w, vals))
+
+    def piece(plo, phi):
+        coarse = rule_value(plo, phi, order)
+        fine = rule_value(plo, phi, 2 * order)
+        return fine, abs(fine - coarse)
+
+    val, err = piece(lo, hi)
+    heap = [(-err, 0, lo, hi, val, err)]
+    counter = 1
+    total, total_abs, total_err = val, abs(val), err
+    while total_err > max(tol, tol * abs(total), 100.0 * np.finfo(float).eps * total_abs):
+        _, _, plo, phi, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (plo + phi)
+        assert plo < mid < phi
+        total -= pval
+        total_abs -= abs(pval)
+        total_err -= perr
+        for qlo, qhi in ((plo, mid), (mid, phi)):
+            v, e = piece(qlo, qhi)
+            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e))
+            counter += 1
+            total += v
+            total_abs += abs(v)
+            total_err += e
+    return total, total_err, evals
+
+
+@pytest.mark.parametrize(
+    "g,lo,hi,exp_lo,exp_hi,tol,order",
+    [
+        (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12, 12),
+        (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12, 8),
+        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13, 3),
+    ],
+    ids=["cos", "cos-bisects", "polynomial-jacobi-weight"],
+)
+def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol, order):
+    counted, seen = _counting(g)
+    r = integrate_jacobi(counted, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=tol, order=order)
+    value, estimate, evals = _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, order)
+    assert (r.value, r.error_estimate, r.evaluations) == (value, estimate, evals)
+    assert r.evaluations == sum(seen)
+    assert seen == [3 * order] * len(seen)
+
+
+def _log_reference(g, h, exp_lo, tol, order, max_pieces):
+    """The dyadic descent with one g call per piece:
+    (value, estimate, pieces used), or AccuracyError."""
+    x, wts = quadrature._rule(order, 0.0, 0.0)
+    s = 1.0 + 0.5 * (x + 1.0)
+    s_pow = np.power(s, exp_lo)
+    log_s = np.log(s)
+    s_probe = np.append(s, 0.5)
+    q1 = exp_lo + 1.0
+    total = total_abs = 0.0
+    for j in range(max_pieces):
+        log_a = math.log(h) - (j + 1.0) * math.log(2.0)
+        g_all = g(math.exp(log_a) * s_probe)
+        scale = math.exp(q1 * log_a) * 0.5
+        piece = scale * float(np.dot(wts, s_pow * (log_a + log_s) * g_all[:-1]))
+        total += piece
+        total_abs += abs(piece)
+        g_sup = 2.0 * float(np.max(np.abs(g_all)))
+        tail = math.exp(q1 * log_a) / q1 * (-log_a + 1.0 / q1) * g_sup
+        noise = 100.0 * np.finfo(float).eps * total_abs
+        if tail <= max(tol, tol * abs(total), noise):
+            return total, tail + noise, j + 1
+    raise AccuracyError("reference", value=total, error_estimate=tail + noise,
+                        evaluations=max_pieces * s_probe.size)
+
+
+# g, h, exp_lo, order
+_LOG_CASE = (lambda u: 1.5 + 0.5 * np.cos(3.0 * u), 0.5, 0.5, 6)
+
+
+def _log_blocks(pieces):
+    """Node counts of the g calls over `pieces` pieces in blocks."""
+    n = _LOG_CASE[3] + 1
+    full, rest = divmod(pieces, quadrature.LOG_BLOCK)
+    return [quadrature.LOG_BLOCK * n] * full + ([rest * n] if rest else [])
+
+
+@pytest.mark.parametrize("stop", [1, 8, 9, 17])
+def test_log_blocks_stop_on_the_same_piece(stop):
+    g, h, exp_lo, order = _LOG_CASE
+    # the tolerance met first at piece `stop`: its own unconverged estimate
+    with pytest.raises(AccuracyError) as info:
+        _log_reference(g, h, exp_lo, 1e-300, order, stop)
+    tol = info.value.error_estimate / max(1.0, abs(info.value.value))
+    value, estimate, used = _log_reference(g, h, exp_lo, tol, order, 2000)
+    assert used == stop
+
+    counted, seen = _counting(g)
+    r = integrate_log_jacobi(counted, h, exp_lo, tol=tol, order=order)
+    assert (r.value, r.error_estimate) == (value, estimate)
+    # whole blocks, the surplus pieces past the stop included
+    blocks = -(-stop // quadrature.LOG_BLOCK)
+    assert seen == _log_blocks(blocks * quadrature.LOG_BLOCK)
+    assert r.evaluations == sum(seen)
+
+
+@pytest.mark.parametrize("max_pieces", [3, 8, 11])
+def test_log_blocks_never_pass_the_piece_budget(max_pieces):
+    g, h, exp_lo, order = _LOG_CASE
+    with pytest.raises(AccuracyError) as ref:
+        _log_reference(g, h, exp_lo, 1e-300, order, max_pieces)
+    counted, seen = _counting(g)
+    with pytest.raises(AccuracyError) as info:
+        integrate_log_jacobi(counted, h, exp_lo, tol=1e-300, order=order, max_pieces=max_pieces)
+    got, want = info.value, ref.value
+    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
+    assert seen == _log_blocks(max_pieces)
+    assert got.evaluations == sum(seen) == want.evaluations
