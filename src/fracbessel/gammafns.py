@@ -10,12 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import digamma as _digamma_positive
-
 from .errors import DomainError
 
 #: Arguments within this distance of a nonpositive integer are treated as poles.
 POLE_TOL = 1e-9
+
+# digamma's asymptotic series (Abramowitz & Stegun 6.3.18) is used from here up
+_PSI_ASYMPTOTIC_FROM = 10.0
+# B_2k / (2k) for k = 1..7; at x >= 10 the first omitted term is below 5e-17
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,11 @@ def digamma(x: float) -> float:
     lose ~eps/delta**2 absolute accuracy within delta of a nonpositive integer.
     Shifting with psi(x) = psi(x+1) - 1/x instead stays exact: each addition of
     1 below 0.5 is exact in floating point (Sterbenz cancellation across the
-    pole), so the dominant 1/(x+j) term carries only ~eps relative error, and
-    the shifted argument lands where the library value is accurate.  Exact
-    nonpositive integers raise DomainError.
+    pole), so the dominant 1/(x+j) term carries only ~eps relative error.  From
+    0.5 the same recurrence shifts x up to 10, where the asymptotic series
+    psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) (Abramowitz & Stegun
+    6.3.18) is accurate to a few ulps of max(|psi|, 1).  Exact nonpositive
+    integers raise DomainError.
     """
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"digamma: non-finite argument {x!r}")
@@ -83,7 +88,16 @@ def digamma(x: float) -> float:
         for _ in range(n):
             shift -= 1.0 / x
             x += 1.0
-    return float(_digamma_positive(x)) + shift
+    terms = [shift]
+    while x < _PSI_ASYMPTOTIC_FROM:
+        terms.append(-1.0 / x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = 0.0
+    for coef in reversed(_PSI_SERIES):
+        series = (series + coef) * z
+    terms += (math.log(x), -0.5 / x, -series)
+    return math.fsum(terms)
 
 
 def gamma_ratio(numerators, denominators) -> tuple[float, int]:

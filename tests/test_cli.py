@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fracbessel
 from fracbessel import Report, SuiteConfig, cli
 from fracbessel.cli import main
 
@@ -434,3 +438,30 @@ def test_installed_entry_point_resolves():
         return  # not installed: the declaration above is all there is to check
     names = {ep.name: ep.value for ep in eps if ep.group == "console_scripts"}
     assert names.get("fracbessel") == "fracbessel.cli:main"
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def test_library_and_cli_never_import_scipy(tmp_path):
+    # scipy is a test oracle only; importing scipy.special more than
+    # doubled the package's import time
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(fracbessel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    child = (
+        "import sys\n"
+        "import fracbessel\n"
+        "from fracbessel import cli\n"
+        "code = cli.main(['verify', '--theorems', 'all', '--n', '1'])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print('exit', code, 'scipy modules', loaded, file=sys.stderr)\n"
+        "sys.exit(1 if loaded or code else 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=env, capture_output=True, text=True, cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,7 +2,9 @@
 k-deformation, Pochhammer, beta."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,20 +151,39 @@ def test_beta_fn_values_and_symmetry():
 
 # frozen 50-digit arbitrary-precision references; the near-pole entries are
 # the ones plain reflection formulas miss by ~eps/delta**2 in absolute terms
-@pytest.mark.parametrize(
-    "x, expected",
-    [
-        (1.0, -0.577215664901532860607),
-        (0.5, -1.96351002602142347944),
-        (-2.3, 3.31732315756182273911),
-        (-0.99999, -99999.5771896706836904),
-        (-1.00001, 100000.422757230617188),
-        (-4.9999999, -9999998.26583888853153),
-        (1e-8, -100000000.57721564636),
-    ],
-)
+_DIGAMMA_REFERENCES = [
+    (1.0, -0.577215664901532860607),
+    (0.5, -1.96351002602142347944),
+    (-2.3, 3.31732315756182273911),
+    (-0.99999, -99999.5771896706836904),
+    (-1.00001, 100000.422757230617188),
+    (-4.9999999, -9999998.26583888853153),
+    (1e-8, -100000000.57721564636),
+]
+
+
+@pytest.mark.parametrize("x, expected", _DIGAMMA_REFERENCES)
 def test_digamma_accurate_including_near_poles(x, expected):
     assert digamma(x) == pytest.approx(expected, rel=5e-15)
+
+
+def _psi_ulps(got, want):
+    """|got - want| in units of eps * max(|want|, 1)."""
+    return abs(got - want) / (sys.float_info.epsilon * max(abs(want), 1.0))
+
+
+@pytest.mark.parametrize("x, expected", _DIGAMMA_REFERENCES)
+def test_digamma_within_a_few_ulps_near_poles(x, expected):
+    assert _psi_ulps(digamma(x), expected) <= 4.0
+
+
+def test_digamma_within_a_few_ulps_of_scipy_on_the_positive_axis():
+    scipy_digamma = pytest.importorskip("scipy.special").digamma
+    # [0.5, 1e6] log-spaced, plus the positive root near 1.4616 where psi
+    # vanishes and only the absolute (ulp of 1) form of the bound holds
+    xs = np.concatenate((np.geomspace(0.5, 1e6, 2001), np.linspace(1.3, 1.6, 601)))
+    worst = max(_psi_ulps(digamma(x), float(scipy_digamma(x))) for x in xs.tolist())
+    assert worst <= 4.0
 
 
 def test_digamma_recurrence_and_reflection():

@@ -11,6 +11,8 @@ from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import beta_fn
 from fracbessel.quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
 
+from _jacobi_rules import MU0, RULES
+
 
 def test_plain_polynomial():
     r = integrate_jacobi(lambda u: u**2, 0.0, 1.0, tol=1e-12)
@@ -117,11 +119,37 @@ def test_estimate_left_on_float_resolution_piece_raises():
     assert info.value.value is not None and info.value.error_estimate is not None
 
 
+def test_float_resolution_piece_keeps_its_estimate():
+    # the piece cannot be bisected, so its own rule-pair difference must
+    # stay in the estimate the call reports
+    def g(u):
+        return np.where(u > 1.0, 1.0, 0.0)
+
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    _, piece_err, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0, 3)
+    assert piece_err >= 4.25e-9
+    with pytest.raises(AccuracyError, match="float resolution") as info:
+        integrate_jacobi(g, lo, hi, exp_lo=-0.5, order=3, tol=1e-14)
+    assert info.value.error_estimate == piece_err
+
+
+def test_order_above_max_rejected_before_any_rule(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("a rule was built for an order above MAX_ORDER")
+
+    monkeypatch.setattr(quadrature, "_rule", no_rule)
+    with pytest.raises(DomainError, match=f"in \\[1, {quadrature.MAX_ORDER}\\]"):
+        integrate_jacobi(np.cos, 0.0, 1.0, order=10**6)
+    with pytest.raises(DomainError):
+        integrate_log_jacobi(np.cos, 0.5, 0.0, order=10**6)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: integrate_jacobi(np.cos, 0.0, 1.0, order=0),
         lambda: integrate_jacobi(np.cos, 0.0, 1.0, order=1.5),
+        lambda: integrate_jacobi(np.cos, 0.0, 1.0, order=quadrature.MAX_ORDER + 1),
         lambda: integrate_jacobi(np.cos, 0.0, 1.0, max_intervals=0),
         lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.inf),
         lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.nan),
@@ -132,7 +160,7 @@ def test_estimate_left_on_float_resolution_piece_raises():
         lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, tol=math.nan),
     ],
     ids=[
-        "jacobi-order-0", "jacobi-order-fractional", "jacobi-budget-0",
+        "jacobi-order-0", "jacobi-order-fractional", "jacobi-order-above-max", "jacobi-budget-0",
         "jacobi-tol-inf", "jacobi-tol-nan", "jacobi-tol-negative",
         "log-order-0", "log-budget-0", "log-tol-inf", "log-tol-nan",
     ],
@@ -335,3 +363,37 @@ def test_log_blocks_never_pass_the_piece_budget(max_pieces):
     assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
     assert seen == _log_blocks(max_pieces)
     assert got.evaluations == sum(seen) == want.evaluations
+
+
+# ------------------------------------------------ Golub-Welsch Gauss-Jacobi rules
+
+
+@pytest.mark.parametrize("n,a,b", sorted(RULES))
+def test_rule_matches_frozen_references(n, a, b):
+    x, w = quadrature._rule(n, a, b)
+    ref_x, ref_w = (np.array(v) for v in RULES[(n, a, b)])
+    mu0 = MU0[(a, b)]
+    assert np.all(np.abs(x - ref_x) <= 2e-15)
+    # an eigenvector component carries an absolute error of a few eps, so a
+    # weight far below mu0 keeps ~eps * sqrt(mu0 / w) relative accuracy
+    eps = np.finfo(float).eps
+    rel_bound = np.maximum(1e-13, 4.0 * eps * np.sqrt(mu0 / ref_w))
+    assert np.all(np.abs(w - ref_w) <= rel_bound * ref_w)
+    assert math.fsum(w) == pytest.approx(mu0, rel=1e-14)
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(0.0, 0.0), (-0.5, -0.5), (0.3, -0.3), (-0.25, -0.75), (-0.999, 0.4), (1.4, 1.2)]
+)
+def test_rule_agrees_with_scipy_at_max_order(a, b):
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    n = quadrature.MAX_ORDER
+    x, w = quadrature._rule(n, a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # scipy's 0/0 at a+b = -1
+        ref_x, ref_w = roots_jacobi(n, a, b)
+    assert np.all(np.abs(x - ref_x) <= 2e-15)
+    # scipy's own weights are off by up to 4e-8 relative here (at a = -0.999)
+    assert np.all(np.abs(w - ref_w) <= 1e-7 * ref_w)
+    mu0 = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0)
+    assert math.fsum(w) == pytest.approx(mu0, rel=1e-14)
