@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .gammafns import digamma, gamma_ratio, is_pole
 from .series import MAX_TERMS, sum_series
 
@@ -50,7 +50,7 @@ def _series_2f1(
     """Direct 2F1 series sum_n (a)_n (b)_n / ((c)_n n!) w^n, vectorized over w
     with |w| <= ~0.6; weights and max_terms as in sum_series."""
     ratio = lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
-    return sum_series(np.ones_like(w), ratio, w, 1e-15, weights, max_terms).value
+    return sum_series(1.0, ratio, w, 1e-15, weights, max_terms).value
 
 
 def _terminating_index(x: float) -> int | None:
@@ -59,51 +59,6 @@ def _terminating_index(x: float) -> int | None:
     if r <= 0 and abs(x - r) <= 1e-9:
         return -int(r)
     return None
-
-
-def connection_parts(
-    a: float,
-    b: float,
-    c: float,
-    gamma: float | None = None,
-    c_minus_a: float | None = None,
-    c_minus_b: float | None = None,
-):
-    """Coefficients and series of the w -> 1-w connection formula.
-
-    Returns (coef_a, gamma_exp, coef_b, f1, f2) so that for u = 1-w in (0, 1):
-
-        2F1(a,b;c;w) = coef_a * f1(u) + coef_b * u**gamma_exp * f2(u)
-
-    where gamma_exp = c-a-b, f1/f2 are vectorized callables convergent for
-    u <= ~0.6.  Degenerate (near-integer gamma_exp) inputs raise DomainError;
-    callers should switch to log_connection_parts there (kernel_split does).
-
-    gamma, c_minus_a and c_minus_b default to the obvious differences;
-    callers that know the parameters as sums of primitives (the operator
-    kernel has a = alpha+beta, b = -eta, c = alpha, so c-a-b = eta-beta and
-    c-a = -beta exactly) should pass those directly -- near a gamma pole the
-    coefficients amplify one rounding of a composite by 1/|pole distance|.
-    """
-    g = c - a - b if gamma is None else gamma
-    if c_minus_a is None:
-        c_minus_a = c - a
-    if c_minus_b is None:
-        c_minus_b = c - b
-    if abs(g - round(g)) <= _INT_TOL:
-        raise DomainError(f"2F1 connection formula degenerates at integer c-a-b = {g!r}")
-    log_a, sign_a = gamma_ratio([c, g], [c_minus_a, c_minus_b])
-    log_b, sign_b = gamma_ratio([c, -g], [a, b])
-    coef_a = sign_a * math.exp(log_a) if sign_a else 0.0
-    coef_b = sign_b * math.exp(log_b) if sign_b else 0.0
-
-    def f1(u: np.ndarray) -> np.ndarray:
-        return _series_2f1(a, b, 1.0 - g, u)
-
-    def f2(u: np.ndarray, ca=c_minus_a, cb=c_minus_b) -> np.ndarray:
-        return _series_2f1(ca, cb, g + 1.0, u)
-
-    return coef_a, g, coef_b, f1, f2
 
 
 @dataclass(frozen=True)
@@ -180,10 +135,20 @@ def kernel_split(
 
     Terminating kernels come back as a single analytic term; integer c-a-b
     uses the logarithmic expansion; everything else the two-branch connection
-    formula.  Terms with exactly zero coefficient are omitted.  gamma /
-    c_minus_a / c_minus_b may be supplied by callers that can form them
-    without composite rounding (see connection_parts).
+    formula.  Terms with exactly zero coefficient are omitted.
+
+    gamma, c_minus_a and c_minus_b default to the obvious differences;
+    callers that know the parameters as sums of primitives (the operator
+    kernel has a = alpha+beta, b = -eta, c = alpha, so c-a-b = eta-beta and
+    c-a = -beta exactly) should pass those directly -- near a gamma pole the
+    coefficients amplify one rounding of a composite by 1/|pole distance|.
     """
+    g = c - a - b if gamma is None else gamma
+    if c_minus_a is None:
+        c_minus_a = c - a
+    if c_minus_b is None:
+        c_minus_b = c - b
+    require_finite("kernel_split", a, b, c, g, c_minus_a, c_minus_b)
     if _terminating_index(a) is not None or _terminating_index(b) is not None:
         return [
             KernelTerm(
@@ -191,23 +156,27 @@ def kernel_split(
                 lambda u: hyp2f1_kernel(a, b, c, 1.0 - np.asarray(u, dtype=float)),
             )
         ]
-    g = c - a - b if gamma is None else gamma
     r = round(g)
     if abs(g - r) <= _INT_TOL:
         return log_connection_parts(a, b, c, int(r))
-    coef_a, gam, coef_b, f1, f2 = connection_parts(a, b, c, g, c_minus_a, c_minus_b)
     terms = []
+    coef_a = _gamma_ratio_value([c, g], [c_minus_a, c_minus_b])
     if coef_a:
-        terms.append(KernelTerm(coef_a, 0.0, False, f1))
+        terms.append(KernelTerm(coef_a, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - g, u)))
+    coef_b = _gamma_ratio_value([c, -g], [a, b])
     if coef_b:
-        terms.append(KernelTerm(coef_b, gam, False, f2))
+        terms.append(
+            KernelTerm(coef_b, g, False, lambda u: _series_2f1(c_minus_a, c_minus_b, g + 1.0, u))
+        )
     return terms
 
 
 def hyp2f1_kernel(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     """2F1(a, b; c; w) for array w in [0, 1)."""
     w = np.asarray(w, dtype=float)
-    if w.size and (float(np.min(w)) < 0.0 or float(np.max(w)) >= 1.0):
+    require_finite("hyp2f1_kernel", a, b, c)
+    # written so that a NaN node fails the check
+    if w.size and not (float(np.min(w)) >= 0.0 and float(np.max(w)) < 1.0):
         raise DomainError("hyp2f1_kernel: arguments must lie in [0, 1)")
 
     # Terminating series: exact polynomial for any w.

@@ -13,12 +13,13 @@ The default pair is 12/24.  On the acceptance-1 sweep of 1200 random
 monomial transforms it gives a worst relative error of 1.1e-11 against the
 exact images, where 60/120 gave 5.5e-10, at a fifth of the integrand
 evaluations.  The integrand's own series are summed over all nodes of a
-call at once, a block of terms at a time (series.sum_series), under the
-package's one truncation contract, and each such call has a fixed cost of
-tens of microseconds whatever its node count.  So g is called once per
-piece on the order-n and order-2n nodes together, and the dyadic log rule
-calls g once per block of LOG_BLOCK pieces.  evaluations counts every node
-g saw.
+call at once (series.sum_series): the terms are formed one by one at the
+largest node only, then rescaled to every node by one nodes-by-terms
+product.  Most of a call's cost is that per-term loop, tens of
+microseconds that barely grow with the node count.  So g is called once
+per piece on the order-n and order-2n nodes together, and the dyadic log
+rule calls g once per block of LOG_BLOCK pieces.  evaluations counts
+every node g saw.
 
 The rules are built here by Golub-Welsch (Math. Comp. 23, 1969): the nodes
 are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the

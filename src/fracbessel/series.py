@@ -2,8 +2,8 @@
 
 Every term-ratio series in the package, these three and the kernel 2F1
 series in hyp2f1, is summed by ``sum_series`` under its one truncation
-contract (see there).  The tail estimate is reported so callers can
-propagate error budgets.
+contract (see there), over one node or an array of them.  The tail
+estimate is reported so callers can propagate error budgets.
 """
 
 from __future__ import annotations
@@ -102,131 +102,67 @@ def wright_convergence_index(spec: WrightSpec) -> float:
     return 1.0 + sum(B for _, B in spec.lower) - sum(A for _, A in spec.upper)
 
 
-class _Stop:
-    """The truncation contract of sum_series, fed one counted term at a time."""
-
-    __slots__ = ("tol", "run", "last")
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.run = 0
-        self.last = 0.0
-
-    def tail(self, size: float, s: float) -> float | None:
-        """Take a counted term's norm and the partial sum's norm; return the
-        tail estimate once the contract is met, else None."""
-        bound = self.tol * max(s, _TINY)
-        if size <= bound:
-            self.run += 1
-            if self.run >= 3:
-                q = size / self.last
-                tail = size / (1.0 - q) if q < 0.9 else math.inf
-                if tail <= bound:
-                    return tail
-        else:
-            self.run = 0
-        self.last = size
-        return None
-
-
 def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesValue:
     """Sum w_0 t_0 + w_1 t_1 + ... with t_{n+1} = t_n * ratio(n) * z.
 
-    t0 and z are floats, or arrays for a sum vectorized over nodes; ratio(n)
-    is a float, and weights, when given, yields the scalar w_0, w_1, ...
-    (all 1 when absent).  The value is an array when t0 is; ratio is then
-    called with integer arrays of n and must return the array of ratios.
+    t0 and ratio(n) are floats; weights, when given, yields the scalar w_0,
+    w_1, ... (all 1 when absent).  z is a float, or an array for a sum
+    vectorized over nodes, in which case the value is an array of z's shape.
 
-    The truncation contract, the only one in the package: with ||.|| the
-    max over the array (abs for a float), summation stops once three
-    consecutive terms are each <= tol * ||partial sum|| and so is the tail
-    estimate ||w_n t_n|| / (1 - q), q being the ratio of the last two term
-    norms (an infinite tail when q >= 0.9).  An exactly-zero term t_n means
-    the series terminated, with tail 0.  A zero weight (a denominator gamma
-    pole) skips its term, which does not count toward the run.  Reaching
-    max_terms returns converged=False with an infinite tail.  Array sums are
-    formed a block of terms at a time (_sum_blocks) under this same contract.
+    The truncation contract, the only one in the package: summation stops
+    once three consecutive terms are each <= tol * |partial sum| and so is
+    the tail estimate |w_n t_n| / (1 - q), q being the ratio of the last two
+    term sizes (an infinite tail when q >= 0.9).  An exactly-zero term t_n
+    means the series terminated, with tail 0.  A zero weight (a denominator
+    gamma pole) skips its term, which does not count toward the run.
+    Reaching max_terms returns converged=False with an infinite tail.
+
+    An array z is summed by this loop at z*, its entry of largest |z|, and
+    the terms T_n found there are rescaled to every node as sum_n T_n
+    (z/z*)^n (T_0 alone when z* = 0).  |T_n| is the max norm of term n over
+    the nodes and |S(z*)| at most that of the partial sum, so an array sum
+    stops no earlier than the max norms would have it stop, and its tail
+    estimate covers every node.
     """
-    if isinstance(t0, np.ndarray):
-        return _sum_blocks(t0, ratio, z, tol, weights, max_terms)
-    stop = _Stop(tol)
+    nodes = z if isinstance(z, np.ndarray) else None
+    if nodes is not None:
+        z = float(nodes.flat[np.argmax(np.abs(nodes))]) if nodes.size else 0.0
+    parts = []
+    run = 0
+    last = 0.0
     term = t0
     total = 0.0
+    stop = (max_terms, math.inf, False)
     for n in range(max_terms):
         if n:
             term = term * (ratio(n - 1) * z)
-        part = term
-        if weights is not None:
-            w = next(weights)
-            if w == 0.0:
-                continue
-            part = term * w
+        w = 1.0 if weights is None else next(weights)
+        part = term * w if w != 0.0 else 0.0
+        parts.append(part)
+        if w == 0.0:
+            continue
         size = abs(part)
-        if size == 0.0:
-            return SeriesValue(total + part, n, 0.0, True)
         total += part
+        if size == 0.0:
+            stop = (n, 0.0, True)
+            break
         s = abs(total)
-        tail = stop.tail(size, s)
-        if tail is not None:
-            return SeriesValue(total, n + 1, tail, bool(s < math.inf))
-    return SeriesValue(total, max_terms, math.inf, False)
-
-
-_BLOCK = 64
-
-
-def _sum_blocks(t0, ratio, z, tol, weights, max_terms) -> SeriesValue:
-    """sum_series for array t0: up to _BLOCK terms at a time as the columns
-    of one nodes-by-terms array, then the contract scanned over the columns'
-    norms.
-
-    Terms past max_terms are never formed (ratio(n) is called only for
-    n <= max_terms - 2, as in the scalar recurrence).  Terms and partial sums
-    are formed by the scalar path's operations in its order, so a one-node
-    sum equals the scalar path's result bit for bit.
-    """
-    shape = t0.shape
-    term = t0.ravel()
-    z = np.ravel(z) if np.shape(z) == shape else np.full(term.size, z)
-    stop = _Stop(tol)
-    total = 0.0
-    n0 = 0
-    while n0 < max_terms:
-        n1 = min(n0 + _BLOCK, max_terms)
-        # column n is t_{n-1} * ratio(n-1) * z; the first column of all is t0
-        block = np.empty((term.size, n1 - n0))
-        if n0:
-            np.multiply.outer(z, ratio(np.arange(n0 - 1, n1 - 1)), out=block)
-            block[:, 0] *= term
+        bound = tol * max(s, _TINY)
+        if size <= bound:
+            run += 1
+            if run >= 3:
+                q = size / last
+                tail = size / (1.0 - q) if q < 0.9 else math.inf
+                if tail <= bound:
+                    stop = (n + 1, tail, bool(s < math.inf))
+                    break
         else:
-            block[:, 0] = term
-            np.multiply.outer(z, ratio(np.arange(n1 - 1)), out=block[:, 1:])
-        np.multiply.accumulate(block, axis=1, out=block)
-        term = block[:, -1].copy()
-        if weights is None:
-            skip = ()
-            parts = block
-        else:
-            w = np.fromiter(itertools.islice(weights, n1 - n0), float, n1 - n0)
-            skip = set(np.flatnonzero(w == 0.0).tolist())
-            parts = np.multiply(block, w, out=np.zeros_like(block), where=w != 0.0)
-        sizes = np.abs(parts).max(axis=0, initial=0.0).tolist()
-        parts[:, 0] += total
-        sums = np.add.accumulate(parts, axis=1, out=parts)
-        norms = np.abs(sums).max(axis=0, initial=0.0).tolist()
-        for i, (size, s) in enumerate(zip(sizes, norms)):
-            if i in skip:
-                continue
-            if size == 0.0:
-                return SeriesValue(sums[:, i].reshape(shape), n0 + i, 0.0, True)
-            tail = stop.tail(size, s)
-            if tail is not None:
-                return SeriesValue(sums[:, i].reshape(shape), n0 + i + 1, tail, s < math.inf)
-        total = sums[:, -1].copy()
-        n0 = n1
-    if isinstance(total, np.ndarray):
-        total = total.reshape(shape)
-    return SeriesValue(total, max_terms, math.inf, False)
+            run = 0
+        last = size
+    if nodes is not None:
+        x = nodes / z if z else nodes
+        total = np.power.outer(x, np.arange(len(parts))) @ parts
+    return SeriesValue(total, *stop)
 
 
 def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
@@ -350,7 +286,11 @@ def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
         n0 += 1
     c0 = gamma_sign(n0 + 1.0 + vk) * math.exp(-math.lgamma(n0 + 1) - math.lgamma(n0 + 1.0 + vk))
     ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
-    return sum_series(c0 * y**n0, ratio, y, tol)
+    sv = sum_series(c0, ratio, y, tol)
+    scale = y**n0
+    return SeriesValue(
+        sv.value * scale, sv.terms_used, sv.trunc_estimate * float(np.max(np.abs(scale))), sv.converged
+    )
 
 
 def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:

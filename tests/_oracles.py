@@ -52,6 +52,19 @@ def bessel_j_oracle(v: float, z: float, n_terms: int = 30) -> float:
     return total
 
 
+def kbessel_reduced_oracle(v: float, c: float, k: float, z: float, n_terms: int = 60) -> float:
+    """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), term by term via
+    math.gamma; a term whose Gamma(n+1+v/k) sits on a pole is zero."""
+    y = -c * z * z / (4.0 * k)
+    total = 0.0
+    for n in range(n_terms):
+        x = n + 1.0 + v / k
+        if x <= 0 and x == round(x):
+            continue
+        total += y**n / (math.gamma(x) * math.gamma(n + 1.0))
+    return total
+
+
 def pochhammer_oracle(a: float, n: int) -> float:
     """(a)_n as an explicit product."""
     out = 1.0

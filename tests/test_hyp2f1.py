@@ -1,12 +1,15 @@
 """Gauss 2F1 kernel on [0, 1): direct series, terminating polynomials, and
 the connection split used near the w -> 1 endpoint."""
 
+import math
+
 import numpy as np
 import pytest
-import scipy.special as sp
 
 from fracbessel.errors import DomainError
-from fracbessel.hyp2f1 import connection_parts, hyp2f1_kernel
+from fracbessel.hyp2f1 import hyp2f1_kernel, kernel_split
+
+from _oracles import pfq_oracle
 
 
 _W_GRID = np.array([0.0, 0.05, 0.2, 0.49, 0.5, 0.51, 0.7, 0.9, 0.99, 1.0 - 1e-9])
@@ -23,6 +26,7 @@ _W_GRID = np.array([0.0, 0.05, 0.2, 0.49, 0.5, 0.51, 0.7, 0.9, 0.99, 1.0 - 1e-9]
     ],
 )
 def test_kernel_matches_reference_across_unit_interval(a, b, c):
+    sp = pytest.importorskip("scipy.special")
     ours = hyp2f1_kernel(a, b, c, _W_GRID)
     ref = sp.hyp2f1(a, b, c, _W_GRID)
     np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-14)
@@ -44,10 +48,7 @@ def test_kernel_lower_pole_reached_by_terminating_series_rejected():
     # 2F1(-m, b; -n; w) is the degree-m polynomial while m <= n; past that
     # its series meets the pole of (c)_n before it terminates
     w = np.array([0.3, 0.6])
-    expected = sum(
-        sp.poch(-3.0, j) * sp.poch(0.5, j) / (sp.poch(-5.0, j) * sp.factorial(j)) * w**j
-        for j in range(4)
-    )
+    expected = [pfq_oracle((-3.0, 0.5), (-5.0,), wi, 4) for wi in w]
     np.testing.assert_allclose(hyp2f1_kernel(-3.0, 0.5, -5.0, w), expected, rtol=1e-14)
     for a, b in ((-7.0, 0.5), (0.5, -6.0)):
         with pytest.raises(DomainError, match="nonpositive integer"):
@@ -61,31 +62,37 @@ def test_kernel_rejects_arguments_outside_unit_interval():
         hyp2f1_kernel(1.4, -3.0, 0.9, np.array([-0.1]))
 
 
-def test_connection_parts_reconstruct_kernel_above_half():
-    a, b, c = 1.1, -0.65, 0.8
-    coef_a, gamma_exp, coef_b, f1, f2 = connection_parts(a, b, c)
-    w = np.array([0.6, 0.8, 0.95, 0.9999])
-    u = 1.0 - w
-    recon = coef_a * f1(u) + coef_b * u**gamma_exp * f2(u)
-    np.testing.assert_allclose(recon, sp.hyp2f1(a, b, c, w), rtol=1e-12)
-
-
-def test_connection_parts_reject_near_integer_exponent():
-    # c - a - b integral degenerates the two-branch split
-    with pytest.raises(DomainError):
-        connection_parts(0.7, 0.3, 2.0)
-
-
 def test_kernel_integer_exponent_uses_logarithmic_branch():
     # same degenerate parameters must still evaluate, via the log expansion
+    sp = pytest.importorskip("scipy.special")
     a, b, c = 0.7, 0.3, 2.0
     w = np.array([0.75, 0.9])
     np.testing.assert_allclose(hyp2f1_kernel(a, b, c, w), sp.hyp2f1(a, b, c, w), rtol=1e-10)
 
 
-def _eval_split(a, b, c, u):
-    from fracbessel.hyp2f1 import kernel_split
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_parameters_rejected(bad, slot):
+    abc = [1.1, -0.65, 0.8]
+    abc[slot] = bad
+    with pytest.raises(DomainError, match="finite"):
+        hyp2f1_kernel(*abc, np.array([0.3, 0.7]))
+    with pytest.raises(DomainError, match="finite"):
+        kernel_split(*abc)
 
+
+@pytest.mark.parametrize("name", ["gamma", "c_minus_a", "c_minus_b"])
+def test_kernel_split_rejects_non_finite_supplied_difference(name):
+    with pytest.raises(DomainError, match="finite"):
+        kernel_split(1.1, -0.65, 0.8, **{name: math.nan})
+
+
+def test_kernel_rejects_nan_argument():
+    with pytest.raises(DomainError):
+        hyp2f1_kernel(1.1, -0.65, 0.8, np.array([0.3, math.nan]))
+
+
+def _eval_split(a, b, c, u):
     total = np.zeros_like(u)
     for t in kernel_split(a, b, c):
         v = t.coef * t.series(u)
@@ -95,6 +102,16 @@ def _eval_split(a, b, c, u):
             v = v * np.log(u)
         total = total + v
     return total
+
+
+def test_connection_parts_reconstruct_kernel_above_half():
+    sp = pytest.importorskip("scipy.special")
+    a, b, c = 1.1, -0.65, 0.8
+    assert [(t.exponent, t.log_factor) for t in kernel_split(a, b, c)] == [
+        (0.0, False), (pytest.approx(c - a - b), False)
+    ]
+    w = np.array([0.6, 0.8, 0.95, 0.9999])
+    np.testing.assert_allclose(_eval_split(a, b, c, 1.0 - w), sp.hyp2f1(a, b, c, w), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -108,6 +125,7 @@ def _eval_split(a, b, c, u):
     ],
 )
 def test_kernel_split_reconstructs_integer_exponent_kernel(a, b, c, at_1e8):
+    sp = pytest.importorskip("scipy.special")
     # moderate u: reference library agrees to full precision
     u = np.array([0.45, 0.2, 0.05, 1e-3])
     np.testing.assert_allclose(_eval_split(a, b, c, u), sp.hyp2f1(a, b, c, 1.0 - u), rtol=5e-13)

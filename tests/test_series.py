@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fracbessel.errors import ConvergenceError, DomainError
 from fracbessel.series import (
-    _BLOCK,
+    _kbessel_sum,
     MAX_TERMS,
     HypergeomSpec,
     KBesselParams,
@@ -19,11 +19,12 @@ from fracbessel.series import (
     eval_pfq,
     eval_wright,
     gauss_2f1_at_1,
+    kbessel_reduced_series,
     sum_series,
     wright_convergence_index,
 )
 
-from _oracles import bessel_j_oracle, pfq_oracle, wright_oracle
+from _oracles import bessel_j_oracle, kbessel_reduced_oracle, pfq_oracle, wright_oracle
 
 
 # ---------------------------------------------------------------- pFq
@@ -177,17 +178,15 @@ def test_wright_truncation_estimate_bounds_refinement(z):
 
 
 def test_sum_series_vectorized_tail_estimate_bounds_refinement():
-    # 2F1(1.5, 2.5; 1.2; w) over an array of nodes: one estimate, on the
-    # max norm, covers the truncation error of every node (up to w = 0.85
-    # the sums run over several blocks of terms)
+    # 2F1(1.5, 2.5; 1.2; w) over an array of nodes: one estimate, made at
+    # the largest node, covers the truncation error of every node
     ratio = lambda n: (1.5 + n) * (2.5 + n) / ((1.2 + n) * (n + 1.0))
     for w_max in (0.6, 0.85):
         w = np.linspace(0.05, w_max, 12)
-        coarse = sum_series(np.ones_like(w), ratio, w, 1e-6)
-        fine = sum_series(np.ones_like(w), ratio, w, 1e-13)
+        coarse = sum_series(1.0, ratio, w, 1e-6)
+        fine = sum_series(1.0, ratio, w, 1e-13)
         assert coarse.converged and fine.converged
-        assert coarse.trunc_estimate >= float(np.max(np.abs(coarse.value - fine.value)))
-    assert fine.terms_used > 2 * _BLOCK
+        assert np.all(coarse.trunc_estimate >= np.abs(coarse.value - fine.value))
 
 
 def _tol_stopping_after(n_terms, ratio, z, weights=lambda: None):
@@ -203,23 +202,36 @@ def _kernel_ratio(a, b, c):
     return lambda n: (a + n) * (b + n) / ((c + n) * (n + 1.0))
 
 
+def _abs_terms(t0, ratio, z, weights, n_terms):
+    # sum of |w_n t_n| over the first n_terms terms, by the plain recurrence
+    total, term = 0.0, t0
+    for n, w in zip(range(n_terms), weights or itertools.repeat(1.0)):
+        if n:
+            term *= ratio(n - 1) * z
+        total += abs(w * term)
+    return total
+
+
 _SLOW = lambda n: (n + 1.5) / (n + 2.0)
+_EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize(
     "case",
     [
-        # stops just below, at, and just past the end of a block of terms
-        *[("block", n, None) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)],
-        # terminating polynomial capped below a block: at the cap, and with
-        # room for the exactly-zero term that ends it
+        # stops by the contract after few and after many terms
+        *[("stop", n, None) for n in (5, 63, 64, 65, 129)],
+        # a negative node
+        ("negative", 40, None),
+        # terminating polynomial: capped by max_terms, and with room for
+        # the exactly-zero term that ends it
         ("poly", 6, None),
         ("poly", 7, None),
-        # an exactly-zero term inside the first and the second block
+        # an exactly-zero term early and late
         ("zero", 10, -9.0),
         ("zero", 74, -73.0),
-        # zero weights, inside a block and on both sides of its end
-        ("weights", _BLOCK + 5, None),
+        # zero weights, which do not count toward the run
+        ("weights", 69, None),
     ],
     ids=lambda case: f"{case[0]}-{case[1]}",
 )
@@ -227,31 +239,83 @@ def test_sum_series_one_node_array_matches_scalar(case):
     kind, n, a = case
     weights = lambda: None
     max_terms = MAX_TERMS
-    if kind == "block":
+    if kind == "stop":
         ratio, z, tol = _SLOW, 0.6, _tol_stopping_after(n, _SLOW, 0.6)
+    elif kind == "negative":
+        ratio, z, tol = _SLOW, -0.6, _tol_stopping_after(n, _SLOW, -0.6)
     elif kind == "poly":
         ratio, z, tol, max_terms = _kernel_ratio(-5.0, 1.5, 2.5), 0.7, 1e-15, n
     elif kind == "zero":
         ratio, z, tol = _kernel_ratio(a, 1.5, 2.5), 0.9, 1e-15
     else:
-        zeros = {2, _BLOCK - 1, _BLOCK}
+        zeros = {2, 63, 64}
         weights = lambda: (0.0 if k in zeros else 1.0 + 1.0 / (k + 1.0) for k in itertools.count())
         ratio, z, tol = _SLOW, 0.6, _tol_stopping_after(n, _SLOW, 0.6, weights)
     ref = sum_series(0.7, ratio, z, tol, weights(), max_terms)
-    arr = sum_series(np.array([0.7]), ratio, np.array([z]), tol, weights(), max_terms)
+    arr = sum_series(0.7, ratio, np.array([z]), tol, weights(), max_terms)
     assert arr.value.shape == (1,)
-    # the array path forms each term and partial sum by the scalar path's
-    # operations, in its order
-    assert arr.value[0] == ref.value
+    # the array path runs the scalar contract at its one node, then sums the
+    # same terms in another order
     assert (arr.terms_used, arr.converged, arr.trunc_estimate) == (
         ref.terms_used, ref.converged, ref.trunc_estimate
     )
+    scale = _abs_terms(0.7, ratio, z, weights(), ref.terms_used)
+    assert abs(arr.value[0] - ref.value) <= 4 * _EPS * scale
     if kind == "poly":
         assert (ref.terms_used, ref.converged) == ((6, False) if n == 6 else (6, True))
     elif kind == "zero":
         assert (ref.terms_used, ref.trunc_estimate) == (n, 0.0)
     else:
         assert ref.terms_used == n and ref.converged
+
+
+_COS = lambda n: -1.0 / ((2.0 * n + 1.0) * (2.0 * n + 2.0))  # cos(sqrt(y)) in powers of y
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["mixed-sign", "all-zero", "zero-weights", "capped", "near-zero-sum"],
+)
+def test_sum_series_array_runs_contract_at_largest_node(kind):
+    weights = lambda: None
+    max_terms, tol, t0 = MAX_TERMS, 1e-14, 0.7
+    if kind == "mixed-sign":
+        # the largest |z| is negative
+        ratio, z = _kernel_ratio(1.1, -0.65, 0.8), np.array([0.3, -0.55, -0.1, 0.5])
+    elif kind == "all-zero":
+        ratio, z = _SLOW, np.zeros(3)
+    elif kind == "zero-weights":
+        weights = lambda: (0.0 if k % 3 == 1 else 1.0 for k in itertools.count())
+        ratio, z = _SLOW, np.array([0.2, 0.6, -0.4])
+    elif kind == "capped":
+        # a degree-5 polynomial cut off at its last nonzero term
+        ratio, z, max_terms = _kernel_ratio(-5.0, 1.5, 2.5), np.array([0.7, -0.3, 0.95]), 6
+    else:
+        # cos(sqrt(y)) vanishes at the largest node, y = (pi/2)^2
+        ratio, z, t0 = _COS, np.array([0.3, 1.0, 2.0, (math.pi / 2) ** 2]), 1.0
+    arr = sum_series(t0, ratio, z, tol, weights(), max_terms)
+    star = float(z[np.argmax(np.abs(z))])
+    ref = sum_series(t0, ratio, star, tol, weights(), max_terms)
+    assert arr.value.shape == z.shape
+    assert (arr.terms_used, arr.converged, arr.trunc_estimate) == (
+        ref.terms_used, ref.converged, ref.trunc_estimate
+    )
+    scale = _abs_terms(t0, ratio, star, weights(), arr.terms_used)
+    for zi, vi in zip(z, arr.value):
+        # each node's own scalar sum stops no later; the difference is its
+        # own truncation plus rounding
+        own = sum_series(t0, ratio, float(zi), tol, weights(), max_terms)
+        assert own.terms_used <= arr.terms_used
+        assert abs(vi - own.value) <= own.trunc_estimate + 16 * _EPS * scale
+    if kind == "all-zero":
+        assert np.array_equal(arr.value, np.full(3, t0)) and arr.terms_used == 1
+    elif kind == "capped":
+        assert not arr.converged
+        poly = [t0 * pfq_oracle((-5.0, 1.5), (2.5,), zi, 6) for zi in z]
+        np.testing.assert_allclose(arr.value, poly, rtol=1e-14)
+    elif kind == "near-zero-sum":
+        assert arr.converged
+        np.testing.assert_allclose(arr.value, np.cos(np.sqrt(z)), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- k-Bessel
@@ -264,6 +328,22 @@ def test_k_bessel_truncation_estimate_bounds_refinement(z, c):
     coarse = eval_k_bessel(p, z, 1e-6)
     fine = eval_k_bessel(p, z, 1e-13)
     assert abs(coarse.value - fine.value) <= coarse.trunc_estimate + 1e-15 * abs(fine.value)
+
+
+@pytest.mark.parametrize("v,k,n0", [(-0.5, 0.5, 1), (-0.9, 0.45, 2)])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_k_bessel_reduced_series_starts_past_pole_lattice(v, k, n0, c):
+    # 1 + v/k is a nonpositive integer: the first n0 terms vanish
+    kb = KBesselParams(v=v, c=c, k=k)
+    z = np.array([1e-3, 0.1, 0.8, 1.7, 3.0])
+    arr = kbessel_reduced_series(kb, z, 1e-13)
+    per_node = [_kbessel_sum(kb, float(zi), 1e-13).value for zi in z]
+    np.testing.assert_allclose(arr, per_node, rtol=1e-12)
+    oracle = [kbessel_reduced_oracle(v, c, k, float(zi)) for zi in z]
+    np.testing.assert_allclose(arr, oracle, rtol=1e-12)
+    y0 = -c * z[0] ** 2 / (4.0 * k)
+    leading = y0**n0 / (math.gamma(n0 + 1.0 + v / k) * math.factorial(n0))
+    assert arr[0] == pytest.approx(leading, rel=1e-5)
 
 
 def test_k_bessel_classical_reduction_grid():
