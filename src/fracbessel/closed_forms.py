@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_ratio, is_pole
 from .series import (
     HypergeomSpec,
@@ -110,8 +110,7 @@ class ClosedForm:
 
 def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> SeriesValue:
     """Evaluate a ClosedForm at x > 0, propagating the series bookkeeping."""
-    if not (0 < x < math.inf):
-        raise DomainError(f"evaluate_closed_form: x must be positive and finite, got {x!r}")
+    require_positive_finite("evaluate_closed_form", "x", x)
     z = cf.argument(x)
     if isinstance(cf.series, WrightSpec):
         sv = eval_wright(cf.series, z, tol)
@@ -126,44 +125,32 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
     )
 
 
-def _left_base(p: TheoremParams):
-    p.require_left()
-    vk1 = p.v / p.k + 1.0
-    pref_log = -(p.v / p.k) * math.log(2.0 * p.k)
-    power = p.big_l - p.beta - 1.0
+def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power, label) -> ClosedForm:
+    """The Fox-Wright image shape 2.1 and 2.4 share: prefactor (2k)^(-v/k),
+    argument -c/(4k) * x^argument_power, and the k-Bessel pair (v/k + 1, 1)
+    closing the lower parameters."""
+    vk = p.v / p.k
+    series = WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),))
     scale = -p.c / (4.0 * p.k)
-    return vk1, pref_log, power, scale
-
-
-def _right_base(p: TheoremParams):
-    p.require_right()
-    vk1 = p.v / p.k + 1.0
-    pref_log = -(p.v / p.k) * math.log(2.0 * p.k)
-    power = p.lam / p.k - p.v / p.k - p.beta - 1.0
-    scale = -p.c / (4.0 * p.k)
-    return vk1, pref_log, power, scale
+    return ClosedForm(-vk * math.log(2.0 * p.k), 1, power, series, scale, argument_power, label=label)
 
 
 def theorem21_spec(p: TheoremParams) -> ClosedForm:
     """Left transform of t^(lam/k-1) W(t) as a 2-Psi-3 Fox-Wright form."""
-    vk1, pref_log, power, scale = _left_base(p)
+    p.require_left()
     big_l = p.big_l
-    series = WrightSpec(
-        upper=((big_l, 2.0), (big_l + p.eta - p.beta, 2.0)),
-        lower=((big_l - p.beta, 2.0), (big_l + p.alpha + p.eta, 2.0), (vk1, 1.0)),
-    )
-    return ClosedForm(pref_log, 1, power, series, scale, 2.0, label="2.1")
+    upper = ((big_l, 2.0), (big_l + p.eta - p.beta, 2.0))
+    lower = ((big_l - p.beta, 2.0), (big_l + p.alpha + p.eta, 2.0))
+    return _kbessel_image(p, big_l - p.beta - 1.0, upper, lower, 2.0, "2.1")
 
 
 def theorem24_spec(p: TheoremParams) -> ClosedForm:
     """Right transform of t^(lam/k-1) W(1/t) as a 2-Psi-3 Fox-Wright form."""
-    vk1, pref_log, power, scale = _right_base(p)
+    p.require_right()
     m = p.big_m
-    series = WrightSpec(
-        upper=((m + p.beta, 2.0), (m + p.eta, 2.0)),
-        lower=((m, 2.0), (m + p.alpha + p.beta + p.eta, 2.0), (vk1, 1.0)),
-    )
-    return ClosedForm(pref_log, 1, power, series, scale, -2.0, label="2.4")
+    upper = ((m + p.beta, 2.0), (m + p.eta, 2.0))
+    lower = ((m, 2.0), (m + p.alpha + p.beta + p.eta, 2.0))
+    return _kbessel_image(p, p.lam / p.k - p.v / p.k - p.beta - 1.0, upper, lower, -2.0, "2.4")
 
 
 # variant -> (Fox-Wright label, pFq label)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 #: Arguments within this distance of a nonpositive integer are treated as poles.
 POLE_TOL = 1e-9
@@ -33,12 +33,12 @@ class LogGammaValue:
         return self.sign * math.exp(self.log_abs)
 
 
-def is_pole(x: float, tol: float = POLE_TOL) -> bool:
-    """True when x is within tol of a nonpositive integer (a gamma pole)."""
+def is_pole(x: float) -> bool:
+    """True when x is within POLE_TOL of a nonpositive integer (a gamma pole)."""
     if x > 0.5:
         return False
     r = round(x)
-    return r <= 0 and abs(x - r) <= tol
+    return r <= 0 and abs(x - r) <= POLE_TOL
 
 
 def gamma_sign(x: float) -> int:
@@ -56,8 +56,7 @@ def log_gamma(x: float) -> LogGammaValue:
     Negative non-pole arguments are fine: the magnitude comes from
     lgamma (reflection internally) and the sign from floor parity.
     """
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"log_gamma: non-finite argument {x!r}")
+    require_finite("log_gamma", x)
     if is_pole(x):
         raise DomainError(f"log_gamma: argument {x!r} is within {POLE_TOL} of a gamma pole")
     return LogGammaValue(math.lgamma(x), gamma_sign(x))
@@ -76,8 +75,7 @@ def digamma(x: float) -> float:
     6.3.18) is accurate to a few ulps of max(|psi|, 1).  Exact nonpositive
     integers raise DomainError.
     """
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"digamma: non-finite argument {x!r}")
+    require_finite("digamma", x)
     if x <= 0.0 and x == round(x):
         raise DomainError(f"digamma: argument {x!r} is a nonpositive-integer pole")
     shift = 0.0
@@ -139,6 +137,7 @@ def pochhammer(z: float, n: int) -> float:
     Always finite: zero factors are legitimate (no pole errors here).
     Large n away from the zero lattice goes through log-gamma.
     """
+    require_finite("pochhammer", z, n)
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer: n must be a nonnegative integer, got {n!r}")
     n = int(n)
@@ -161,6 +160,7 @@ def pochhammer(z: float, n: int) -> float:
 
 def beta_fn(x: float, y: float) -> float:
     """Euler beta for positive arguments, symmetric bit-for-bit in (x, y)."""
+    require_finite("beta_fn", x, y)
     if not (x > 0 and y > 0):
         raise DomainError(f"beta_fn: arguments must be positive, got ({x!r}, {y!r})")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))

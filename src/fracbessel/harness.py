@@ -38,25 +38,12 @@ from .closed_forms import (
     theorem31_spec,
     theorem34_spec,
 )
-from .errors import AccuracyError, ConvergenceError, DomainError, require_finite
+from .errors import (
+    AccuracyError, ConvergenceError, DomainError, require_finite, require_positive_finite,
+)
 from .integrands import kbessel_integrand
 from .operators import Family, SaigoParams, saigo_left, saigo_right
 from .series import KBesselParams
-
-THEOREM_IDS = (
-    "2.1",
-    "2.4",
-    "3.1",
-    "3.4",
-    "cor2.2",
-    "cor2.3",
-    "cor2.5",
-    "cor2.6",
-    "cor3.2",
-    "cor3.3",
-    "cor3.5",
-    "cor3.6",
-)
 
 ABS_FLOOR = 1e-12
 ESTIMATE_FACTOR = 10.0
@@ -80,6 +67,9 @@ _VARIANTS: dict = {
     "cor3.5": ("right", Family.RIEMANN_LIOUVILLE, partial(corollary_pfq_spec, "rl_right")),
     "cor3.6": ("right", Family.ERDELYI_KOBER, partial(corollary_pfq_spec, "ek_right")),
 }
+
+# identity order fixes each id's sampling stream (seeded by its index)
+THEOREM_IDS = tuple(_VARIANTS)
 
 # Where several printed parameterizations of a form circulate, the shipped
 # variant is the one that survives the quadrature cross-check; these notes
@@ -389,8 +379,7 @@ def check_identity(
     records = []
     for x in x_points:
         x = float(x)
-        if not (0 < x < math.inf):
-            raise DomainError(f"evaluation points must be positive and finite, got {x!r}")
+        require_positive_finite("check_identity", "x", x)
         notes = list(setup_notes)
         lhs = lhs_est = rhs = rhs_trunc = math.nan
         evaluations = terms_used = 0

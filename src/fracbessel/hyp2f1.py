@@ -53,12 +53,18 @@ def _series_2f1(
     return sum_series(1.0, ratio, w, 1e-15, weights, max_terms).value
 
 
-def _terminating_index(x: float) -> int | None:
-    """m such that x == -m (within tolerance) for nonnegative integer m, else None."""
-    r = round(x)
-    if r <= 0 and abs(x - r) <= 1e-9:
-        return -int(r)
-    return None
+def _terminating_polynomial(a: float, b: float, c: float) -> Callable | None:
+    """w -> 2F1(a, b; c; w) as its exact polynomial when a or b is a
+    nonpositive integer -m (the one of lower degree), else None.  A pole
+    c = -n with n < m is met before the series terminates: DomainError."""
+    m = -round(a) if is_pole(a) else None
+    if is_pole(b) and (m is None or -round(b) < m):
+        a, b, m = b, a, -round(b)
+    if m is None:
+        return None
+    if is_pole(c) and m > -round(c):
+        raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")
+    return lambda w: _series_2f1(a, b, c, w, max_terms=m + 1)
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,10 @@ def kernel_split(
 ) -> list[KernelTerm]:
     """Branches of 2F1(a,b;c;1-u) around u = 0, valid for u in (0, ~0.6).
 
-    Terminating kernels come back as a single analytic term; integer c-a-b
-    uses the logarithmic expansion; everything else the two-branch connection
-    formula.  Terms with exactly zero coefficient are omitted.
+    Terminating kernels come back as a single analytic term (the exact
+    polynomial; a pole of c met before termination raises here); integer
+    c-a-b uses the logarithmic expansion; everything else the two-branch
+    connection formula.  Terms with exactly zero coefficient are omitted.
 
     gamma, c_minus_a and c_minus_b default to the obvious differences;
     callers that know the parameters as sums of primitives (the operator
@@ -149,13 +156,9 @@ def kernel_split(
     if c_minus_b is None:
         c_minus_b = c - b
     require_finite("kernel_split", a, b, c, g, c_minus_a, c_minus_b)
-    if _terminating_index(a) is not None or _terminating_index(b) is not None:
-        return [
-            KernelTerm(
-                1.0, 0.0, False,
-                lambda u: hyp2f1_kernel(a, b, c, 1.0 - np.asarray(u, dtype=float)),
-            )
-        ]
+    poly = _terminating_polynomial(a, b, c)
+    if poly is not None:
+        return [KernelTerm(1.0, 0.0, False, lambda u: poly(1.0 - np.asarray(u, dtype=float)))]
     r = round(g)
     if abs(g - r) <= _INT_TOL:
         return log_connection_parts(a, b, c, int(r))
@@ -179,15 +182,9 @@ def hyp2f1_kernel(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     if w.size and not (float(np.min(w)) >= 0.0 and float(np.max(w)) < 1.0):
         raise DomainError("hyp2f1_kernel: arguments must lie in [0, 1)")
 
-    # Terminating series: exact polynomial for any w.
-    m = _terminating_index(a)
-    mb = _terminating_index(b)
-    if mb is not None and (m is None or mb < m):
-        a, b = b, a
-        m = mb
-    # a pole c = -n with n < m is met before the series terminates
-    if m is not None and not (is_pole(c) and m > -round(c)):
-        return _series_2f1(a, b, c, w, max_terms=m + 1)
+    poly = _terminating_polynomial(a, b, c)
+    if poly is not None:
+        return poly(w)
     if is_pole(c):
         raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")
 

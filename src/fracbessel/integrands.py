@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 from .series import KBesselParams, kbessel_reduced_series
 
 
@@ -79,34 +79,28 @@ def kbessel_integrand(
     at 0 is lam/k - 1 + v/k); the reciprocal form for right-sided ones
     (declared exponent at infinity is lam/k - 1 - v/k).
     """
+    require_positive_finite("kbessel_integrand", "series_tol", series_tol)
     vk = kb.v / kb.k
     power = lam / kb.k - 1.0
     scale = math.exp(-vk * math.log(2.0 * kb.k))  # (2k)^(-v/k)
+    label = f"t^({lam}/{kb.k}-1)*W[v={kb.v},c={kb.c},k={kb.k}]"
 
-    if not reciprocal:
+    def smooth(t: np.ndarray) -> np.ndarray:
+        return scale * kbessel_reduced_series(kb, t, series_tol)
 
-        def fn(t: np.ndarray) -> np.ndarray:
-            return scale * np.power(t, power + vk) * kbessel_reduced_series(kb, t, series_tol)
-
-        def smooth0(t: np.ndarray) -> np.ndarray:
-            return scale * kbessel_reduced_series(kb, t, series_tol)
-
+    if reciprocal:
+        e = power - vk
+        smooth_inf = lambda t: smooth(1.0 / t)
         return Integrand(
-            fn=fn,
-            exponent_at_zero=power + vk,
-            smooth_at_zero=smooth0,
-            label=f"t^({lam}/{kb.k}-1)*W[v={kb.v},c={kb.c},k={kb.k}](t)",
+            fn=lambda t: np.power(t, e) * smooth_inf(t),
+            exponent_at_infinity=e,
+            smooth_at_infinity=smooth_inf,
+            label=label + "(1/t)",
         )
-
-    def fn_r(t: np.ndarray) -> np.ndarray:
-        return scale * np.power(t, power - vk) * kbessel_reduced_series(kb, 1.0 / t, series_tol)
-
-    def smooth_inf(t: np.ndarray) -> np.ndarray:
-        return scale * kbessel_reduced_series(kb, 1.0 / t, series_tol)
-
+    e = power + vk
     return Integrand(
-        fn=fn_r,
-        exponent_at_infinity=power - vk,
-        smooth_at_infinity=smooth_inf,
-        label=f"t^({lam}/{kb.k}-1)*W[v={kb.v},c={kb.c},k={kb.k}](1/t)",
+        fn=lambda t: np.power(t, e) * smooth(t),
+        exponent_at_zero=e,
+        smooth_at_zero=smooth,
+        label=label + "(t)",
     )

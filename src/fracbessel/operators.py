@@ -121,12 +121,12 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
     return result
 
 
-def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
-    """Shared left/right quadrature over u in (0,1).
+def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: float, tol: float):
+    """Shared left/right transform: quadrature over u in (0,1), then prefactor.
 
-    Computes int_0^1 (1-u)^(alpha-1) u^exp0 K(1-u) smooth(u) du, splitting
-    at u=1/2 and applying the kernel connection split on the lower half.
-    smooth must be analytic on [0, 1].
+    Computes x^(x_power-beta)/Gamma(alpha) * int_0^1 (1-u)^(alpha-1) u^exp0
+    K(1-u) smooth(u) du, splitting at u=1/2 and applying the kernel
+    connection split on the lower half.  smooth must be analytic on [0, 1].
     """
     a, b, c = p.kernel_abc
     al = p.alpha
@@ -162,7 +162,8 @@ def _transform_core(p: SaigoParams, exp0: float, smooth, tol: float):
             parts.append((term.coef, _integrate_soft(integrate_log_jacobi, g, 0.5, e0, tol / 4)))
         else:
             parts.append((term.coef, _integrate_soft(integrate_jacobi, g, 0.0, 0.5, e0, 0.0, tol / 4)))
-    return parts
+    pref = math.exp((x_power - p.beta) * math.log(x) - log_gamma(p.alpha).log_abs)
+    return _combine(parts, pref, tol)
 
 
 def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
@@ -172,11 +173,7 @@ def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qua
     p0 = f.exponent_at_zero
     if p0 is None:
         raise DomainError("saigo_left: integrand must declare its t->0 power exponent")
-
-    smooth = lambda u: f.reduced_at_zero(x * u)
-    parts = _transform_core(p, p0, smooth, tol)
-    pref = math.exp((p0 - p.beta) * math.log(x) - log_gamma(p.alpha).log_abs)
-    return _combine(parts, pref, tol)
+    return _transform_core(p, p0, p0, lambda u: f.reduced_at_zero(x * u), x, tol)
 
 
 def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:
@@ -191,11 +188,7 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
         raise DomainError(
             f"saigo_right: tail exponent {qi!r} >= beta={p.beta!r}; the integral diverges"
         )
-
-    smooth = lambda u: f.reduced_at_infinity(x / u)
-    parts = _transform_core(p, exp0, smooth, tol)
-    pref = math.exp((qi - p.beta) * math.log(x) - log_gamma(p.alpha).log_abs)
-    return _combine(parts, pref, tol)
+    return _transform_core(p, exp0, qi, lambda u: f.reduced_at_infinity(x / u), x, tol)
 
 
 def rl_left(f: Integrand, alpha: float, x: float, tol: float = 1e-9) -> QuadratureResult:
@@ -256,6 +249,7 @@ def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
 def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
     """Left Erdelyi-Kober image of t^(lam-1): Gamma(lam+eta)/Gamma(lam+alpha+eta)
     * x^(lam-1); requires lam > -eta."""
+    SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
     if not (lam > -eta):
         raise DomainError(f"ek_left_monomial: needs lam > -eta = {-eta!r}, got {lam!r}")
     log_r, sign = gamma_ratio([lam + eta], [lam + alpha + eta])
@@ -265,6 +259,7 @@ def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float
 
 def ek_right_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
     """Right Erdelyi-Kober image of t^(lam-1); requires lam < 1 + eta."""
+    SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
     if not (lam < 1.0 + eta):
         raise DomainError(f"ek_right_monomial: needs lam < 1+eta = {1.0 + eta!r}, got {lam!r}")
     log_r, sign = gamma_ratio([eta - lam + 1.0], [alpha + eta - lam + 1.0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_sign, is_pole, log_gamma
 
 MAX_TERMS = 10_000
@@ -172,6 +172,7 @@ def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     the Gauss point z=1 of 2F1 with c-a-b > 0 is routed to the closed form.
     """
     require_finite("eval_pfq", z)
+    require_positive_finite("eval_pfq", "tol", tol)
     p, q = len(spec.upper), len(spec.lower)
     if z == 0.0:
         return SeriesValue(spec.prefactor * 1.0, 1, 0.0, True)
@@ -252,6 +253,7 @@ def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     Convergence: index > 0, or index == 0 with |z| <= 0.9 * radius.
     """
     require_finite("eval_wright", z)
+    require_positive_finite("eval_wright", "tol", tol)
     delta = wright_convergence_index(spec)
     if delta < -1e-12:
         raise ConvergenceError(f"eval_wright: convergence index {delta!r} < 0")
@@ -317,6 +319,7 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
     at k = 1, c = 1.  The series is entire.
     """
     require_finite("eval_k_bessel", z)
+    require_positive_finite("eval_k_bessel", "tol", tol)
     if z < 0:
         raise DomainError(f"eval_k_bessel: z must be >= 0, got {z!r}")
     vk = params.v / params.k

@@ -143,6 +143,22 @@ def test_pochhammer_large_order_uses_gamma_route():
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pochhammer(math.nan, 3),
+        lambda: pochhammer(math.inf, 3),
+        lambda: pochhammer(2.0, math.nan),
+        lambda: beta_fn(math.inf, 1.0),
+        lambda: beta_fn(1.0, math.inf),
+    ],
+    ids=["pochhammer-z-nan", "pochhammer-z-inf", "pochhammer-n-nan", "beta-x-inf", "beta-y-inf"],
+)
+def test_pochhammer_and_beta_reject_nonfinite_arguments(call):
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+
+
 def test_beta_fn_values_and_symmetry():
     assert beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
     assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)

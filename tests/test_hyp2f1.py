@@ -50,9 +50,14 @@ def test_kernel_lower_pole_reached_by_terminating_series_rejected():
     w = np.array([0.3, 0.6])
     expected = [pfq_oracle((-3.0, 0.5), (-5.0,), wi, 4) for wi in w]
     np.testing.assert_allclose(hyp2f1_kernel(-3.0, 0.5, -5.0, w), expected, rtol=1e-14)
+    (term,) = kernel_split(-3.0, 0.5, -5.0)
+    np.testing.assert_allclose(term.series(1.0 - w), expected, rtol=1e-14)
     for a, b in ((-7.0, 0.5), (0.5, -6.0)):
         with pytest.raises(DomainError, match="nonpositive integer"):
             hyp2f1_kernel(a, b, -5.0, w)
+        # the branch split refuses at the call, before any term is evaluated
+        with pytest.raises(DomainError, match="nonpositive integer"):
+            kernel_split(a, b, -5.0)
 
 
 def test_kernel_rejects_arguments_outside_unit_interval():

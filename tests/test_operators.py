@@ -21,7 +21,7 @@ from fracbessel import (
 )
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import gamma_ratio
-from fracbessel.integrands import Integrand, monomial
+from fracbessel.integrands import Integrand, kbessel_integrand, monomial
 from fracbessel.operators import (
     Family,
     SaigoParams,
@@ -102,6 +102,8 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
         lambda: eval_wright(WrightSpec(upper=(), lower=((3.0, 1.0),)), math.nan),
         lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.nan),
         lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.inf),
+        lambda: ek_left_monomial(math.nan, 0.5, 1.0),
+        lambda: ek_right_monomial(math.inf, 0.5, 0.2),
     ],
     ids=[
         "saigo-beta-nan", "saigo-eta-inf", "saigo-alpha-inf", "kbessel-c-nan",
@@ -109,12 +111,49 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
         "pfq-prefactor-inf", "wright-step-inf", "wright-coeff-nan",
         "saigo-left-x-inf", "saigo-right-x-nan", "closed-form-x-inf",
         "pfq-z-nan", "pfq-z-minus-inf", "wright-z-inf", "wright-z-nan",
-        "kbessel-z-nan", "kbessel-z-inf",
+        "kbessel-z-nan", "kbessel-z-inf", "ek-left-monomial-alpha-nan",
+        "ek-right-monomial-alpha-inf",
     ],
 )
 def test_non_finite_input_raises_domain_error(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_ek_monomial_images_check_the_operator_orders():
+    # the images refuse exactly the orders their operators refuse
+    for image, op, lam in ((ek_left_monomial, ek_left, 1.5), (ek_right_monomial, ek_right, 0.2)):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            op(monomial(lam), -1.0, 0.5, 1.0)
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            image(-1.0, 0.5, lam)
+
+
+_WRIGHT_1 = WrightSpec(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
+_PFQ_1 = HypergeomSpec(upper=(1.0,), lower=(2.0,))
+_KB = KBesselParams(v=0.5, c=1.0, k=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_wright(_WRIGHT_1, 0.5, math.nan),
+        lambda: eval_pfq(_PFQ_1, 0.5, math.nan),
+        lambda: eval_pfq(_PFQ_1, 0.5, 0.0),
+        lambda: eval_k_bessel(_KB, 1.0, -1.0),
+        lambda: eval_k_bessel(_KB, 1.0, math.inf),
+        lambda: evaluate_closed_form(theorem21_spec(TheoremParams(**_T_FINITE)), 1.0, math.nan),
+        lambda: kbessel_integrand(_KB, 1.0, series_tol=math.nan),
+        lambda: kbessel_integrand(_KB, 1.0, reciprocal=True, series_tol=0.0),
+    ],
+    ids=[
+        "wright-nan", "pfq-nan", "pfq-zero", "kbessel-negative", "kbessel-inf",
+        "closed-form-nan", "integrand-nan", "integrand-reciprocal-zero",
+    ],
+)
+def test_series_tolerance_must_be_positive_and_finite(call):
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        call()
 
 
 # ------------------------------------------------------- frozen references
