@@ -1,8 +1,9 @@
 """Command-line front end: eval, transform, verify, report.
 
-Exit codes: 0 success, 2 input/domain/convergence error (also argparse
-usage errors), 3 accuracy failure (quadrature could not certify the target
-tolerance, or a verify run produced failing records).
+Exit codes: 0 success, 2 input/domain/convergence error or a result out of
+float range (also argparse usage errors), 3 accuracy failure (quadrature
+could not certify the target tolerance, or a verify run produced failing
+records).
 
 An optional flat key=value config file supplies defaults for any flag of
 the invoked subcommand; explicit flags win.  Bare output filenames are
@@ -386,6 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (DomainError, ConvergenceError) as exc:
         print(f"fracbessel: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"fracbessel: result out of floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -117,12 +117,7 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
     else:
         sv = eval_pfq(cf.series, z, tol)
     scale = cf.prefactor_sign * math.exp(cf.prefactor_log + cf.power_of_x * math.log(x))
-    return SeriesValue(
-        value=scale * sv.value,
-        terms_used=sv.terms_used,
-        trunc_estimate=abs(scale) * sv.trunc_estimate,
-        converged=sv.converged,
-    )
+    return sv.scaled(scale)
 
 
 def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power, label) -> ClosedForm:
@@ -197,32 +192,15 @@ def corollary_wright_spec(variant: str, p: TheoremParams) -> ClosedForm:
     )
 
 
-def _gamma_normalization(w: WrightSpec, owner: str) -> tuple[float, int]:
-    """(log|r|, sign) of r = prod Gamma(upper coefficients) / prod Gamma(lower
-    coefficients); a coefficient on the gamma pole lattice cannot be
-    normalized and raises DomainError."""
-    for coeff, _ in w.upper + w.lower:
-        if is_pole(coeff):
-            raise DomainError(
-                f"{owner}: coefficient {coeff!r} on the gamma pole lattice; "
-                "the hypergeometric form degenerates"
-            )
-    return gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
-
-
-def duplication_reduce(
-    w: WrightSpec, include_gamma_prefactor: bool = True
-) -> tuple[HypergeomSpec, float]:
+def duplication_reduce(w: WrightSpec) -> tuple[HypergeomSpec, float]:
     """Rewrite a Wright spec with steps in {1, 2} as (pFq spec, argument scale).
 
     Step-2 pairs split via gamma duplication Gamma(a+2n) =
     Gamma(a) 4^n (a/2)_n ((a+1)/2)_n into two half-shifted pFq parameters;
     step-1 pairs map to themselves.  The 4^n factors cancel when upper and
     lower step-2 counts match; any mismatch scales the series argument by
-    4^(upper count - lower count).  With include_gamma_prefactor the
-    collected prod Gamma(a_i)/prod Gamma(b_j) lands in the spec's prefactor;
-    parameters on the nonpositive-integer lattice cannot be normalized and
-    raise DomainError.
+    4^(upper count - lower count).  The spec does not carry the normalization
+    prod Gamma(a_i)/prod Gamma(b_j) left in front (see _reduce_closed_form).
     """
     upper: list[float] = []
     lower: list[float] = []
@@ -241,21 +219,24 @@ def duplication_reduce(
                 raise DomainError(
                     f"duplication_reduce: step {step!r} is not 1 or 2; cannot reduce"
                 )
-    prefactor = 1.0
-    if include_gamma_prefactor:
-        log_r, sign = _gamma_normalization(w, "duplication_reduce")
-        prefactor = sign * math.exp(log_r)
     arg_scale = 4.0 ** (n_up2 - n_low2)
-    return HypergeomSpec(tuple(upper), tuple(lower), prefactor), arg_scale
+    return HypergeomSpec(tuple(upper), tuple(lower)), arg_scale
 
 
 def _reduce_closed_form(cf: ClosedForm, label: str) -> ClosedForm:
-    """Duplication-reduce a Wright ClosedForm into its pFq twin, keeping the
-    gamma normalization in the log prefactor."""
+    """Duplication-reduce a Wright ClosedForm into its pFq twin, adding the
+    log of prod Gamma(upper coefficients) / prod Gamma(lower coefficients) to
+    the prefactor; a coefficient on the pole lattice raises DomainError."""
     w = cf.series
     assert isinstance(w, WrightSpec)
-    spec, arg_scale = duplication_reduce(w, include_gamma_prefactor=False)
-    log_r, sign = _gamma_normalization(w, label)
+    spec, arg_scale = duplication_reduce(w)
+    for coeff, _ in w.upper + w.lower:
+        if is_pole(coeff):
+            raise DomainError(
+                f"{label}: coefficient {coeff!r} on the gamma pole lattice; "
+                "the hypergeometric form degenerates"
+            )
+    log_r, sign = gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
     return ClosedForm(
         prefactor_log=cf.prefactor_log + log_r,
         prefactor_sign=cf.prefactor_sign * sign,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, require_finite
 
-#: Arguments within this distance of a nonpositive integer are treated as poles.
+#: Where a gamma must be evaluated, arguments this close to a nonpositive integer
+#: are poles; 1/Gamma is zero only at exact ones (1/Gamma(-n+d) ~ (-1)^n n! d).
 POLE_TOL = 1e-9
 
 # digamma's asymptotic series (Abramowitz & Stegun 6.3.18) is used from here up
@@ -39,6 +40,11 @@ def is_pole(x: float) -> bool:
         return False
     r = round(x)
     return r <= 0 and abs(x - r) <= POLE_TOL
+
+
+def is_exact_pole(x: float) -> bool:
+    """True when x is exactly a nonpositive integer, where 1/Gamma(x) = 0."""
+    return x <= 0.0 and x == round(x)
 
 
 def gamma_sign(x: float) -> int:
@@ -76,7 +82,7 @@ def digamma(x: float) -> float:
     integers raise DomainError.
     """
     require_finite("digamma", x)
-    if x <= 0.0 and x == round(x):
+    if is_exact_pole(x):
         raise DomainError(f"digamma: argument {x!r} is a nonpositive-integer pole")
     shift = 0.0
     if x < 0.5:
@@ -101,9 +107,9 @@ def digamma(x: float) -> float:
 def gamma_ratio(numerators, denominators) -> tuple[float, int]:
     """(log|r|, sign) for r = prod Gamma(numerators) / prod Gamma(denominators).
 
-    A pole among the denominators makes the ratio exactly zero
-    (reciprocal-gamma convention): returns (-inf, 0).  A pole among the
-    numerators raises DomainError.
+    An exact pole among the denominators makes the ratio exactly zero
+    (reciprocal-gamma convention): returns (-inf, 0); a near one does not.
+    A numerator within POLE_TOL of a pole raises DomainError.
     """
     log_abs = 0.0
     sign = 1
@@ -112,7 +118,7 @@ def gamma_ratio(numerators, denominators) -> tuple[float, int]:
         log_abs += lg.log_abs
         sign *= lg.sign
     for b in denominators:
-        if is_pole(b):
+        if is_exact_pole(b):
             return (-math.inf, 0)
         log_abs -= math.lgamma(b)
         sign *= gamma_sign(b)
@@ -134,28 +140,23 @@ def k_gamma(z: float, k: float) -> float:
 def pochhammer(z: float, n: int) -> float:
     """Rising factorial (z)_n = z(z+1)...(z+n-1); (z)_0 = 1.
 
-    Always finite: zero factors are legitimate (no pole errors here).
-    Large n away from the zero lattice goes through log-gamma.
+    Exactly 0.0 when a factor is zero (z a nonpositive integer, -z < n), else
+    the direct product; past the float range it stops at +-inf, signed by the
+    negative factors still to come, within a few hundred factors for any n.
     """
     require_finite("pochhammer", z, n)
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer: n must be a nonnegative integer, got {n!r}")
     n = int(n)
-    if n == 0:
-        return 1.0
-    # Direct product when short, or when a factor sits near zero (the
-    # gamma-ratio route would hit a pole that the product handles exactly).
-    r = round(z)
-    has_near_zero_factor = abs(z - r) < 1e-6 and -(n - 1) <= r <= 0
-    if n <= 128 or has_near_zero_factor:
-        out = 1.0
-        for j in range(n):
-            out *= z + j
-        return out
-    log_abs, sign = gamma_ratio([z + n], [z])
-    if sign == 0:
+    if is_exact_pole(z) and -z < n:
         return 0.0
-    return sign * math.exp(log_abs)
+    out = 1.0
+    for j in range(n):
+        out *= z + j
+        if math.isinf(out):
+            negative_left = max(0, min(n, math.ceil(-z)) - j - 1)
+            return -out if negative_left % 2 else out
+    return out
 
 
 def beta_fn(x: float, y: float) -> float:

@@ -216,8 +216,10 @@ class SuiteConfig:
                 raise DomainError(
                     f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}"
                 )
-        if self.n_draws < 1:
-            raise DomainError(f"n_draws must be >= 1, got {self.n_draws!r}")
+        if not isinstance(self.n_draws, int) or self.n_draws < 1:
+            raise DomainError(f"n_draws must be an integer >= 1, got {self.n_draws!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (0 < self.tol <= 1e-2):
             raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol!r}")
         require_finite("SuiteConfig margin and x_points", self.margin, *self.x_points)
@@ -244,14 +246,45 @@ class SuiteConfig:
 
 @dataclass
 class Report:
-    """Aggregated verification results; canonical JSON excludes wall time."""
+    """Verification results; suite_id, per_theorem and notes are derived from
+    the config and the records, so no rendering can disagree with the records.
+    Canonical JSON excludes wall time."""
 
-    suite_id: str
     config: SuiteConfig
     records: list = field(default_factory=list)
-    per_theorem: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    @property
+    def suite_id(self) -> str:
+        """verify- plus 12 hex digits of the SHA-256 of the config's JSON."""
+        blob = json.dumps(self.config.to_dict(), sort_keys=True).encode()
+        return "verify-" + hashlib.sha256(blob).hexdigest()[:12]
+
+    @property
+    def per_theorem(self) -> dict:
+        """theorem_id -> counts and worst finite relative residual (or None)."""
+        per_theorem: dict = {}
+        for r in self.records:
+            bucket = per_theorem.setdefault(
+                r.draw.theorem_id,
+                {"records": 0, "passed": 0, "failed": 0, "worst_rel_residual": None},
+            )
+            bucket["records"] += 1
+            bucket["passed" if r.passed else "failed"] += 1
+            if math.isfinite(r.rel_residual):
+                worst = bucket["worst_rel_residual"]
+                if worst is None or r.rel_residual > worst:
+                    bucket["worst_rel_residual"] = r.rel_residual
+        return per_theorem
+
+    @property
+    def notes(self) -> list:
+        """The arbitration notes of the configured identities, in config order."""
+        return [
+            ARBITRATION_NOTES[tid]
+            for tid in dict.fromkeys(self.config.theorems)
+            if tid in ARBITRATION_NOTES
+        ]
 
     @property
     def all_passed(self) -> bool:
@@ -272,7 +305,7 @@ class Report:
                 "all_passed": self.all_passed,
             },
             "per_theorem": self.per_theorem,
-            "notes": list(self.notes),
+            "notes": self.notes,
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -418,11 +451,6 @@ def check_identity(
     return records
 
 
-def _suite_id(config: SuiteConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode()
-    return "verify-" + hashlib.sha256(blob).hexdigest()[:12]
-
-
 def run_suite(config: SuiteConfig) -> Report:
     """Sample, check, and aggregate every identity in config.theorems."""
     t0 = time.perf_counter()
@@ -431,33 +459,7 @@ def run_suite(config: SuiteConfig) -> Report:
         for draw in sample_params(tid, config.n_draws, config.seed, config.margin):
             records.extend(check_identity(draw, config.x_points, config.tol))
     records.sort(key=lambda r: (r.draw.theorem_id, r.draw.seed_index, r.x))
-
-    per_theorem: dict = {}
-    for r in records:
-        bucket = per_theorem.setdefault(
-            r.draw.theorem_id,
-            {"records": 0, "passed": 0, "failed": 0, "worst_rel_residual": None},
-        )
-        bucket["records"] += 1
-        bucket["passed" if r.passed else "failed"] += 1
-        if math.isfinite(r.rel_residual):
-            worst = bucket["worst_rel_residual"]
-            if worst is None or r.rel_residual > worst:
-                bucket["worst_rel_residual"] = r.rel_residual
-
-    notes = [
-        ARBITRATION_NOTES[tid]
-        for tid in dict.fromkeys(config.theorems)
-        if tid in ARBITRATION_NOTES
-    ]
-    return Report(
-        suite_id=_suite_id(config),
-        config=config,
-        records=records,
-        per_theorem=per_theorem,
-        notes=notes,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return Report(config=config, records=records, wall_time_s=time.perf_counter() - t0)
 
 
 def render_text(report: Report) -> str:
@@ -475,8 +477,7 @@ def render_text(report: Report) -> str:
         f"wall_time_s={report.wall_time_s:.3f}\n\n"
     )
     out.write(f"{'theorem':<8} {'records':>8} {'passed':>8} {'failed':>8} {'worst rel residual':>20}\n")
-    for tid in report.per_theorem:
-        b = report.per_theorem[tid]
+    for tid, b in report.per_theorem.items():
         worst = b["worst_rel_residual"]
         worst_s = f"{worst:.3e}" if worst is not None else "n/a"
         out.write(
@@ -523,13 +524,10 @@ def render_csv(report: Report) -> str:
 
 
 def report_from_json(text: str) -> Report:
-    """Rehydrate a Report from its canonical JSON (wall time restored as 0)."""
+    """Rehydrate a Report from the config and records of its canonical JSON
+    (wall time restored as 0); the rest of the JSON is derived from these."""
     data = json.loads(text)
     return Report(
-        suite_id=data["suite_id"],
         config=SuiteConfig(**data["config"]),
         records=[_from_flat(VerificationRecord, rd) for rd in data["records"]],
-        per_theorem=data["per_theorem"],
-        notes=data["notes"],
-        wall_time_s=0.0,
     )

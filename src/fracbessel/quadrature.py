@@ -10,7 +10,7 @@ tolerance, the interval budget runs out, or the estimate hits the
 rounding floor of the accumulated values.
 
 The default pair is 12/24.  On the acceptance-1 sweep of 1200 random
-monomial transforms it gives a worst relative error of 1.1e-11 against the
+monomial transforms it gives a worst relative error of 4.4e-13 against the
 exact images, where 60/120 gave 5.5e-10, at a fifth of the integrand
 evaluations.  The integrand's own series are summed over all nodes of a
 call at once (series.sum_series): the terms are formed one by one at the

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, require_finite, require_positive_finite
-from .gammafns import gamma_sign, is_pole, log_gamma
+from .gammafns import gamma_ratio, gamma_sign, is_exact_pole, is_pole, log_gamma
 
 MAX_TERMS = 10_000
 _TINY = 1e-300
@@ -30,19 +30,24 @@ class SeriesValue:
     trunc_estimate: float
     converged: bool
 
+    def scaled(self, scale) -> "SeriesValue":
+        """scale times this sum (scale a float or an array like value), with
+        the estimate times max|scale| so that it covers every node."""
+        est = float(np.max(np.abs(scale))) * self.trunc_estimate
+        return SeriesValue(scale * self.value, self.terms_used, est, self.converged)
+
 
 @dataclass(frozen=True)
 class HypergeomSpec:
-    """pFq parameter lists with an optional scalar prefactor."""
+    """pFq parameter lists; a normalization in front belongs to the caller."""
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
-    prefactor: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
-        require_finite("HypergeomSpec", *self.upper, *self.lower, self.prefactor)
+        require_finite("HypergeomSpec", *self.upper, *self.lower)
         for b in self.lower:
             if is_pole(b):
                 raise DomainError(f"HypergeomSpec: lower parameter {b!r} is a nonpositive integer")
@@ -52,7 +57,6 @@ class HypergeomSpec:
             "kind": "pfq",
             "upper": list(self.upper),
             "lower": list(self.lower),
-            "prefactor": self.prefactor,
         }
 
 
@@ -166,7 +170,7 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
 
 
 def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
-    """Sum pFq(upper; lower; z) * prefactor by term recurrence.
+    """Sum pFq(upper; lower; z) by term recurrence.
 
     Requires p <= q+1; p == q+1 additionally needs |z| < 1, except that
     the Gauss point z=1 of 2F1 with c-a-b > 0 is routed to the closed form.
@@ -175,13 +179,13 @@ def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
     require_positive_finite("eval_pfq", "tol", tol)
     p, q = len(spec.upper), len(spec.lower)
     if z == 0.0:
-        return SeriesValue(spec.prefactor * 1.0, 1, 0.0, True)
+        return SeriesValue(1.0, 1, 0.0, True)
     if p > q + 1:
         raise ConvergenceError(f"eval_pfq: p={p} > q+1={q + 1} diverges for z != 0")
     if p == q + 1 and abs(z) >= 1.0:
         if p == 2 and z == 1.0 and (spec.lower[0] - spec.upper[0] - spec.upper[1]) > 0:
             g = gauss_2f1_at_1(spec.upper[0], spec.upper[1], spec.lower[0])
-            return SeriesValue(spec.prefactor * g, 0, 0.0, True)
+            return SeriesValue(g, 0, 0.0, True)
         raise ConvergenceError(f"eval_pfq: p=q+1 series diverges at |z|={abs(z)!r} >= 1")
 
     def ratio(n: int) -> float:
@@ -193,33 +197,20 @@ def eval_pfq(spec: HypergeomSpec, z: float, tol: float = 1e-12) -> SeriesValue:
             den *= b + n
         return num / den
 
-    sv = sum_series(1.0, ratio, z, tol)
-    return SeriesValue(
-        spec.prefactor * sv.value,
-        sv.terms_used,
-        abs(spec.prefactor) * sv.trunc_estimate,
-        sv.converged,
-    )
+    return sum_series(1.0, ratio, z, tol)
 
 
 def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) = Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).
 
-    Requires c-a-b > 0 and c off the pole lattice.  Poles of the
+    Requires c-a-b > 0 and c off the pole lattice.  Exact poles of the
     denominator gammas make the value exactly zero.
     """
     s = c - a - b
     if not (s > 0):
         raise DomainError(f"gauss_2f1_at_1: needs c-a-b > 0, got {s!r}")
-    num = log_gamma(c).log_abs + log_gamma(s).log_abs
-    sign = log_gamma(c).sign * log_gamma(s).sign
-    den = 0.0
-    for d in (c - a, c - b):
-        if is_pole(d):
-            return 0.0
-        den += math.lgamma(d)
-        sign *= gamma_sign(d)
-    return sign * math.exp(num - den)
+    log_r, sign = gamma_ratio([c, s], [c - a, c - b])
+    return sign * math.exp(log_r)
 
 
 def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> float:
@@ -237,7 +228,7 @@ def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> flo
         sign *= gamma_sign(arg)
     for b, B in spec.lower:
         arg = b + B * n
-        if is_pole(arg):
+        if is_exact_pole(arg):
             return 0.0
         log_abs -= math.lgamma(arg)
         sign *= gamma_sign(arg)
@@ -286,13 +277,10 @@ def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
     n0 = 0
     while is_pole(n0 + 1.0 + vk):
         n0 += 1
-    c0 = gamma_sign(n0 + 1.0 + vk) * math.exp(-math.lgamma(n0 + 1) - math.lgamma(n0 + 1.0 + vk))
+    lg = log_gamma(n0 + 1.0 + vk)
+    c0 = lg.sign * math.exp(-math.lgamma(n0 + 1) - lg.log_abs)
     ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
-    sv = sum_series(c0, ratio, y, tol)
-    scale = y**n0
-    return SeriesValue(
-        sv.value * scale, sv.terms_used, sv.trunc_estimate * float(np.max(np.abs(scale))), sv.converged
-    )
+    return sum_series(c0, ratio, y, tol).scaled(y**n0)
 
 
 def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -331,5 +319,4 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
         raise DomainError("eval_k_bessel: z=0 diverges for v < 0")
 
     pref = math.exp(vk * math.log(z / (2.0 * params.k)))
-    sv = _kbessel_sum(params, z, tol)
-    return SeriesValue(pref * sv.value, sv.terms_used, pref * sv.trunc_estimate, sv.converged)
+    return _kbessel_sum(params, z, tol).scaled(pref)

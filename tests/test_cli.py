@@ -209,6 +209,32 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
     assert code == 2 and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "gamma_k", "--z", "200", "--k", "1"),
+        ("eval", "wright", "--upper", "1:1", "--lower", "1:1", "--z", "1000"),
+        ("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
+         "--x", "1e300", "--monomial", "3"),
+        ("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
+         "--x", "1", "--monomial", "1.5"),
+    ],
+    ids=["gamma-k", "wright", "transform-x", "transform-alpha"],
+)
+def test_result_out_of_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fracbessel: ") and err.count("\n") == 1
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1", "--n", "1", "--theorems", "2.1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a nonnegative integer" in err
+
+
 def test_transform_uncertifiable_tolerance_exits_3(capsys):
     # lam == beta makes the exact image zero by cancellation: the quadrature
     # cannot certify a relative target that tight and must say so
@@ -278,7 +304,6 @@ def test_verify_failing_records_exit_3(capsys, monkeypatch):
     # substitute a canned report carrying one failed record
     real = cli.run_suite(SuiteConfig(theorems=("2.1",), n_draws=1))
     failing = Report(
-        suite_id=real.suite_id,
         config=real.config,
         records=[dataclasses.replace(real.records[0], passed=False)],
     )
@@ -301,6 +326,25 @@ def test_report_round_trip_renders_identical_json(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(src), "--output", "text")
     assert code == 0
     assert "suite verify-" in out
+
+
+def test_report_rebuilds_summary_from_config_and_records(capsys, tmp_path):
+    # the suite id, per-theorem table and notes are derived, never read back:
+    # edited copies of them in a saved report do not survive re-rendering
+    src = tmp_path / "suite.json"
+    run(capsys, "verify", "--theorems", "2.1,cor2.5", "--n", "1",
+        "--output", "json", "--out", str(src))
+    original = src.read_text()
+    data = json.loads(original)
+    data["suite_id"] = "verify-000000000000"
+    data["per_theorem"]["2.1"]["passed"] = 0
+    data["per_theorem"]["2.1"]["worst_rel_residual"] = 1.0
+    del data["per_theorem"]["cor2.5"]
+    data["notes"] = ["edited"]
+    src.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", str(src), "--output", "json")
+    assert code == 0
+    assert out == original
 
 
 def test_report_missing_file_exits_2(capsys, tmp_path):

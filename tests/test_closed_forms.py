@@ -300,8 +300,12 @@ def test_duplication_reduce_splits_step_two_pairs():
     assert spec.upper == (0.95, 1.45)
     assert spec.lower == (1.35, 1.85, 1.5)
     assert arg_scale == 1.0
+    # the spec is the series alone: the duplication's gamma normalization
+    # stays in front of it
     expected = math.gamma(1.9) / (math.gamma(2.7) * math.gamma(1.5))
-    assert spec.prefactor == pytest.approx(expected, rel=1e-14)
+    z = 0.3
+    value = eval_pfq(spec, arg_scale * z, 1e-14).value
+    assert expected * value == pytest.approx(wright_oracle(w.upper, w.lower, z, 60), rel=1e-13)
 
 
 def test_duplication_reduce_step_one_passthrough():
@@ -311,7 +315,9 @@ def test_duplication_reduce_step_one_passthrough():
     assert spec.lower == (2.2, 1.0)
     assert arg_scale == 1.0
     expected = math.gamma(0.7) * math.gamma(1.3) / math.gamma(2.2)
-    assert spec.prefactor == pytest.approx(expected, rel=1e-14)
+    z = 0.3
+    value = eval_pfq(spec, arg_scale * z, 1e-14).value
+    assert expected * value == pytest.approx(wright_oracle(w.upper, w.lower, z, 60), rel=1e-13)
 
 
 def test_duplication_reduce_unbalanced_counts_scale_argument():
@@ -333,14 +339,14 @@ def test_duplication_reduce_rejects_other_steps():
         duplication_reduce(w)
 
 
-def test_duplication_reduce_rejects_pole_coefficients():
+def test_duplication_reduce_splits_pole_coefficients():
+    # the split needs no gamma of a coefficient; the pole refusal belongs to
+    # the normalization (test_hypergeometric_twin_rejects_degenerate_normalization)
     w = WrightSpec(upper=((-1.0, 2.0),), lower=((1.0, 1.0),))
-    with pytest.raises(DomainError, match="pole"):
-        duplication_reduce(w)
-    # without the gamma normalization the split itself is still available
-    spec, arg_scale = duplication_reduce(w, include_gamma_prefactor=False)
+    spec, arg_scale = duplication_reduce(w)
     assert spec.upper == (-0.5, 0.0)
-    assert spec.prefactor == 1.0
+    assert spec.lower == (1.0,)
+    assert arg_scale == 4.0
 
 
 def test_hypergeometric_twin_rejects_degenerate_normalization():

@@ -76,6 +76,13 @@ def test_gamma_ratio_denominator_pole_gives_zero_sign():
     assert log_r == -math.inf
 
 
+@pytest.mark.parametrize("delta", [1e-10, -1e-12])
+def test_gamma_ratio_near_pole_denominator_is_small_not_zero(delta):
+    # 1/Gamma(-2 + d) = 2 d (1 + O(d)): only an exact pole gives zero
+    log_r, sign = gamma_ratio([1.0], [-2.0 + delta])
+    assert sign * math.exp(log_r) == pytest.approx(2.0 * delta, rel=1e-8)
+
+
 def test_gamma_ratio_numerator_pole_raises():
     with pytest.raises(DomainError):
         gamma_ratio([-3.0], [1.0])
@@ -136,11 +143,33 @@ def test_pochhammer_matches_explicit_product(a, n):
     assert pochhammer(a, n) == pytest.approx(pochhammer_oracle(a, n), rel=1e-11)
 
 
-def test_pochhammer_large_order_uses_gamma_route():
-    # n beyond the direct-product threshold exercises the ratio path
+def test_pochhammer_large_order_matches_gamma_ratio():
+    # a long product agrees with Gamma(z+n)/Gamma(z)
     assert pochhammer(1.5, 129) == pytest.approx(
         math.exp(lgamma_oracle(130.5) - lgamma_oracle(1.5)), rel=1e-11
     )
+
+
+def test_pochhammer_zero_factor_after_the_product_overflows():
+    # the factors before the zero one already overflow the float range
+    assert pochhammer(-400.0, 1000) == 0.0
+    assert pochhammer(-200.0, 300) == 0.0
+    assert pochhammer(-200.0, 201) == 0.0
+
+
+@pytest.mark.parametrize(
+    "z, n, expected",
+    [
+        (1e300, 200, math.inf),  # z + j rounds to z, yet the product overflows
+        (0.5, 10**12, math.inf),  # stops within a few hundred factors
+        (-1000.5, 200, math.inf),  # 200 negative factors
+        (-1000.5, 201, -math.inf),  # 201 negative factors
+        (-300.5, 400, -math.inf),  # overflows with negative factors to come, 301 in all
+        (-200.0, 200, math.inf),  # no zero factor: (-200)(-199)...(-1) = 200!
+    ],
+)
+def test_pochhammer_out_of_range_is_signed_infinity(z, n, expected):
+    assert pochhammer(z, n) == expected
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,18 @@ def test_config_validation_bounds():
         SuiteConfig(margin=math.nan)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}, {"seed": 1.5}, {"n_draws": 1.5}, {"n_draws": 2.0}],
+    ids=["seed-negative", "seed-float", "n-draws-fraction", "n-draws-float"],
+)
+def test_config_rejects_negative_or_non_integer_seed_and_draws(kwargs):
+    # these reached the generator or range() and failed there with a raw
+    # ValueError / TypeError
+    with pytest.raises(DomainError, match="integer"):
+        SuiteConfig(**kwargs)
+
+
 def test_config_right_sided_points_must_stay_moderate():
     # x < 0.5 blows up the right-sided series argument; rejected up front
     with pytest.raises(DomainError, match=">= 0.5"):
@@ -213,7 +225,7 @@ def test_report_wall_time_outside_canonical_form():
 
 
 def test_report_empty_records_all_passed_vacuously():
-    report = Report(suite_id="verify-empty", config=SMALL)
+    report = Report(config=SMALL)
     assert report.all_passed
     assert report.n_passed == 0
 
@@ -241,7 +253,7 @@ def _setup_failed_report() -> Report:
     p = TheoremParams(alpha=0.5, beta=1.5, eta=0.2, lam=0.4, v=0.3, c=1.0, k=1.0)
     draw = ParameterDraw(params=p, theorem_id="2.1", seed_index=0)
     records = check_identity(draw, (1.0,), tol=1e-5)
-    return Report(suite_id="verify-fail", config=SMALL, records=records)
+    return Report(config=SMALL, records=records)
 
 
 @pytest.mark.parametrize("build", [lambda: run_suite(SMALL), _setup_failed_report],

@@ -90,7 +90,6 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
         lambda: TheoremParams(**{**_T_FINITE, "c": math.nan}),
         lambda: TheoremParams(**{**_T_FINITE, "lam": -math.inf}),
         lambda: HypergeomSpec(upper=(math.nan,), lower=(2.0,)),
-        lambda: HypergeomSpec(upper=(1.0,), lower=(2.0,), prefactor=math.inf),
         lambda: WrightSpec(upper=((1.0, math.inf),), lower=()),
         lambda: WrightSpec(upper=(), lower=((math.nan, 1.0),)),
         lambda: saigo_left(monomial(1.4), _P_FINITE, math.inf),
@@ -108,7 +107,7 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
     ids=[
         "saigo-beta-nan", "saigo-eta-inf", "saigo-alpha-inf", "kbessel-c-nan",
         "kbessel-k-inf", "theorem-c-nan", "theorem-lam-inf", "pfq-upper-nan",
-        "pfq-prefactor-inf", "wright-step-inf", "wright-coeff-nan",
+        "wright-step-inf", "wright-coeff-nan",
         "saigo-left-x-inf", "saigo-right-x-nan", "closed-form-x-inf",
         "pfq-z-nan", "pfq-z-minus-inf", "wright-z-inf", "wright-z-nan",
         "kbessel-z-nan", "kbessel-z-inf", "ek-left-monomial-alpha-nan",
@@ -276,6 +275,9 @@ def test_general_family_collapses_to_reductions():
 # away from the gamma poles at 0 and c-a exactly on the pole at -1; exposes
 # composite-parameter rounding amplified by pole derivatives
 @example(alpha=0.99999, beta=1.0, eta=0.99999, shift=1.0, x=0.5)
+# beta 1e-9 from the pole of 1/Gamma(-beta): the kernel's analytic branch
+# has a coefficient of order beta, small but not zero
+@example(alpha=1.0, beta=1e-9, eta=0.00390625, shift=1.0, x=0.5)
 @settings(max_examples=60, deadline=None)
 def test_left_quadrature_matches_image_under_random_valid_draws(
     alpha, beta, eta, shift, x
@@ -307,6 +309,7 @@ def test_left_quadrature_matches_image_under_random_valid_draws(
 # connection coefficients
 @example(alpha=1.0, beta=0.99999, eta=0.99999, shift=1.0, x=0.5)
 @example(alpha=0.99999, beta=1.0, eta=0.99999, shift=1.0, x=0.5)
+@example(alpha=1.0, beta=1e-9, eta=0.00390625, shift=1.0, x=0.5)
 @settings(max_examples=60, deadline=None)
 def test_right_quadrature_matches_image_under_random_valid_draws(
     alpha, beta, eta, shift, x
@@ -321,6 +324,25 @@ def test_right_quadrature_matches_image_under_random_valid_draws(
         value, est = exc.value, exc.error_estimate
     expected = coeff * x**exponent
     assert abs(value - expected) <= max(1e-7 * abs(expected), 10.0 * est, 1e-12)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("beta", [1e-9, -1e-9, 5e-10, 1e-10])
+@pytest.mark.parametrize("eta", [2.0**-8, 0.3])
+def test_beta_near_zero_keeps_the_small_kernel_branch(side, beta, eta):
+    # 1/Gamma(-beta) is about -beta, not zero: dropping the branch it scales
+    # costs up to 2e-7 relative while the estimate stays near 1e-15
+    p = SaigoParams(alpha=1.0, beta=beta, eta=eta)
+    if side == "left":
+        lam = max(0.0, beta - eta) + 1.0
+        coeff, exponent = saigo_left_monomial(p, lam)
+        value = saigo_left(monomial(lam), p, 0.5, tol=1e-10).value
+    else:
+        lam = min(beta, eta)
+        coeff, exponent = saigo_right_monomial(p, lam)
+        value = saigo_right(monomial(lam), p, 0.5, tol=1e-10).value
+    expected = coeff * 0.5**exponent
+    assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 def test_refused_transform_and_soft_pieces_report_their_evaluations():

@@ -162,6 +162,17 @@ def test_wright_denominator_poles_annihilate_leading_terms():
     assert sv.value == pytest.approx(z**2 * math.exp(z), rel=1e-12)
 
 
+def test_wright_denominator_near_pole_is_not_a_pole():
+    # lower pair (-1 + 1e-10, 1): 1/Gamma(-1 + d) is about -d, and
+    # 1/Gamma(d) about d, small but not zero; 1Psi1 with upper (1, 1) sums
+    # z^n / Gamma(n - 1 + d)
+    d, z = 1e-10, 0.5
+    spec = WrightSpec(upper=((1.0, 1.0),), lower=((-1.0 + d, 1.0),))
+    sv = eval_wright(spec, z, 1e-14)
+    direct = math.fsum(z**n / math.gamma(n - 1.0 + d) for n in range(60))
+    assert abs(sv.value - direct) <= 1e-14 * abs(direct)
+
+
 def test_wright_spec_requires_positive_steps():
     with pytest.raises(DomainError):
         WrightSpec(upper=((1.0, 0.0),), lower=())
