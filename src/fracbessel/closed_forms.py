@@ -91,21 +91,9 @@ class ClosedForm:
     series: Union[WrightSpec, HypergeomSpec]
     argument_scale: float
     argument_power: float
-    label: str = ""
 
     def argument(self, x: float) -> float:
         return self.argument_scale * x**self.argument_power
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "prefactor_log": self.prefactor_log,
-            "prefactor_sign": self.prefactor_sign,
-            "power_of_x": self.power_of_x,
-            "argument_scale": self.argument_scale,
-            "argument_power": self.argument_power,
-            "series": self.series.to_dict(),
-        }
 
 
 def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> SeriesValue:
@@ -120,14 +108,14 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
     return sv.scaled(scale)
 
 
-def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power, label) -> ClosedForm:
+def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> ClosedForm:
     """The Fox-Wright image shape 2.1 and 2.4 share: prefactor (2k)^(-v/k),
     argument -c/(4k) * x^argument_power, and the k-Bessel pair (v/k + 1, 1)
     closing the lower parameters."""
     vk = p.v / p.k
     series = WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),))
     scale = -p.c / (4.0 * p.k)
-    return ClosedForm(-vk * math.log(2.0 * p.k), 1, power, series, scale, argument_power, label=label)
+    return ClosedForm(-vk * math.log(2.0 * p.k), 1, power, series, scale, argument_power)
 
 
 def theorem21_spec(p: TheoremParams) -> ClosedForm:
@@ -136,7 +124,7 @@ def theorem21_spec(p: TheoremParams) -> ClosedForm:
     big_l = p.big_l
     upper = ((big_l, 2.0), (big_l + p.eta - p.beta, 2.0))
     lower = ((big_l - p.beta, 2.0), (big_l + p.alpha + p.eta, 2.0))
-    return _kbessel_image(p, big_l - p.beta - 1.0, upper, lower, 2.0, "2.1")
+    return _kbessel_image(p, big_l - p.beta - 1.0, upper, lower, 2.0)
 
 
 def theorem24_spec(p: TheoremParams) -> ClosedForm:
@@ -145,16 +133,10 @@ def theorem24_spec(p: TheoremParams) -> ClosedForm:
     m = p.big_m
     upper = ((m + p.beta, 2.0), (m + p.eta, 2.0))
     lower = ((m, 2.0), (m + p.alpha + p.beta + p.eta, 2.0))
-    return _kbessel_image(p, p.lam / p.k - p.v / p.k - p.beta - 1.0, upper, lower, -2.0, "2.4")
+    return _kbessel_image(p, p.lam / p.k - p.v / p.k - p.beta - 1.0, upper, lower, -2.0)
 
 
-# variant -> (Fox-Wright label, pFq label)
-_COROLLARIES = {
-    "rl_left": ("cor2.2", "cor3.2"),
-    "ek_left": ("cor2.3", "cor3.3"),
-    "rl_right": ("cor2.5", "cor3.5"),
-    "ek_right": ("cor2.6", "cor3.6"),
-}
+_COROLLARIES = ("rl_left", "ek_left", "rl_right", "ek_right")
 
 
 def _cancel_common_pairs(w: WrightSpec) -> WrightSpec:
@@ -187,9 +169,7 @@ def corollary_wright_spec(variant: str, p: TheoremParams) -> ClosedForm:
     beta = -p.alpha if variant.startswith("rl") else 0.0
     q = TheoremParams(p.alpha, beta, p.eta, p.lam, p.v, p.c, p.k)
     parent = theorem21_spec(q) if variant.endswith("left") else theorem24_spec(q)
-    return dataclasses.replace(
-        parent, series=_cancel_common_pairs(parent.series), label=_COROLLARIES[variant][0]
-    )
+    return dataclasses.replace(parent, series=_cancel_common_pairs(parent.series))
 
 
 def duplication_reduce(w: WrightSpec) -> tuple[HypergeomSpec, float]:
@@ -223,7 +203,7 @@ def duplication_reduce(w: WrightSpec) -> tuple[HypergeomSpec, float]:
     return HypergeomSpec(tuple(upper), tuple(lower)), arg_scale
 
 
-def _reduce_closed_form(cf: ClosedForm, label: str) -> ClosedForm:
+def _reduce_closed_form(cf: ClosedForm) -> ClosedForm:
     """Duplication-reduce a Wright ClosedForm into its pFq twin, adding the
     log of prod Gamma(upper coefficients) / prod Gamma(lower coefficients) to
     the prefactor; a coefficient on the pole lattice raises DomainError."""
@@ -233,7 +213,7 @@ def _reduce_closed_form(cf: ClosedForm, label: str) -> ClosedForm:
     for coeff, _ in w.upper + w.lower:
         if is_pole(coeff):
             raise DomainError(
-                f"{label}: coefficient {coeff!r} on the gamma pole lattice; "
+                f"coefficient {coeff!r} on the gamma pole lattice; "
                 "the hypergeometric form degenerates"
             )
     log_r, sign = gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
@@ -244,20 +224,19 @@ def _reduce_closed_form(cf: ClosedForm, label: str) -> ClosedForm:
         series=spec,
         argument_scale=cf.argument_scale * arg_scale,
         argument_power=cf.argument_power,
-        label=label,
     )
 
 
 def theorem31_spec(p: TheoremParams) -> ClosedForm:
     """Hypergeometric (4F5) twin of the left-sided Wright form."""
-    return _reduce_closed_form(theorem21_spec(p), "3.1")
+    return _reduce_closed_form(theorem21_spec(p))
 
 
 def theorem34_spec(p: TheoremParams) -> ClosedForm:
     """Hypergeometric (4F5) twin of the right-sided Wright form."""
-    return _reduce_closed_form(theorem24_spec(p), "3.4")
+    return _reduce_closed_form(theorem24_spec(p))
 
 
 def corollary_pfq_spec(variant: str, p: TheoremParams) -> ClosedForm:
     """Hypergeometric (2F3) twins of the Fox-Wright corollaries."""
-    return _reduce_closed_form(corollary_wright_spec(variant, p), _COROLLARIES[variant][1])
+    return _reduce_closed_form(corollary_wright_spec(variant, p))

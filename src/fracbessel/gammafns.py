@@ -8,7 +8,7 @@ tracking, so ratios of large gammas never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, require_finite
 
@@ -22,9 +22,9 @@ _PSI_ASYMPTOTIC_FROM = 10.0
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
 
-@dataclass(frozen=True)
-class LogGammaValue:
-    """log|Gamma(x)| together with the sign of Gamma(x)."""
+class LogGammaValue(NamedTuple):
+    """log|Gamma(x)| together with the sign of Gamma(x) (0 for a value that
+    is exactly zero)."""
 
     log_abs: float
     sign: int
@@ -104,11 +104,12 @@ def digamma(x: float) -> float:
     return math.fsum(terms)
 
 
-def gamma_ratio(numerators, denominators) -> tuple[float, int]:
+def gamma_ratio(numerators, denominators) -> LogGammaValue:
     """(log|r|, sign) for r = prod Gamma(numerators) / prod Gamma(denominators).
 
     An exact pole among the denominators makes the ratio exactly zero
-    (reciprocal-gamma convention): returns (-inf, 0); a near one does not.
+    (reciprocal-gamma convention): returns (-inf, 0), whose value is 0.0; a
+    near one does not.
     A numerator within POLE_TOL of a pole raises DomainError.
     """
     log_abs = 0.0
@@ -119,10 +120,10 @@ def gamma_ratio(numerators, denominators) -> tuple[float, int]:
         sign *= lg.sign
     for b in denominators:
         if is_exact_pole(b):
-            return (-math.inf, 0)
+            return LogGammaValue(-math.inf, 0)
         log_abs -= math.lgamma(b)
         sign *= gamma_sign(b)
-    return (log_abs, sign)
+    return LogGammaValue(log_abs, sign)
 
 
 def k_gamma(z: float, k: float) -> float:

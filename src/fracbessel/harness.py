@@ -71,6 +71,15 @@ _VARIANTS: dict = {
 # identity order fixes each id's sampling stream (seeded by its index)
 THEOREM_IDS = tuple(_VARIANTS)
 
+
+def _variant(theorem_id: str) -> tuple:
+    """(side, family, builder) of theorem_id; DomainError for an unknown id."""
+    if not isinstance(theorem_id, str) or theorem_id not in _VARIANTS:
+        raise DomainError(
+            f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
+        )
+    return _VARIANTS[theorem_id]
+
 # Where several printed parameterizations of a form circulate, the shipped
 # variant is the one that survives the quadrature cross-check; these notes
 # record each arbitration so reports are self-describing.
@@ -118,9 +127,6 @@ class ParameterDraw:
     params: TheoremParams
     theorem_id: str
     seed_index: int
-
-    def to_dict(self) -> dict:
-        return _flat_dict(self)
 
 
 def _jsonable_float(x: float) -> Optional[float]:
@@ -212,10 +218,7 @@ class SuiteConfig:
         if not self.theorems:
             raise DomainError("theorems must be non-empty")
         for tid in self.theorems:
-            if tid not in _VARIANTS:
-                raise DomainError(
-                    f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}"
-                )
+            _variant(tid)
         if not isinstance(self.n_draws, int) or self.n_draws < 1:
             raise DomainError(f"n_draws must be an integer >= 1, got {self.n_draws!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -327,13 +330,9 @@ def sample_params(
     rejections run out; if no point of [0.1, 2.5] is feasible, lam shifts to
     the margin-satisfying boundary.
     """
-    if theorem_id not in _VARIANTS:
-        raise DomainError(
-            f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
-        )
+    side, family, _ = _variant(theorem_id)
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
-    side, family, _ = _VARIANTS[theorem_id]
     rng = np.random.default_rng([seed, THEOREM_IDS.index(theorem_id)])
     draws = []
     for i in range(n):
@@ -393,7 +392,7 @@ def check_identity(
     only the affected record as failed, with the diagnostic in its note: a
     record passes when it has no note and is within tolerance.
     """
-    side, family, builder = _VARIANTS[draw.theorem_id]
+    side, family, builder = _variant(draw.theorem_id)
     p = draw.params
     inner_tol = tol / 100.0
 

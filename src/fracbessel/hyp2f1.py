@@ -5,7 +5,8 @@ quadrature nodes that approach 1 arbitrarily closely.  The direct series
 needs O(1/(1-w)) terms there, so for w > 1/2 the evaluation switches to
 an expansion in powers of u = 1-w.  Three regimes cover every input:
 
-* terminating (a or b a nonpositive integer): exact polynomial for any w;
+* terminating (a or b a nonpositive integer to rounding): exact
+  polynomial for any w;
 * c-a-b not an integer: the two-branch connection formula
 
       2F1(a,b;c;w) = A * 2F1(a, b; a+b-c+1; u)
@@ -33,7 +34,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -53,13 +54,24 @@ def _series_2f1(
     return sum_series(1.0, ratio, w, 1e-15, weights, max_terms).value
 
 
+def _degree(x: float) -> int | None:
+    """m when x is the nonpositive integer -m to within 4 ulps of max(1, m),
+    else None.  That close, the polynomial is exact to rounding, while the
+    connection formulas would lose the offset in sums such as b+m; a larger
+    offset does not terminate the series (1e-10 off, the polynomial is
+    1e-10 relative off the kernel)."""
+    m = -round(x)
+    return m if m >= 0 and abs(x + m) <= 4.0 * math.ulp(max(1.0, m)) else None
+
+
 def _terminating_polynomial(a: float, b: float, c: float) -> Callable | None:
     """w -> 2F1(a, b; c; w) as its exact polynomial when a or b is a
-    nonpositive integer -m (the one of lower degree), else None.  A pole
-    c = -n with n < m is met before the series terminates: DomainError."""
-    m = -round(a) if is_pole(a) else None
-    if is_pole(b) and (m is None or -round(b) < m):
-        a, b, m = b, a, -round(b)
+    nonpositive integer -m (the one of lower degree; see _degree), else
+    None.  A c within POLE_TOL of -n with n < m is met before the series
+    terminates: DomainError."""
+    m, mb = _degree(a), _degree(b)
+    if mb is not None and (m is None or mb < m):
+        a, b, m = b, a, mb
     if m is None:
         return None
     if is_pole(c) and m > -round(c):
@@ -79,11 +91,6 @@ class KernelTerm:
     exponent: float
     log_factor: bool
     series: Callable[[np.ndarray], np.ndarray]
-
-
-def _gamma_ratio_value(num: Sequence[float], den: Sequence[float]) -> float:
-    log_r, sign = gamma_ratio(num, den)
-    return sign * math.exp(log_r) if sign else 0.0
 
 
 def log_connection_parts(a: float, b: float, c: float, m: int) -> list[KernelTerm]:
@@ -108,12 +115,12 @@ def log_connection_parts(a: float, b: float, c: float, m: int) -> list[KernelTer
         ]
     terms: list[KernelTerm] = []
     if m:
-        cf = _gamma_ratio_value([float(m), c], [a + m, b + m])
+        cf = gamma_ratio([float(m), c], [a + m, b + m]).value
         if cf:
             terms.append(
                 KernelTerm(cf, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - m, u, max_terms=m))
             )
-    cl = -((-1.0) ** m) * _gamma_ratio_value([c], [a, b])
+    cl = -((-1.0) ** m) * gamma_ratio([c], [a, b]).value
     if cl:
         am, bm, t0 = a + m, b + m, 1.0 / math.factorial(m)
         # weights d_n = psi(a+m+n) + psi(b+m+n) - psi(n+1) - psi(m+n+1), by recurrence
@@ -163,10 +170,10 @@ def kernel_split(
     if abs(g - r) <= _INT_TOL:
         return log_connection_parts(a, b, c, int(r))
     terms = []
-    coef_a = _gamma_ratio_value([c, g], [c_minus_a, c_minus_b])
+    coef_a = gamma_ratio([c, g], [c_minus_a, c_minus_b]).value
     if coef_a:
         terms.append(KernelTerm(coef_a, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - g, u)))
-    coef_b = _gamma_ratio_value([c, -g], [a, b])
+    coef_b = gamma_ratio([c, -g], [a, b]).value
     if coef_b:
         terms.append(
             KernelTerm(coef_b, g, False, lambda u: _series_2f1(c_minus_a, c_minus_b, g + 1.0, u))

@@ -225,9 +225,8 @@ def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
             f"saigo_left_monomial: needs lam > max(0, beta-eta) = "
             f"{max(0.0, p.beta - p.eta)!r}, got {lam!r}"
         )
-    log_r, sign = gamma_ratio([lam, lam + p.eta - p.beta], [lam - p.beta, lam + p.alpha + p.eta])
-    coeff = sign * math.exp(log_r) if sign else 0.0
-    return coeff, lam - p.beta - 1.0
+    ratio = gamma_ratio([lam, lam + p.eta - p.beta], [lam - p.beta, lam + p.alpha + p.eta])
+    return ratio.value, lam - p.beta - 1.0
 
 
 def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
@@ -238,12 +237,11 @@ def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
             f"saigo_right_monomial: needs lam < 1 + min(beta, eta) = "
             f"{1.0 + min(p.beta, p.eta)!r}, got {lam!r}"
         )
-    log_r, sign = gamma_ratio(
+    ratio = gamma_ratio(
         [p.eta - lam + 1.0, p.beta - lam + 1.0],
         [1.0 - lam, p.alpha + p.beta + p.eta - lam + 1.0],
     )
-    coeff = sign * math.exp(log_r) if sign else 0.0
-    return coeff, lam - p.beta - 1.0
+    return ratio.value, lam - p.beta - 1.0
 
 
 def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
@@ -252,9 +250,7 @@ def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float
     SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
     if not (lam > -eta):
         raise DomainError(f"ek_left_monomial: needs lam > -eta = {-eta!r}, got {lam!r}")
-    log_r, sign = gamma_ratio([lam + eta], [lam + alpha + eta])
-    coeff = sign * math.exp(log_r) if sign else 0.0
-    return coeff, lam - 1.0
+    return gamma_ratio([lam + eta], [lam + alpha + eta]).value, lam - 1.0
 
 
 def ek_right_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
@@ -262,9 +258,7 @@ def ek_right_monomial(alpha: float, eta: float, lam: float) -> tuple[float, floa
     SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
     if not (lam < 1.0 + eta):
         raise DomainError(f"ek_right_monomial: needs lam < 1+eta = {1.0 + eta!r}, got {lam!r}")
-    log_r, sign = gamma_ratio([eta - lam + 1.0], [alpha + eta - lam + 1.0])
-    coeff = sign * math.exp(log_r) if sign else 0.0
-    return coeff, lam - 1.0
+    return gamma_ratio([eta - lam + 1.0], [alpha + eta - lam + 1.0]).value, lam - 1.0
 
 
 def rl_left_monomial(alpha: float, lam: float) -> tuple[float, float]:

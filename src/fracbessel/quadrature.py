@@ -4,31 +4,29 @@ Integrates  int_lo^hi (hi-u)^exp_hi * (u-lo)^exp_lo * g(u) du  for smooth
 vectorized g and exponents > -1.  The algebraic endpoint factors are
 absorbed into the Gauss-Jacobi weight on subintervals touching their
 endpoint and evaluated directly elsewhere.  Each subinterval is estimated
-with an order-n and an order-2n rule; their difference drives adaptive
-bisection of the worst subinterval until the summed estimate meets
-tolerance, the interval budget runs out, or the estimate hits the
+with an order-ORDER and an order-2*ORDER rule; their difference drives
+adaptive bisection of the worst subinterval until the summed estimate
+meets tolerance, the interval budget runs out, or the estimate hits the
 rounding floor of the accumulated values.
 
-The default pair is 12/24.  On the acceptance-1 sweep of 1200 random
-monomial transforms it gives a worst relative error of 4.4e-13 against the
-exact images, where 60/120 gave 5.5e-10, at a fifth of the integrand
-evaluations.  The integrand's own series are summed over all nodes of a
-call at once (series.sum_series): the terms are formed one by one at the
-largest node only, then rescaled to every node by one nodes-by-terms
-product.  Most of a call's cost is that per-term loop, tens of
-microseconds that barely grow with the node count.  So g is called once
-per piece on the order-n and order-2n nodes together, and the dyadic log
-rule calls g once per block of LOG_BLOCK pieces.  evaluations counts
-every node g saw.
+The pair is fixed at 12/24, and MAX_INTERVALS bounds the pieces of both
+integrators.  On the acceptance-1 sweep of 1200 random monomial transforms
+it gives a worst relative error of 4.4e-13 against the exact images, where
+60/120 gave 5.5e-10, at a fifth of the integrand evaluations.  The
+integrand's own series are summed over all nodes of a call at once
+(series.sum_series): the terms are formed one by one at the largest node
+only, then rescaled to every node by one nodes-by-terms product.  Most of
+a call's cost is that per-term loop, tens of microseconds that barely grow
+with the node count.  So g is called once per piece on the nodes of both
+rules together, and the dyadic log rule calls g once per block of
+LOG_BLOCK pieces.  evaluations counts every node g saw.
 
 The rules are built here by Golub-Welsch (Math. Comp. 23, 1969): the nodes
 are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
 monic Jacobi recurrence, and the weights are mu0 times the squared first
 components of its eigenvectors.  Against 40-digit references their nodes
 are within 1e-15 and their weights within 2e-13 relative at orders up to
-24, where scipy's roots_jacobi is off by up to 2e-11.  The dense
-eigen-solve of order 2n costs O(n^2) memory, so order is capped at
-MAX_ORDER.
+24, where scipy's roots_jacobi is off by up to 2e-11.
 """
 
 from __future__ import annotations
@@ -43,9 +41,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, require_finite, require_positive_finite
 from .gammafns import beta_fn
 
-DEFAULT_ORDER = 12
-#: Largest rule order accepted; the order-2n rule is a dense 2n x 2n eigen-solve.
-MAX_ORDER = 256
+ORDER = 12
 MAX_INTERVALS = 2000
 LOG_BLOCK = 8  # dyadic pieces per integrand call in integrate_log_jacobi
 
@@ -99,20 +95,8 @@ def _rule(n: int, a: float, b: float):
     return x, w
 
 
-def _check_controls(owner: str, tol: float, order: int, budget_name: str, budget: int) -> None:
-    """Raise DomainError unless tol is positive and finite, order is a whole
-    number in [1, MAX_ORDER] and budget >= 1."""
-    require_positive_finite(owner, "tol", tol)
-    if not (1 <= order <= MAX_ORDER and float(order).is_integer()):
-        raise DomainError(
-            f"{owner}: order must be a whole number in [1, {MAX_ORDER}], got {order!r}"
-        )
-    if not budget >= 1:
-        raise DomainError(f"{owner}: {budget_name} must be at least 1, got {budget!r}")
-
-
-def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, order):
-    """Order-n and order-2n weighted Gauss rules over [plo, phi] within [lo, hi].
+def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi):
+    """The ORDER and 2*ORDER weighted Gauss rules over [plo, phi] within [lo, hi].
 
     g is called once, on both rules' nodes concatenated.  Returns the fine
     value, |fine - coarse| and the number of nodes g saw.
@@ -121,8 +105,8 @@ def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, order):
     touches_hi = phi == hi
     aj = exp_hi if touches_hi else 0.0
     bj = exp_lo if touches_lo else 0.0
-    x_coarse, w_coarse = _rule(order, aj, bj)
-    x_fine, w_fine = _rule(2 * order, aj, bj)
+    x_coarse, w_coarse = _rule(ORDER, aj, bj)
+    x_fine, w_fine = _rule(2 * ORDER, aj, bj)
     h2 = (phi - plo) / 2.0
     u = plo + h2 * (np.concatenate((x_coarse, x_fine)) + 1.0)
     vals = g(u)
@@ -141,8 +125,6 @@ def integrate_log_jacobi(
     h: float,
     exp_lo: float,
     tol: float = 1e-9,
-    order: int = DEFAULT_ORDER,
-    max_pieces: int = MAX_INTERVALS,
 ) -> QuadratureResult:
     """Integral of u**exp_lo * log(u) * g(u) over (0, h) for g analytic on [0, h].
 
@@ -152,7 +134,7 @@ def integrate_log_jacobi(
     downward until the analytic bound on the remaining [0, h/2^J] tail
     (|g| bounded near 0, weight integrated exactly) meets the same
     absolute-or-relative tolerance rule as integrate_jacobi.  g is called
-    once per block of LOG_BLOCK consecutive pieces (never past max_pieces),
+    once per block of LOG_BLOCK consecutive pieces (never past MAX_INTERVALS),
     on every node of the block plus each piece's tail probe; the pieces are
     then accumulated and tested in order, and those past the stopping piece
     are discarded.  evaluations counts every node g saw, discarded pieces
@@ -166,9 +148,9 @@ def integrate_log_jacobi(
         raise DomainError(
             f"integrate_log_jacobi: endpoint exponent {exp_lo!r} must exceed -1"
         )
-    _check_controls("integrate_log_jacobi", tol, order, "max_pieces", max_pieces)
+    require_positive_finite("integrate_log_jacobi", "tol", tol)
 
-    x, wts = _rule(order, 0.0, 0.0)
+    x, wts = _rule(ORDER, 0.0, 0.0)
     s = 1.0 + 0.5 * (x + 1.0)  # nodes mapped to [1, 2]
     s_pow = np.power(s, exp_lo)
     log_s = np.log(s)
@@ -180,10 +162,10 @@ def integrate_log_jacobi(
     total = 0.0
     total_abs = 0.0
     evals = 0
-    for first in range(0, max_pieces, LOG_BLOCK):
+    for first in range(0, MAX_INTERVALS, LOG_BLOCK):
         log_as = [
             log_h - (j + 1.0) * math.log(2.0)
-            for j in range(first, min(first + LOG_BLOCK, max_pieces))
+            for j in range(first, min(first + LOG_BLOCK, MAX_INTERVALS))
         ]
         u = np.multiply.outer([math.exp(log_a) for log_a in log_as], s_probe)
         g_all = g(u.ravel()).reshape(u.shape)
@@ -202,7 +184,7 @@ def integrate_log_jacobi(
             if tail <= max(tol, tol * abs(total), noise):
                 return QuadratureResult(total, err, evals)
     raise AccuracyError(
-        f"integrate_log_jacobi: {max_pieces} pieces without reaching tol={tol!r} "
+        f"integrate_log_jacobi: {MAX_INTERVALS} pieces without reaching tol={tol!r} "
         f"(tail bound {float(tail)!r})",
         value=float(total),
         error_estimate=float(err),
@@ -217,15 +199,13 @@ def integrate_jacobi(
     exp_lo: float = 0.0,
     exp_hi: float = 0.0,
     tol: float = 1e-9,
-    order: int = DEFAULT_ORDER,
-    max_intervals: int = MAX_INTERVALS,
 ) -> QuadratureResult:
     """Adaptive integral of (hi-u)^exp_hi (u-lo)^exp_lo g(u) over (lo, hi).
 
     tol is absolute-or-relative, whichever is larger at the result's scale.
-    Each piece calls g once, on its order-n and order-2n nodes together, so
-    evaluations is 3n per piece.  A piece at float resolution is no longer
-    bisected but keeps its estimate in the total.  Raises AccuracyError
+    Each piece calls g once, on the nodes of both rules together, so
+    evaluations is 3*ORDER per piece.  A piece at float resolution is no
+    longer bisected but keeps its estimate in the total.  Raises AccuracyError
     (carrying the best estimate) if the interval budget is exhausted before
     the estimate meets tolerance, or if the estimate left over sits on pieces
     already at float resolution.
@@ -238,13 +218,13 @@ def integrate_jacobi(
             f"integrate_jacobi: endpoint exponents ({exp_lo!r}, {exp_hi!r}) "
             "must exceed -1 for integrability"
         )
-    _check_controls("integrate_jacobi", tol, order, "max_intervals", max_intervals)
+    require_positive_finite("integrate_jacobi", "tol", tol)
 
     evals = 0
 
     def make_piece(plo, phi):
         nonlocal evals
-        val, err, nodes = _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, order)
+        val, err, nodes = _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi)
         evals += nodes
         return val, err
 
@@ -271,8 +251,8 @@ def integrate_jacobi(
         noise_floor = 100.0 * np.finfo(float).eps * total_abs
         if total_err <= max(bound, noise_floor):
             return QuadratureResult(total, total_err, evals)
-        if len(heap) >= max_intervals:
-            raise failure(f"{max_intervals} intervals")
+        if len(heap) >= MAX_INTERVALS:
+            raise failure(f"{MAX_INTERVALS} intervals")
         priority, _, plo, phi, pval, perr = heapq.heappop(heap)
         if priority >= 0.0:  # only kept or zero-estimate pieces left: bisection cannot help
             raise failure("pieces at float resolution")

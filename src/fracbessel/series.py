@@ -52,13 +52,6 @@ class HypergeomSpec:
             if is_pole(b):
                 raise DomainError(f"HypergeomSpec: lower parameter {b!r} is a nonpositive integer")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "pfq",
-            "upper": list(self.upper),
-            "lower": list(self.lower),
-        }
-
 
 @dataclass(frozen=True)
 class WrightSpec:
@@ -76,13 +69,6 @@ class WrightSpec:
         for _, step in up + low:
             if not (step > 0):
                 raise DomainError(f"WrightSpec: steps must be positive, got {step!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "wright",
-            "upper": [[a, A] for a, A in self.upper],
-            "lower": [[b, B] for b, B in self.lower],
-        }
 
 
 @dataclass(frozen=True)
@@ -209,8 +195,7 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
     s = c - a - b
     if not (s > 0):
         raise DomainError(f"gauss_2f1_at_1: needs c-a-b > 0, got {s!r}")
-    log_r, sign = gamma_ratio([c, s], [c - a, c - b])
-    return sign * math.exp(log_r)
+    return gamma_ratio([c, s], [c - a, c - b]).value
 
 
 def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> float:
@@ -269,16 +254,17 @@ def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
 def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
     """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), z a float or an array.
 
-    Reciprocal-gamma convention: terms at a pole of Gamma(n+1+v/k) vanish,
-    so the sum starts at the first n0 off the pole lattice.
+    Reciprocal-gamma convention: terms at an exact pole of Gamma(n+1+v/k)
+    vanish, so the sum starts at the first n0 off the poles; near a pole
+    1/Gamma is small, not zero, and its term is kept.
     """
     vk = kb.v / kb.k
     y = -kb.c / (4.0 * kb.k) * (z * z)
     n0 = 0
-    while is_pole(n0 + 1.0 + vk):
+    while is_exact_pole(n0 + 1.0 + vk):
         n0 += 1
-    lg = log_gamma(n0 + 1.0 + vk)
-    c0 = lg.sign * math.exp(-math.lgamma(n0 + 1) - lg.log_abs)
+    inv = gamma_ratio([], [n0 + 1.0 + vk])  # 1/Gamma(n0+1+v/k)
+    c0 = inv.sign * math.exp(inv.log_abs - log_gamma(n0 + 1.0).log_abs)
     ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
     return sum_series(c0, ratio, y, tol).scaled(y**n0)
 

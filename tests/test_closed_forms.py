@@ -11,6 +11,7 @@ import math
 import pytest
 
 from fracbessel import (
+    HypergeomSpec,
     SaigoParams,
     TheoremParams,
     WrightSpec,
@@ -381,11 +382,10 @@ def test_argument_rule_and_sign():
 
 
 def test_closed_form_serialization_shape():
-    d = theorem21_spec(P_LEFT).to_dict()
-    assert d["label"] == "2.1"
-    assert d["series"]["kind"] == "wright"
-    assert d["argument_power"] == 2.0
-    d2 = theorem34_spec(P_RIGHT).to_dict()
-    assert d2["series"]["kind"] == "pfq"
-    assert len(d2["series"]["upper"]) == 4
-    assert len(d2["series"]["lower"]) == 5
+    cf = theorem21_spec(P_LEFT)
+    assert isinstance(cf.series, WrightSpec)
+    assert cf.argument_power == 2.0
+    cf2 = theorem34_spec(P_RIGHT)
+    assert isinstance(cf2.series, HypergeomSpec)
+    assert len(cf2.series.upper) == 4
+    assert len(cf2.series.lower) == 5

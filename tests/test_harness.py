@@ -20,6 +20,8 @@ from fracbessel import (
 )
 from fracbessel.errors import DomainError
 
+from _golden_verdicts import SEED_123_ONE_DRAW
+
 SMALL = SuiteConfig(theorems=("2.1", "2.4", "cor3.3"), n_draws=2, seed=3, tol=1e-5)
 
 
@@ -124,6 +126,12 @@ def test_check_identity_rejects_nonpositive_point():
         check_identity(draw, (math.inf,), tol=1e-5)
 
 
+def test_check_identity_rejects_unknown_id():
+    p = TheoremParams(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
+    with pytest.raises(DomainError, match="unknown theorem id '9.9'"):
+        check_identity(ParameterDraw(params=p, theorem_id="9.9", seed_index=0), (1.0,))
+
+
 def test_check_identity_invalid_params_fail_with_note():
     # left-sided validity violated: records are produced (one per point),
     # marked failed, and carry the setup diagnostic instead of raising
@@ -142,6 +150,9 @@ def test_check_identity_invalid_params_fail_with_note():
 def test_config_rejects_unknown_theorem():
     with pytest.raises(DomainError, match="unknown theorem id"):
         SuiteConfig(theorems=("2.1", "nope"))
+    # an unhashable id is unknown too, not a TypeError from the lookup
+    with pytest.raises(DomainError, match="unknown theorem id"):
+        SuiteConfig(theorems=[["2.1"]])
 
 
 def test_config_validation_bounds():
@@ -199,6 +210,16 @@ def test_run_suite_record_count_and_passes():
         assert bucket["records"] == SMALL.n_draws * len(SMALL.x_points)
         assert bucket["failed"] == 0
         assert bucket["worst_rel_residual"] <= SMALL.tol
+
+
+def test_run_suite_keeps_its_golden_verdicts():
+    # every identity, one draw: the verdicts exactly, both sides to 1e-12
+    report = run_suite(SuiteConfig(n_draws=1, seed=123))
+    got = [(r.draw.theorem_id, r.draw.seed_index, r.x, r.passed) for r in report.records]
+    assert got == [row[:4] for row in SEED_123_ONE_DRAW]
+    for r, (*_, lhs, rhs) in zip(report.records, SEED_123_ONE_DRAW):
+        assert r.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert r.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_run_suite_counts_duplicate_ids_separately():

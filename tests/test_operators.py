@@ -278,6 +278,9 @@ def test_general_family_collapses_to_reductions():
 # beta 1e-9 from the pole of 1/Gamma(-beta): the kernel's analytic branch
 # has a coefficient of order beta, small but not zero
 @example(alpha=1.0, beta=1e-9, eta=0.00390625, shift=1.0, x=0.5)
+# b = -eta a subnormal hair from 0: the kernel is 1 to rounding, while the
+# connection coefficients lose eta in b-1 = -1 and come out exactly zero
+@example(alpha=1.0, beta=1.0, eta=1.1125369292536007e-308, shift=1.0, x=0.5)
 @settings(max_examples=60, deadline=None)
 def test_left_quadrature_matches_image_under_random_valid_draws(
     alpha, beta, eta, shift, x
@@ -310,6 +313,7 @@ def test_left_quadrature_matches_image_under_random_valid_draws(
 @example(alpha=1.0, beta=0.99999, eta=0.99999, shift=1.0, x=0.5)
 @example(alpha=0.99999, beta=1.0, eta=0.99999, shift=1.0, x=0.5)
 @example(alpha=1.0, beta=1e-9, eta=0.00390625, shift=1.0, x=0.5)
+@example(alpha=1.0, beta=1.0, eta=1.1125369292536007e-308, shift=1.0, x=0.5)
 @settings(max_examples=60, deadline=None)
 def test_right_quadrature_matches_image_under_random_valid_draws(
     alpha, beta, eta, shift, x
@@ -341,6 +345,24 @@ def test_beta_near_zero_keeps_the_small_kernel_branch(side, beta, eta):
         lam = min(beta, eta)
         coeff, exponent = saigo_right_monomial(p, lam)
         value = saigo_right(monomial(lam), p, 0.5, tol=1e-10).value
+    expected = coeff * 0.5**exponent
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("delta", [1e-10, -1e-10, 5e-10, 1e-9])
+def test_beta_near_minus_alpha_does_not_terminate_the_kernel(side, delta):
+    # a = alpha + beta 1e-10 or more from 0 is not a terminating kernel:
+    # the polynomial 2F1 = 1 is off by about delta
+    p = SaigoParams(alpha=0.5, beta=-0.5 + delta, eta=0.7)
+    if side == "left":
+        lam = 1.3
+        coeff, exponent = saigo_left_monomial(p, lam)
+        value = saigo_left(monomial(lam), p, 0.5, tol=1e-12).value
+    else:
+        lam = 0.3
+        coeff, exponent = saigo_right_monomial(p, lam)
+        value = saigo_right(monomial(lam), p, 0.5, tol=1e-12).value
     expected = coeff * 0.5**exponent
     assert abs(value - expected) <= 1e-12 * abs(expected)
 

@@ -357,6 +357,19 @@ def test_k_bessel_reduced_series_starts_past_pole_lattice(v, k, n0, c):
     assert arr[0] == pytest.approx(leading, rel=1e-5)
 
 
+@pytest.mark.parametrize("pole", [-1, -2])
+@pytest.mark.parametrize("delta", [1e-10, -1e-10, 5e-10, -5e-10, 1e-8, -1e-8])
+def test_k_bessel_reduced_series_keeps_near_pole_terms(pole, delta):
+    # v/k a hair off a pole of Gamma(n+1+v/k): the leading terms are small,
+    # not zero (near these poles math.gamma is within an ulp of exact)
+    k = 0.5 / -pole
+    kb = KBesselParams(v=(pole + delta) * k, c=1.0, k=k)
+    z = np.array([0.5, 1.0, 2.0])
+    got = kbessel_reduced_series(kb, z, 1e-13)
+    oracle = [kbessel_reduced_oracle(kb.v, kb.c, kb.k, float(zi)) for zi in z]
+    np.testing.assert_allclose(got, oracle, rtol=1e-13)
+
+
 def test_k_bessel_classical_reduction_grid():
     for v in (0.0, 1.0, 2.5):
         for z in (0.5, 1.0, 2.0, 5.0):
