@@ -19,7 +19,10 @@ only, then rescaled to every node by one nodes-by-terms product.  Most of
 a call's cost is that per-term loop, tens of microseconds that barely grow
 with the node count.  So g is called once per piece on the nodes of both
 rules together, and the dyadic log rule calls g once per block of
-LOG_BLOCK pieces.  evaluations counts every node g saw.
+LOG_BLOCK pieces.  evaluations counts every node g saw.  In the operators'
+integrands the kernel part of that cost is paid once per kernel and node
+set, not per call: operators memoizes the kernel's values by node bytes, so
+another x of the same draw pays only for the integrand's own smooth part.
 
 The rules are built here by Golub-Welsch (Math. Comp. 23, 1969): the nodes
 are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the

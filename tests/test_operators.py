@@ -367,6 +367,22 @@ def test_beta_near_minus_alpha_does_not_terminate_the_kernel(side, delta):
     assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="eta-beta near an integer: the integer branch ignores the offset "
+    "(1e-9 here) and the connection branches cancel (1e-8 here), and neither "
+    "loss is in the estimate",
+)
+@pytest.mark.parametrize("lam,eta", [(1.3, 2.000000001), (2.3, 0.99999999)])
+def test_near_integer_eta_minus_beta_error_within_estimate(lam, eta):
+    # 8.2e-9 and 2.4e-8 relative off the image, with estimates of 3.2e-15
+    # and 7.4e-15 relative
+    p = SaigoParams(alpha=1.0, beta=2.0, eta=eta)
+    r = saigo_left(monomial(lam), p, 0.7, tol=1e-10)
+    coeff, exponent = saigo_left_monomial(p, lam)
+    assert abs(r.value - coeff * 0.7**exponent) <= r.error_estimate
+
+
 def test_refused_transform_and_soft_pieces_report_their_evaluations():
     # lam == beta: the exact image is zero by cancellation, so a 1e-10
     # relative target cannot be certified; the refusal still counts every
