@@ -24,14 +24,15 @@ Riemann-Liouville); beta = 0 collapses it to (t/x)^eta (Erdelyi-Kober,
 with overall prefactor x^(-alpha-eta)).
 
 The kernel factors do not depend on x, and the quadrature nodes depend only
-on the piece and its exponents, so the kernel factors are memoized across
-calls in two bounded LRU caches: the kernel_split terms, keyed by the six
-exact kernel parameters (at most _SPLITS kernels), and the kernel's values
-at a call's nodes, keyed by those parameters, the branch (the upper half's
-2F1 or one lower-half term's series) and the nodes' bytes (at most
-_NODE_VALUES read-only arrays).  Another x of one draw and side then sums no
-kernel series, and the other side reuses the split and the upper half's
-values (its lower-half nodes differ, since its exponents do).  A hit returns
+on the piece, so the kernel factors are memoized across calls in two
+bounded LRU caches: the kernel_split terms, keyed by the six exact kernel
+parameters (at most _SPLITS kernels), and the kernel's values at a call's
+nodes, keyed by those parameters, the branch (the upper half's 2F1 or one
+lower-half term's series) and the nodes' bytes (at most _NODE_VALUES
+read-only arrays).  Both sides of a draw share the nodes of each half, so
+a transform finds the kernel values that earlier transforms of its draw
+computed, at any x and on either side, except on a piece none of them
+reached (a bisected piece, or a deeper block of the log rule).  A hit returns
 the array a miss computed, multiplied in the same order, so results are
 bit-identical whether the memo is warm or cold; an exception is never
 cached.  A miss calls kernel_split and hyp2f1_kernel through this module's
@@ -137,8 +138,9 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
 
 
 # Bounds of the kernel memo (module docstring).  A draw transformed at
-# several x on both sides keeps one split and 5 or so node arrays live: on
-# 1,000 benchmark monomial transforms the node-value hit share is 0.73 from
+# several x on both sides keeps one split and 3 or so node arrays live (the
+# upper half's and one per lower-half branch, shared by both sides): on
+# 1,000 benchmark monomial transforms the node-value hit share is 0.83 from
 # 16 arrays up to 512 and the split hit share 0.90 from 1 split up.  The
 # bounds leave room for about a dozen interleaved draws, at most ~0.1 MB.
 # Both caches are typed, so an int order never shares an entry with a float.

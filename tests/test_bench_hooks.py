@@ -66,3 +66,26 @@ def test_tracing_hooks_wrap_every_entry_point_and_undo_restores_them():
         first.setdefault(slot, (read, old))
     for slot, (read, old) in first.items():
         assert read() is old, slot
+
+
+def test_traced_check_counts_rule_cache_misses():
+    # the traced pass reads the rule cache's own counters around its ops, so
+    # the rule builder must stay a cached module-level function
+    tracing = _load_tracing()
+    rule = tracing.quadrature._rule
+    rule.cache_clear()
+    tracing.operators._split.cache_clear()
+    tracing.operators._kernel_at.cache_clear()
+    log = tracing.SpanLog()
+    before = rule.cache_info()
+    patches = tracing.install(log)
+    try:
+        draw = tracing.harness.sample_params("2.1", 1, seed=0)[0]
+        (record,) = tracing.harness.check_identity(draw, [1.0])
+    finally:
+        patches.undo()
+    assert record.passed, record.note
+    metrics = tracing.layer_metrics(log, before, rule.cache_info(), 1, 1.0)
+    calls = metrics["quadrature.rule.calls"]["value"]
+    misses = metrics["quadrature.rule.misses"]["value"]
+    assert 1 <= misses <= calls

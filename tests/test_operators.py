@@ -405,6 +405,54 @@ def test_refused_transform_and_soft_pieces_report_their_evaluations():
     assert (r.value, r.error_estimate, r.evaluations) == (1.0, 0.5, 42)
 
 
+# ------------------------------------------------ quadrature nodes are interior
+
+# a two-branch connection kernel, and an integer eta-beta (the log rule)
+_NODE_CASES = [
+    ("left", 1.3, SaigoParams(0.8, 0.2, 1.1)),
+    ("right", 0.6, SaigoParams(0.8, 0.2, 1.1)),
+    ("left", 1.3, SaigoParams(1.3, 0.25, 1.25)),
+    ("right", 0.6, SaigoParams(1.3, 0.25, 1.25)),
+]
+
+
+def _exact_image(side, lam, p, x):
+    image = saigo_left_monomial if side == "left" else saigo_right_monomial
+    coeff, exponent = image(p, lam)
+    return coeff * x**exponent
+
+
+@pytest.mark.parametrize("side,lam,p", _NODE_CASES)
+def test_transforms_never_evaluate_the_integrand_at_a_piece_end(side, lam, p):
+    # u = 0, 1/2 and 1 are t = 0, x/2 and x on the left, and t = x/0, 2x
+    # and x on the right
+    x = 0.7
+    ends = [0.0, x / 2.0, x] if side == "left" else [2.0 * x, x, math.inf]
+
+    def ones(t):
+        assert not np.any(np.isin(t, ends)), f"integrand evaluated at {ends}"
+        return np.ones_like(t)
+
+    e = lam - 1.0
+    f = Integrand(fn=lambda t: np.power(t, e), exponent_at_zero=e, exponent_at_infinity=e,
+                  smooth_at_zero=ones, smooth_at_infinity=ones)
+    transform = saigo_left if side == "left" else saigo_right
+    r = transform(f, p, x, tol=1e-12)
+    assert r.value == pytest.approx(_exact_image(side, lam, p, x), rel=1e-11)
+
+
+@pytest.mark.parametrize("side,lam,p", _NODE_CASES)
+def test_transforms_of_an_integrand_without_smooth_parts(side, lam, p):
+    # the reduced integrand is then fn(t) * t^(-e), which is inf * 0 at
+    # t = x/0 and 0 * inf at t = 0
+    e = lam - 1.0
+    f = Integrand(fn=lambda t: np.power(t, e), exponent_at_zero=e, exponent_at_infinity=e)
+    transform = saigo_left if side == "left" else saigo_right
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        r = transform(f, p, 0.7, tol=1e-12)
+    assert r.value == pytest.approx(_exact_image(side, lam, p, 0.7), rel=1e-11)
+
+
 # ------------------------------------------------------- validity guards
 
 

@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Jacobi quadrature with endpoint power weights."""
+"""Adaptive quadrature with endpoint power weights: nested Fejér rules built
+from Chebyshev moments, and the dyadic log-weight rule."""
 
 import heapq
 import math
@@ -11,7 +12,10 @@ from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import beta_fn
 from fracbessel.quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
 
-from _jacobi_rules import MU0, RULES
+from _oracles import JACOBI_POLY_INTEGRALS, chebyshev_moments_oracle
+
+EPS = np.finfo(float).eps
+FINE = 31  # nodes of the fine rule, so evaluations per piece
 
 
 def test_plain_polynomial():
@@ -34,11 +38,10 @@ def test_beta_integral_with_general_weights(a, b):
     assert r.value == pytest.approx(beta_fn(a, b), rel=1e-12)
 
 
-def test_oscillatory_smooth_factor_needs_refinement(monkeypatch):
-    monkeypatch.setattr(quadrature, "ORDER", 8)
+def test_oscillatory_smooth_factor_needs_refinement():
     r = integrate_jacobi(lambda u: np.cos(40.0 * u), 0.0, 1.0, tol=1e-12)
     assert r.value == pytest.approx(math.sin(40.0) / 40.0, rel=1e-9, abs=1e-12)
-    assert r.evaluations > 16  # adaptive bisection had to split
+    assert r.evaluations > FINE  # adaptive bisection had to split
 
 
 def test_singular_weight_with_smooth_factor():
@@ -80,7 +83,6 @@ def test_budget_exhaustion_raises_with_partial_value(monkeypatch):
         seen.append(u.size)
         return np.cos(300.0 * u)
 
-    monkeypatch.setattr(quadrature, "ORDER", 2)
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 3)
     with pytest.raises(AccuracyError) as info:
         integrate_jacobi(g, 0.0, 1.0, tol=1e-14)
@@ -88,18 +90,17 @@ def test_budget_exhaustion_raises_with_partial_value(monkeypatch):
     assert err.value is not None
     assert err.error_estimate is not None and err.error_estimate > 0
     # 5 pieces (the whole interval, then two bisections), each one g call on
-    # the order-2 and order-4 nodes together
-    assert seen == [2 + 4] * 5
+    # the fine rule's nodes
+    assert seen == [FINE] * 5
     assert err.evaluations == sum(seen)
 
     seen.clear()
-    monkeypatch.setattr(quadrature, "ORDER", 3)
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
     with pytest.raises(AccuracyError) as info:
         integrate_log_jacobi(g, 1.0, 0.0, tol=1e-14)
-    # one g call on 4 dyadic pieces (the block stops at the budget), each 3
+    # one g call on 4 dyadic pieces (the block stops at the budget), each 12
     # nodes plus the tail probe
-    assert seen == [4 * (3 + 1)]
+    assert seen == [4 * (12 + 1)]
     assert info.value.evaluations == sum(seen)
 
 
@@ -110,9 +111,8 @@ def test_non_finite_bound_rejected():
             integrate_jacobi(np.cos, lo, hi)
 
 
-def test_estimate_left_on_float_resolution_piece_raises(monkeypatch):
+def test_estimate_left_on_float_resolution_piece_raises():
     # a NaN estimate on a piece that cannot be bisected once looped forever
-    monkeypatch.setattr(quadrature, "ORDER", 4)
     nodes = []
 
     def g(u):
@@ -121,20 +121,20 @@ def test_estimate_left_on_float_resolution_piece_raises(monkeypatch):
 
     with pytest.raises(AccuracyError, match="float resolution") as info:
         integrate_jacobi(g, 1.0, math.nextafter(1.0, 2.0))
-    assert info.value.evaluations == sum(nodes) == 4 + 8
+    assert info.value.evaluations == sum(nodes) == FINE
     assert info.value.value is not None and info.value.error_estimate is not None
 
 
-def test_float_resolution_piece_keeps_its_estimate(monkeypatch):
+def test_float_resolution_piece_keeps_its_estimate():
     # the piece cannot be bisected, so its own rule-pair difference must
-    # stay in the estimate the call reports
-    monkeypatch.setattr(quadrature, "ORDER", 3)
+    # stay in the estimate the call reports; its nodes round to lo or hi, so
+    # the step g sees is far from what either rule can integrate
     def g(u):
         return np.where(u > 1.0, 1.0, 0.0)
 
     lo, hi = 1.0, math.nextafter(1.0, 2.0)
     _, piece_err, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0)
-    assert piece_err >= 4.25e-9
+    assert piece_err > 1e-10
     with pytest.raises(AccuracyError, match="float resolution") as info:
         integrate_jacobi(g, lo, hi, exp_lo=-0.5, tol=1e-14)
     assert info.value.error_estimate == piece_err
@@ -219,36 +219,53 @@ def _counting(g):
     return counted, seen
 
 
-def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, order):
-    """The adaptive rule with one g call per Gauss rule:
-    (value, estimate, evaluations)."""
-    evals = 0
+def _fejer_nodes(n):
+    """The interior Chebyshev points cos(j pi / n), ascending."""
+    return np.sin(np.pi * np.arange(1 - n // 2, n // 2) / n)
 
-    def rule_value(plo, phi, n):
-        nonlocal evals
-        aj = exp_hi if phi == hi else 0.0
-        bj = exp_lo if plo == lo else 0.0
-        x, w = quadrature._rule(n, aj, bj)
+
+def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol):
+    """The adaptive rule with one g call per rule of the pair, each on its
+    own nodes: (value, estimate, pieces)."""
+    pieces = 0
+
+    def rule_value(plo, phi, x, w):
         h2 = (phi - plo) / 2.0
         u = plo + h2 * (x + 1.0)
         vals = g(u)
-        evals += u.size
         if phi != hi and exp_hi != 0.0:
             vals = vals * np.power(hi - u, exp_hi)
         if plo != lo and exp_lo != 0.0:
             vals = vals * np.power(u - lo, exp_lo)
+        aj = exp_hi if phi == hi else 0.0
+        bj = exp_lo if plo == lo else 0.0
         return h2 ** (aj + bj + 1.0) * float(np.dot(w, vals))
 
     def piece(plo, phi):
-        coarse = rule_value(plo, phi, order)
-        fine = rule_value(plo, phi, 2 * order)
+        nonlocal pieces
+        pieces += 1
+        w_coarse, w_fine = quadrature._rule(exp_hi if phi == hi else 0.0, exp_lo if plo == lo else 0.0)
+        coarse = rule_value(plo, phi, _fejer_nodes(16), w_coarse)
+        # the fine weights are ordered as the coarse nodes, then the others
+        fine_x = np.concatenate((_fejer_nodes(16), _fejer_nodes(32)[0::2]))
+        fine = rule_value(plo, phi, fine_x, w_fine)
         return fine, abs(fine - coarse)
 
-    val, err = piece(lo, hi)
-    heap = [(-err, 0, lo, hi, val, err)]
-    counter = 1
-    total, total_abs, total_err = val, abs(val), err
-    while total_err > max(tol, tol * abs(total), 100.0 * np.finfo(float).eps * total_abs):
+    starts = [(lo, hi)]
+    if exp_lo != 0.0 and exp_hi != 0.0:
+        mid = 0.5 * (lo + hi)
+        starts = [(lo, mid), (mid, hi)]
+    heap = []
+    total = total_abs = total_err = 0.0
+    for plo, phi in starts:
+        val, err = piece(plo, phi)
+        heap.append((-err, len(heap), plo, phi, val, err))
+        total += val
+        total_abs += abs(val)
+        total_err += err
+    heapq.heapify(heap)
+    counter = len(heap)
+    while total_err > max(tol, tol * abs(total), 100.0 * EPS * total_abs):
         _, _, plo, phi, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
         assert plo < mid < phi
@@ -262,33 +279,34 @@ def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, order):
             total += v
             total_abs += abs(v)
             total_err += e
-    return total, total_err, evals
+    return total, total_err, pieces
 
 
 @pytest.mark.parametrize(
-    "g,lo,hi,exp_lo,exp_hi,tol,order",
+    "g,lo,hi,exp_lo,exp_hi,tol",
     [
-        (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12, 12),
-        (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12, 8),
-        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13, 3),
+        (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12),
+        (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12),
+        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13),
     ],
     ids=["cos", "cos-bisects", "polynomial-jacobi-weight"],
 )
-def test_fused_pair_matches_one_rule_per_call(monkeypatch, g, lo, hi, exp_lo, exp_hi, tol, order):
-    monkeypatch.setattr(quadrature, "ORDER", order)
+def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol):
+    # the coarse rule reads the fine rule's values at its own nodes, every
+    # other fine node, so one g call per piece gives the results of one
+    # call per rule, bit for bit
     counted, seen = _counting(g)
     r = integrate_jacobi(counted, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=tol)
-    value, estimate, evals = _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, order)
-    assert (r.value, r.error_estimate, r.evaluations) == (value, estimate, evals)
+    value, estimate, pieces = _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol)
+    assert (r.value, r.error_estimate, r.evaluations) == (value, estimate, FINE * pieces)
     assert r.evaluations == sum(seen)
-    assert seen == [3 * order] * len(seen)
+    assert seen == [FINE] * pieces
 
 
-def _log_reference(g, h, exp_lo, tol, order, max_pieces):
+def _log_reference(g, h, exp_lo, tol, max_pieces):
     """The dyadic descent with one g call per piece:
     (value, estimate, pieces used), or AccuracyError."""
-    x, wts = quadrature._rule(order, 0.0, 0.0)
-    s = 1.0 + 0.5 * (x + 1.0)
+    s = 1.0 + 0.5 * (quadrature._LOG_X + 1.0)
     s_pow = np.power(s, exp_lo)
     log_s = np.log(s)
     s_probe = np.append(s, 0.5)
@@ -298,38 +316,37 @@ def _log_reference(g, h, exp_lo, tol, order, max_pieces):
         log_a = math.log(h) - (j + 1.0) * math.log(2.0)
         g_all = g(math.exp(log_a) * s_probe)
         scale = math.exp(q1 * log_a) * 0.5
-        piece = scale * float(np.dot(wts, s_pow * (log_a + log_s) * g_all[:-1]))
+        piece = scale * float(np.dot(quadrature._LOG_W, s_pow * (log_a + log_s) * g_all[:-1]))
         total += piece
         total_abs += abs(piece)
         g_sup = 2.0 * float(np.max(np.abs(g_all)))
         tail = math.exp(q1 * log_a) / q1 * (-log_a + 1.0 / q1) * g_sup
-        noise = 100.0 * np.finfo(float).eps * total_abs
+        noise = 100.0 * EPS * total_abs
         if tail <= max(tol, tol * abs(total), noise):
             return total, tail + noise, j + 1
     raise AccuracyError("reference", value=total, error_estimate=tail + noise,
                         evaluations=max_pieces * s_probe.size)
 
 
-# g, h, exp_lo, order
-_LOG_CASE = (lambda u: 1.5 + 0.5 * np.cos(3.0 * u), 0.5, 0.5, 6)
+# g, h, exp_lo
+_LOG_CASE = (lambda u: 1.5 + 0.5 * np.cos(3.0 * u), 0.5, 0.5)
 
 
 def _log_blocks(pieces):
-    """Node counts of the g calls over `pieces` pieces in blocks."""
-    n = _LOG_CASE[3] + 1
+    """Node counts of the g calls over `pieces` pieces in blocks: each piece
+    is the log rule's 12 nodes plus its tail probe."""
     full, rest = divmod(pieces, quadrature.LOG_BLOCK)
-    return [quadrature.LOG_BLOCK * n] * full + ([rest * n] if rest else [])
+    return [quadrature.LOG_BLOCK * 13] * full + ([rest * 13] if rest else [])
 
 
 @pytest.mark.parametrize("stop", [1, 8, 9, 17])
-def test_log_blocks_stop_on_the_same_piece(monkeypatch, stop):
-    g, h, exp_lo, order = _LOG_CASE
-    monkeypatch.setattr(quadrature, "ORDER", order)
+def test_log_blocks_stop_on_the_same_piece(stop):
+    g, h, exp_lo = _LOG_CASE
     # the tolerance met first at piece `stop`: its own unconverged estimate
     with pytest.raises(AccuracyError) as info:
-        _log_reference(g, h, exp_lo, 1e-300, order, stop)
+        _log_reference(g, h, exp_lo, 1e-300, stop)
     tol = info.value.error_estimate / max(1.0, abs(info.value.value))
-    value, estimate, used = _log_reference(g, h, exp_lo, tol, order, 2000)
+    value, estimate, used = _log_reference(g, h, exp_lo, tol, 2000)
     assert used == stop
 
     counted, seen = _counting(g)
@@ -343,11 +360,10 @@ def test_log_blocks_stop_on_the_same_piece(monkeypatch, stop):
 
 @pytest.mark.parametrize("max_pieces", [3, 8, 11])
 def test_log_blocks_never_pass_the_piece_budget(monkeypatch, max_pieces):
-    g, h, exp_lo, order = _LOG_CASE
-    monkeypatch.setattr(quadrature, "ORDER", order)
+    g, h, exp_lo = _LOG_CASE
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", max_pieces)
     with pytest.raises(AccuracyError) as ref:
-        _log_reference(g, h, exp_lo, 1e-300, order, max_pieces)
+        _log_reference(g, h, exp_lo, 1e-300, max_pieces)
     counted, seen = _counting(g)
     with pytest.raises(AccuracyError) as info:
         integrate_log_jacobi(counted, h, exp_lo, tol=1e-300)
@@ -357,35 +373,99 @@ def test_log_blocks_never_pass_the_piece_budget(monkeypatch, max_pieces):
     assert got.evaluations == sum(seen) == want.evaluations
 
 
-# ------------------------------------------------ Golub-Welsch Gauss-Jacobi rules
+# ------------------------------------------- Fejér rules from Chebyshev moments
+
+# The fine nodes are cos(q pi / 32): first the coarse rule's, q even, then
+# the others, each ascending.  T[k, i] = T_k(x_i), with k q_i reduced
+# exactly before the cosine is taken.
+_Q = np.r_[30:0:-2, 31:0:-2]
+_T = np.cos(np.pi * ((np.arange(31)[:, None] * _Q) % 64) / 32)
+
+_EXPONENTS = (-0.99999, -0.999, -0.9, -0.5, 0.0, 0.3, 1.7, 4.0, 10.0)
 
 
-@pytest.mark.parametrize("n,a,b", sorted(RULES))
+def test_nodes_are_nested_interior_chebyshev_points():
+    x = quadrature._NODES
+    assert x.size == FINE and not x.flags.writeable
+    assert np.all(np.abs(x - np.cos(_Q * np.pi / 32)) <= EPS)
+    coarse, added = x[:15], x[15:]
+    for part in (coarse, added):
+        assert np.all(np.diff(part) > 0) and np.all(part == -part[::-1])
+    assert -1.0 < added[0] and added[-1] < 1.0
+
+
+@pytest.mark.parametrize("b", _EXPONENTS)
+def test_moments_match_exact_oracle(b):
+    got = np.array(quadrature._moments(b))
+    want = np.array(chebyshev_moments_oracle(b))
+    # the recurrence loses up to ~16 ulps of M_0 as b -> -1
+    assert np.all(np.abs(got - want) <= 4e-15 * want[0])
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("e", _EXPONENTS)
+def test_weights_reproduce_the_moments(side, e):
+    # each rule integrates the Chebyshev polynomials it can interpolate
+    # exactly: sum_i w_i T_k(x_i) = M_k, with (-1)^k M_k for (1-x)^e; the
+    # sum's own rounding is a few eps times sum |w_i|
+    coarse, fine = quadrature._rule(e, 0.0) if side == "hi" else quadrature._rule(0.0, e)
+    moments = np.array(chebyshev_moments_oracle(e))
+    if side == "hi":
+        moments[1::2] *= -1.0
+    assert np.all(np.abs(_T @ fine - moments) <= 4.0 * EPS * np.sum(np.abs(fine)))
+    assert np.all(np.abs(_T[:15, :15] @ coarse - moments[:15]) <= 4.0 * EPS * np.sum(np.abs(coarse)))
+    assert not (coarse.flags.writeable or fine.flags.writeable)
+
+
+@pytest.mark.parametrize("n,a,b", sorted(JACOBI_POLY_INTEGRALS))
 def test_rule_matches_frozen_references(n, a, b):
-    x, w = quadrature._rule(n, a, b)
-    ref_x, ref_w = (np.array(v) for v in RULES[(n, a, b)])
-    mu0 = MU0[(a, b)]
-    assert np.all(np.abs(x - ref_x) <= 2e-15)
-    # an eigenvector component carries an absolute error of a few eps, so a
-    # weight far below mu0 keeps ~eps * sqrt(mu0 / w) relative accuracy
-    eps = np.finfo(float).eps
-    rel_bound = np.maximum(1e-13, 4.0 * eps * np.sqrt(mu0 / ref_w))
-    assert np.all(np.abs(w - ref_w) <= rel_bound * ref_w)
-    assert math.fsum(w) == pytest.approx(mu0, rel=1e-14)
-    assert not (x.flags.writeable or w.flags.writeable)
+    # int_-1^1 (1-x)^a (1+x)^b p_n(x) dx, p_n of degree 2n-1 (see _oracles):
+    # with both weights the interval is split first, and each half carries
+    # the other endpoint's factor in its integrand
+    def p(x):
+        return sum((0.9 * x) ** j for j in range(2 * n))
+
+    r = integrate_jacobi(p, -1.0, 1.0, exp_lo=b, exp_hi=a, tol=1e-14)
+    assert r.value == pytest.approx(JACOBI_POLY_INTEGRALS[(n, a, b)], rel=1e-14)
 
 
 @pytest.mark.parametrize(
     "a,b", [(0.0, 0.0), (-0.5, -0.5), (0.3, -0.3), (-0.25, -0.75), (-0.999, 0.4), (1.4, 1.2)]
 )
 def test_rule_agrees_with_scipy_at_max_order(a, b):
+    # an integrand no rule integrates exactly, against scipy's 256-point
+    # Gauss-Jacobi rule for the same weight
     roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-    n = 256
-    x, w = quadrature._rule(n, a, b)
     with np.errstate(divide="ignore", invalid="ignore"):  # scipy's 0/0 at a+b = -1
-        ref_x, ref_w = roots_jacobi(n, a, b)
-    assert np.all(np.abs(x - ref_x) <= 2e-15)
-    # scipy's own weights are off by up to 4e-8 relative here (at a = -0.999)
-    assert np.all(np.abs(w - ref_w) <= 1e-7 * ref_w)
-    mu0 = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0)
-    assert math.fsum(w) == pytest.approx(mu0, rel=1e-14)
+        x, w = roots_jacobi(256, a, b)
+
+    def g(u):
+        return np.cos(3.0 * u) / (2.5 - u)
+
+    r = integrate_jacobi(g, -1.0, 1.0, exp_lo=b, exp_hi=a, tol=1e-14)
+    # scipy's own weights are off by up to 1.5e-10 relative here
+    assert r.value == pytest.approx(float(np.dot(w, g(x))), rel=1e-9)
+
+
+def test_two_weights_need_an_interval_wide_enough_to_split():
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    with pytest.raises(DomainError, match="too narrow"):
+        integrate_jacobi(np.cos, lo, hi, exp_lo=-0.5, exp_hi=0.5)
+    # one weight needs no split
+    r = integrate_jacobi(np.cos, lo, hi, exp_lo=-0.5)
+    assert r.value == pytest.approx(2.0 * math.sqrt(hi - lo) * math.cos(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,exp_lo,exp_hi",
+    [(0.0, 1.0, 0.0, 0.0), (0.0, 0.5, -0.7, 0.0), (0.5, 1.0, 0.0, -0.3), (-1.0, 2.0, 0.4, -0.6)],
+)
+def test_no_rule_evaluates_g_at_an_endpoint(lo, hi, exp_lo, exp_hi):
+    # an integrand undefined at the ends (t = x/0 on a right-sided transform)
+    def g(u):
+        if np.any((u <= lo) | (u >= hi)):
+            raise AssertionError(f"g evaluated outside ({lo}, {hi})")
+        return np.cos(u)
+
+    r = integrate_jacobi(g, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=1e-12)
+    assert math.isfinite(r.value) and r.evaluations % FINE == 0
