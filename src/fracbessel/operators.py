@@ -23,20 +23,31 @@ Special cases: beta = -alpha collapses the kernel to 1 (classical
 Riemann-Liouville); beta = 0 collapses it to (t/x)^eta (Erdelyi-Kober,
 with overall prefactor x^(-alpha-eta)).
 
-The kernel factors do not depend on x, and the quadrature nodes depend only
-on the piece, so the kernel factors are memoized across calls in two
-bounded LRU caches: the kernel_split terms, keyed by the six exact kernel
-parameters (at most _SPLITS kernels), and the kernel's values at a call's
-nodes, keyed by those parameters, the branch (the upper half's 2F1 or one
-lower-half term's series) and the nodes' bytes (at most _NODE_VALUES
-read-only arrays).  Both sides of a draw share the nodes of each half, so
-a transform finds the kernel values that earlier transforms of its draw
-computed, at any x and on either side, except on a piece none of them
-reached (a bisected piece, or a deeper block of the log rule).  A hit returns
-the array a miss computed, multiplied in the same order, so results are
-bit-identical whether the memo is warm or cold; an exception is never
-cached.  A miss calls kernel_split and hyp2f1_kernel through this module's
-globals, so a wrapper placed there sees every miss.
+Each factor of a transform is computed once, at the narrowest scope it
+depends on, and reused bit for bit:
+
+* per draw (the operator orders, the integrand's power and the node set,
+  not x): the kernel_split terms (_split, keyed by the six exact kernel
+  parameters, at most _SPLITS kernels); the kernel's values at a call's
+  nodes (_kernel_at: the upper half's 2F1 or one lower-half term's series,
+  keyed by those parameters, the branch and the nodes' bytes); the weight
+  powers u^exp0 of the upper half and (1-u)^(alpha-1) of the lower half at
+  a call's nodes, and log Gamma(alpha) (_draw_factor).  These are bounded,
+  typed LRU caches; _kernel_at and _draw_factor hold at most _NODE_VALUES
+  entries each, their arrays read-only;
+* per transform (one x): the integrand's smooth part at each node set, so
+  the lower-half branches of a connection kernel, which integrate over the
+  same nodes, evaluate it once between them;
+* per piece: the nodes, which quadrature maps once per piece geometry.
+
+Both sides of a draw share the nodes of each half, so a transform finds the
+factors that earlier transforms of its draw computed, at any x and on either
+side, except on a piece none of them reached (a bisected piece, or a deeper
+block of the log rule).  A hit returns the array a miss computed,
+multiplied in the same order (kernel, smooth part, weight power), so
+results are bit-identical whether the memos are warm or cold; an exception
+is never cached.  A miss calls kernel_split, hyp2f1_kernel and log_gamma
+through this module's globals, so a wrapper placed there sees every miss.
 """
 
 from __future__ import annotations
@@ -117,33 +128,44 @@ _COMBINE_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _combine(parts, pref: float, tol: float) -> QuadratureResult:
-    value = pref * sum(coef * r.value for coef, r in parts)
     # each piece's own truncation claim, plus the rounding floor of the
     # coefficient combination: near-degenerate kernels (c-a-b within ~1e-5 of
     # an integer) carry branch coefficients of order 1/|c-a-b - m| whose
     # cancellation cost eps * sum|coef * piece| is invisible to any
     # individual piece estimate
-    err = abs(pref) * sum(abs(coef) * r.error_estimate for coef, r in parts)
-    err += abs(pref) * _COMBINE_EPS * sum(abs(coef * r.value) for coef, r in parts)
-    evals = sum(r.evaluations for coef, r in parts)
-    result = QuadratureResult(value, err, evals)
-    if err > tol * max(1.0, abs(value)):
+    total = claimed = rounding = 0.0
+    evals = 0
+    for coef, r in parts:
+        term = coef * r.value
+        total += term
+        claimed += abs(coef) * r.error_estimate
+        rounding += abs(term)
+        evals += r.evaluations
+    value = pref * total
+    err = abs(pref) * claimed
+    err += abs(pref) * _COMBINE_EPS * rounding
+    # written so that a NaN or infinite value or estimate fails it
+    if not (math.isfinite(value) and err <= tol * max(1.0, abs(value))):
         raise AccuracyError(
-            f"transform error estimate {err!r} exceeds tol {tol!r}",
+            f"transform error estimate {err!r} exceeds tol {tol!r}"
+            if math.isfinite(value)
+            else f"transform value {value!r} is not finite",
             value=value,
             error_estimate=err,
             evaluations=evals,
         )
-    return result
+    return QuadratureResult(value, err, evals)
 
 
-# Bounds of the kernel memo (module docstring).  A draw transformed at
-# several x on both sides keeps one split and 3 or so node arrays live (the
-# upper half's and one per lower-half branch, shared by both sides): on
-# 1,000 benchmark monomial transforms the node-value hit share is 0.83 from
-# 16 arrays up to 512 and the split hit share 0.90 from 1 split up.  The
-# bounds leave room for about a dozen interleaved draws, at most ~0.1 MB.
-# Both caches are typed, so an int order never shares an entry with a float.
+# Bounds of the per-draw memos (module docstring).  A draw transformed at
+# several x on both sides keeps one split and 3 or so kernel node arrays live
+# (the upper half's and one per lower-half branch, shared by both sides),
+# and 4 or so other factors (log Gamma(alpha), u^exp0 per side, the lower
+# half's (1-u)^(alpha-1), more on the log path): on 1,000 benchmark
+# monomial transforms the node-value hit share is 0.83 from 16 arrays up to
+# 512 and the split hit share 0.90 from 1 split up.  The bounds leave room
+# for about a dozen interleaved draws, at most ~0.1 MB each.  The caches are
+# typed, so an int order never shares an entry with a float.
 _SPLITS = 16
 _NODE_VALUES = 64
 
@@ -167,6 +189,20 @@ def _kernel_at(a, b, c, gamma, c_minus_a, c_minus_b, branch: int, nodes: bytes) 
     return v
 
 
+@lru_cache(maxsize=_NODE_VALUES, typed=True)
+def _draw_factor(e, nodes: Optional[bytes] = None, reflect: bool = False):
+    """A factor of a draw's transforms besides the kernel, shared by every x
+    and side: log|Gamma(e)| when nodes is None, else the weight power u^e,
+    or (1-u)^e when reflect, at the float64 nodes u packed in nodes,
+    read-only."""
+    if nodes is None:
+        return log_gamma(e).log_abs
+    u = np.frombuffer(nodes)
+    v = np.power(1.0 - u if reflect else u, e)
+    v.flags.writeable = False
+    return v
+
+
 def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: float, tol: float):
     """Shared left/right transform: quadrature over u in (0,1), then prefactor.
 
@@ -186,9 +222,22 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
             "(integrand grows too fast against the operator weight)"
         )
 
+    # smooth at each node set this transform reaches: the lower-half
+    # branches of a connection kernel share theirs
+    smooth_at = {}
+
+    def smooth_on(u, nodes):
+        v = smooth_at.get(nodes)
+        if v is None:
+            v = smooth_at[nodes] = smooth(u)
+        return v
+
     parts = []
     # upper half: kernel argument w = 1-u <= 1/2, direct series territory
-    g_hi = lambda u: _kernel_at(*kernel, -1, u.tobytes()) * smooth(u) * np.power(u, exp0)
+    def g_hi(u):
+        nodes = u.tobytes()
+        return _kernel_at(*kernel, -1, nodes) * smooth_on(u, nodes) * _draw_factor(exp0, nodes)
+
     parts.append((1.0, _integrate_soft(integrate_jacobi, g_hi, 0.5, 1.0, 0.0, al - 1.0, tol / 4)))
 
     # One weighted piece per kernel branch (a terminating kernel is a single
@@ -201,14 +250,19 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
             raise DomainError(
                 f"transform does not converge: kernel branch exponent {e0!r} <= -1"
             )
-        g = lambda u, i=i: (
-            _kernel_at(*kernel, i, u.tobytes()) * smooth(u) * np.power(1.0 - u, al - 1.0)
-        )
+
+        def g(u, i=i):
+            nodes = u.tobytes()
+            return (
+                _kernel_at(*kernel, i, nodes) * smooth_on(u, nodes)
+                * _draw_factor(al - 1.0, nodes, True)
+            )
+
         if term.log_factor:
             parts.append((term.coef, _integrate_soft(integrate_log_jacobi, g, 0.5, e0, tol / 4)))
         else:
             parts.append((term.coef, _integrate_soft(integrate_jacobi, g, 0.0, 0.5, e0, 0.0, tol / 4)))
-    pref = math.exp((x_power - p.beta) * math.log(x) - log_gamma(p.alpha).log_abs)
+    pref = math.exp((x_power - p.beta) * math.log(x) - _draw_factor(p.alpha))
     return _combine(parts, pref, tol)
 
 

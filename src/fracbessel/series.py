@@ -266,7 +266,8 @@ def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
     inv = gamma_ratio([], [n0 + 1.0 + vk])  # 1/Gamma(n0+1+v/k)
     c0 = inv.sign * math.exp(inv.log_abs - log_gamma(n0 + 1.0).log_abs)
     ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
-    return sum_series(c0, ratio, y, tol).scaled(y**n0)
+    s = sum_series(c0, ratio, y, tol)
+    return s.scaled(y**n0) if n0 else s  # times 1.0 would change no bit
 
 
 def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:

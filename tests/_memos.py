@@ -1,0 +1,16 @@
+"""The library's module-level memos, for tests that need them empty."""
+
+from fracbessel import operators, quadrature
+
+MEMOS = (
+    operators._split,
+    operators._kernel_at,
+    operators._draw_factor,
+    quadrature._rule,
+    quadrature._nodes_on,
+)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()

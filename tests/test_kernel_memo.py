@@ -1,6 +1,7 @@
-"""The transforms' memo of x-independent kernel factors: it sits where the
-benchmark's hooks see its misses, it stays within its bound, and no value,
-estimate, evaluation count or exception shows whether it was warm."""
+"""The transforms' memos of x-independent factors: they sit where the
+benchmark's hooks see their misses, they stay within their bounds, each
+factor is computed once at its scope, and no value, estimate, evaluation
+count or exception shows whether they were warm."""
 
 import dataclasses
 import random
@@ -8,10 +9,12 @@ import random
 import numpy as np
 import pytest
 
-from fracbessel import harness, operators, quadrature
+from fracbessel import harness, operators
 from fracbessel.errors import AccuracyError, DomainError
-from fracbessel.integrands import monomial
+from fracbessel.integrands import Integrand, monomial
 from fracbessel.operators import Family, SaigoParams, saigo_left, saigo_right
+
+from _memos import clear_memos
 
 X_POINTS = (0.5, 1.0, 2.0)
 
@@ -49,12 +52,6 @@ _OPS = [
 
 # k-Bessel integrands through the harness, both sides and a reduction each
 _IDENTITIES = ("2.1", "2.4", "cor2.3", "cor3.5")
-
-
-def _clear_memos():
-    operators._split.cache_clear()
-    operators._kernel_at.cache_clear()
-    quadrature._rule.cache_clear()
 
 
 def _bits(v):
@@ -96,7 +93,7 @@ def test_warm_memo_changes_no_value_estimate_count_or_exception():
     ops = _ops()
     cold = []
     for op in ops:
-        _clear_memos()
+        clear_memos()
         cold.append(_run(op))
     assert {"AccuracyError", "DomainError"} <= {r[0] for r in cold}
 
@@ -120,7 +117,6 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(operators, name, counting(name))
-    _clear_memos()
     p = SaigoParams(0.8, 0.2, 1.1)
     for x in X_POINTS:
         saigo_left(monomial(1.3), p, x)
@@ -137,3 +133,43 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
         info = memo.cache_info()
         assert info.maxsize is not None
         assert info.currsize == info.maxsize, info
+
+
+def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
+    # one connection-kernel draw at three x on both sides: the smooth part
+    # once per node set and transform (the upper half's, and the lower
+    # half's, which both branches share), the weight powers and
+    # log Gamma(alpha) once per draw
+    smooth_nodes = []
+
+    def ones(t):
+        smooth_nodes.append(t.size)
+        return np.ones_like(t)
+
+    log_gamma_args = []
+    log_gamma = operators.log_gamma
+
+    def counting_log_gamma(z):
+        log_gamma_args.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(operators, "log_gamma", counting_log_gamma)
+    f_left = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
+    f_right = Integrand(fn=lambda t: t**-0.4, exponent_at_infinity=-0.4, smooth_at_infinity=ones)
+    p = SaigoParams(0.8, 0.2, 1.1)
+    for x in X_POINTS:
+        for transform, f in ((saigo_left, f_left), (saigo_right, f_right)):
+            before = len(smooth_nodes)
+            transform(f, p, x)
+            assert smooth_nodes[before:] == [31, 31]
+    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
+    assert len(operators._split(*kernel)) == 2  # two lower-half branches
+    assert log_gamma_args == [p.alpha]
+    # log Gamma(alpha), u^exp0 on each side, and the lower half's
+    # (1-u)^(alpha-1): four factors, each built by the first transform that
+    # needs it and found by every later one, at four lookups a transform
+    info = operators._draw_factor.cache_info()
+    assert (info.misses, info.hits) == (4, 6 * 4 - 4)
+    assert info.maxsize is not None and info.maxsize <= 64
+    nodes = np.linspace(0.0, 0.5, 5).tobytes()
+    assert not operators._draw_factor(0.3, nodes).flags.writeable

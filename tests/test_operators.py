@@ -17,6 +17,7 @@ from fracbessel import (
     eval_pfq,
     eval_wright,
     evaluate_closed_form,
+    quadrature,
     theorem21_spec,
 )
 from fracbessel.errors import AccuracyError, DomainError
@@ -451,6 +452,43 @@ def test_transforms_of_an_integrand_without_smooth_parts(side, lam, p):
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         r = transform(f, p, 0.7, tol=1e-12)
     assert r.value == pytest.approx(_exact_image(side, lam, p, 0.7), rel=1e-11)
+
+
+# ------------------------------------------- non-finite integrands are refused
+
+# a connection kernel, and an integer eta-beta (the log rule)
+_NON_FINITE_PARAMS = [SaigoParams(1.3, 0.4, 0.9), SaigoParams(1.3, 0.5, 1.5)]
+_NON_FINITE_SMOOTH = {
+    "nan": lambda t: np.full_like(t, math.nan),
+    "inf": lambda t: np.full_like(t, math.inf),
+    "-inf": lambda t: np.full_like(t, -math.inf),
+    "inf-past-0.9": lambda t: np.where(t > 0.9, math.inf, 1.0),
+    # finite on the upper half, so the lower half's rules meet it
+    "nan-near-the-lower-end": lambda t: np.where((t < 0.01) | (t > 100.0), math.nan, 1.0),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("p", _NON_FINITE_PARAMS, ids=["connection", "log"])
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_SMOOTH))
+def test_non_finite_smooth_part_raises_domain_error(side, p, name):
+    # these bisected to float resolution and returned value and estimate
+    # NaN, which the transform's own tolerance test let through
+    bad = _NON_FINITE_SMOOTH[name]
+    seen = []
+
+    def smooth(t):
+        seen.append(t.size)
+        return bad(t)
+
+    f = Integrand(fn=lambda t: t * smooth(t), exponent_at_zero=0.2, exponent_at_infinity=0.2,
+                  smooth_at_zero=smooth, smooth_at_infinity=smooth)
+    transform = saigo_left if side == "left" else saigo_right
+    with pytest.raises(DomainError, match="not finite"):
+        transform(f, p, 1.0)
+    # refused at the first non-finite piece: the upper half's one piece, or
+    # the lower half's first piece or first block of dyadic pieces
+    assert len(seen) <= 2 and sum(seen) <= 31 + quadrature.LOG_BLOCK * 13
 
 
 # ------------------------------------------------------- validity guards

@@ -112,17 +112,17 @@ def test_non_finite_bound_rejected():
 
 
 def test_estimate_left_on_float_resolution_piece_raises():
-    # a NaN estimate on a piece that cannot be bisected once looped forever
+    # a NaN estimate on a piece that cannot be bisected once looped forever;
+    # a non-finite piece is now refused where it is evaluated
     nodes = []
 
     def g(u):
         nodes.append(u.size)
         return np.full_like(u, math.nan)
 
-    with pytest.raises(AccuracyError, match="float resolution") as info:
+    with pytest.raises(DomainError, match="not finite"):
         integrate_jacobi(g, 1.0, math.nextafter(1.0, 2.0))
-    assert info.value.evaluations == sum(nodes) == FINE
-    assert info.value.value is not None and info.value.error_estimate is not None
+    assert nodes == [FINE]
 
 
 def test_float_resolution_piece_keeps_its_estimate():
@@ -138,6 +138,33 @@ def test_float_resolution_piece_keeps_its_estimate():
     with pytest.raises(AccuracyError, match="float resolution") as info:
         integrate_jacobi(g, lo, hi, exp_lo=-0.5, tol=1e-14)
     assert info.value.error_estimate == piece_err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_integrand_raises_at_its_first_piece(bad):
+    # both bisected to float resolution and returned NaN value and estimate
+    counted, seen = _counting(lambda u: np.where(u > 0.9, bad, np.cos(u)))
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_jacobi(counted, 0.0, 1.0, exp_lo=-0.5)
+    assert seen == [FINE]
+
+    # the dyadic rule first meets u < 2e-4 at the tail probe of its eleventh
+    # piece, in its second block
+    counted, seen = _counting(lambda u: np.where(u < 2e-4, bad, np.cos(u)))
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_log_jacobi(counted, 0.5, -0.5)
+    assert seen == _log_blocks(2 * quadrature.LOG_BLOCK)
+
+
+def test_non_finite_values_past_the_stopping_piece_are_discarded():
+    # a loose tol stops the log rule at its first piece; the tail probe of
+    # the block's last piece is at u < 1e-3, and its value is discarded
+    def g(u):
+        return np.where(u < 1e-3, math.nan, np.cos(u))
+
+    r = integrate_log_jacobi(g, 0.5, 2.0, tol=0.05)
+    assert r == integrate_log_jacobi(np.cos, 0.5, 2.0, tol=0.05)
+    assert r.evaluations == quadrature.LOG_BLOCK * 13
 
 
 @pytest.mark.parametrize(
@@ -283,24 +310,34 @@ def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol):
 
 
 @pytest.mark.parametrize(
-    "g,lo,hi,exp_lo,exp_hi,tol",
+    "g,lo,hi,exp_lo,exp_hi,tol,bisections",
     [
-        (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12),
-        (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12),
-        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13),
+        (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12, 0),
+        (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12, 7),
+        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13, 0),
+        (lambda u: np.cos(40.0 * u), 0.25, 2.0, -0.3, 0.4, 1e-12, 14),
     ],
-    ids=["cos", "cos-bisects", "polynomial-jacobi-weight"],
+    ids=["cos", "cos-bisects", "polynomial-jacobi-weight", "jacobi-weight-bisects"],
 )
-def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol):
+def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol, bisections):
     # the coarse rule reads the fine rule's values at its own nodes, every
     # other fine node, so one g call per piece gives the results of one
     # call per rule, bit for bit
-    counted, seen = _counting(g)
+    nodes = []
+
+    def counted(u):
+        nodes.append(u.tobytes())
+        return g(u)
+
     r = integrate_jacobi(counted, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=tol)
     value, estimate, pieces = _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol)
     assert (r.value, r.error_estimate, r.evaluations) == (value, estimate, FINE * pieces)
-    assert r.evaluations == sum(seen)
-    assert seen == [FINE] * pieces
+    # one start piece, or two with both weights, then two per bisection:
+    # each piece is one g call on its 31 nodes, and none is evaluated twice
+    starts = 2 if exp_lo and exp_hi else 1
+    assert pieces == starts + 2 * bisections
+    assert [len(b) // 8 for b in nodes] == [FINE] * pieces
+    assert len(set(nodes)) == pieces
 
 
 def _log_reference(g, h, exp_lo, tol, max_pieces):
@@ -392,6 +429,11 @@ def test_nodes_are_nested_interior_chebyshev_points():
     for part in (coarse, added):
         assert np.all(np.diff(part) > 0) and np.all(part == -part[::-1])
     assert -1.0 < added[0] and added[-1] < 1.0
+    # a piece's nodes are mapped once per geometry and shared, read-only
+    u = quadrature._nodes_on(0.25, 2.0)
+    assert u is quadrature._nodes_on(0.25, 2.0) and not u.flags.writeable
+    assert np.array_equal(u, 0.25 + 0.875 * (x + 1.0))
+    assert quadrature._nodes_on.cache_info().maxsize <= 64
 
 
 @pytest.mark.parametrize("b", _EXPONENTS)
