@@ -36,18 +36,18 @@ depends on, and reused bit for bit:
   typed LRU caches; _kernel_at and _draw_factor hold at most _NODE_VALUES
   entries each, their arrays read-only;
 * per transform (one x): the integrand's smooth part at each node set, so
-  the lower-half branches of a connection kernel, which integrate over the
-  same nodes, evaluate it once between them;
+  the lower-half branches of a kernel, log branch included, which integrate
+  over the same nodes, evaluate it once between them;
 * per piece: the nodes, which quadrature maps once per piece geometry.
 
 Both sides of a draw share the nodes of each half, so a transform finds the
 factors that earlier transforms of its draw computed, at any x and on either
-side, except on a piece none of them reached (a bisected piece, or a deeper
-block of the log rule).  A hit returns the array a miss computed,
-multiplied in the same order (kernel, smooth part, weight power), so
-results are bit-identical whether the memos are warm or cold; an exception
-is never cached.  A miss calls kernel_split, hyp2f1_kernel and log_gamma
-through this module's globals, so a wrapper placed there sees every miss.
+side, except on a piece none of them reached (a bisected piece).  A hit
+returns the array a miss computed, multiplied in the same order (kernel,
+smooth part, weight power), so results are bit-identical whether the memos
+are warm or cold; an exception is never cached.  A miss calls
+kernel_split, hyp2f1_kernel and log_gamma through this module's globals, so
+a wrapper placed there sees every miss.
 """
 
 from __future__ import annotations
@@ -123,16 +123,17 @@ def _integrate_soft(integrate, *args) -> QuadratureResult:
 
 
 # rounding allowance per combined piece: a few ulps of coefficient error
-# (gamma-ratio construction) plus summation rounding
+# (gamma-ratio construction) plus summation rounding.  Each piece's estimate
+# already bounds the rounding of its own weighted sum; this is the other
+# source, the coefficients and the sum of the parts.
 _COMBINE_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _combine(parts, pref: float, tol: float) -> QuadratureResult:
-    # each piece's own truncation claim, plus the rounding floor of the
-    # coefficient combination: near-degenerate kernels (c-a-b within ~1e-5 of
-    # an integer) carry branch coefficients of order 1/|c-a-b - m| whose
-    # cancellation cost eps * sum|coef * piece| is invisible to any
-    # individual piece estimate
+    # each piece's own estimate, plus the rounding floor of the coefficient
+    # combination: near-degenerate kernels (c-a-b within ~1e-5 of an
+    # integer) carry branch coefficients of order 1/|c-a-b - m| whose own
+    # rounding costs eps * sum|coef * piece|, which no piece estimate sees
     total = claimed = rounding = 0.0
     evals = 0
     for coef, r in parts:
@@ -161,7 +162,7 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
 # several x on both sides keeps one split and 3 or so kernel node arrays live
 # (the upper half's and one per lower-half branch, shared by both sides),
 # and 4 or so other factors (log Gamma(alpha), u^exp0 per side, the lower
-# half's (1-u)^(alpha-1), more on the log path): on 1,000 benchmark
+# half's (1-u)^(alpha-1)): on 1,000 benchmark
 # monomial transforms the node-value hit share is 0.83 from 16 arrays up to
 # 512 and the split hit share 0.90 from 1 split up.  The bounds leave room
 # for about a dozen interleaved draws, at most ~0.1 MB each.  The caches are
@@ -242,8 +243,8 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
 
     # One weighted piece per kernel branch (a terminating kernel is a single
     # analytic branch): the u^exponent factor joins the endpoint weight
-    # exactly; branches carrying a log(u) factor (integer eta-beta case) go
-    # to the dedicated dyadic log-weight rule.
+    # exactly, and so does the log(u) factor of a branch carrying one
+    # (integer eta-beta), through the log-moment rule on the same nodes.
     for i, term in enumerate(_split(*kernel)):
         e0 = exp0 + term.exponent
         if not (e0 > -1.0):

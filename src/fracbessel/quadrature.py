@@ -1,42 +1,52 @@
 """Adaptive quadrature with endpoint-weight absorption, by nested Fejér rules.
 
-Integrates  int_lo^hi (hi-u)^exp_hi * (u-lo)^exp_lo * g(u) du  for smooth
-vectorized g and exponents > -1.  An algebraic endpoint factor is absorbed
-into the rule's weight on subintervals touching its endpoint and evaluated
-directly elsewhere.  Each subinterval is estimated by a nested pair of
-Fejér's second rules, whose nodes are the interior Chebyshev points
-cos(j pi / N): the fine rule has N = 32 (31 nodes), the coarse rule N = 16,
-whose 15 nodes are every other fine node.  Their difference drives adaptive
-bisection of the worst subinterval until the summed estimate meets
-tolerance, the interval budget runs out, or the estimate hits the rounding
-floor of the accumulated values.  No node is an endpoint, so g is never
-evaluated where an integrand may be undefined: u = 0 is t = x/0 on the
-right-sided transforms.
+Integrates  int_lo^hi (hi-u)^exp_hi * (u-lo)^exp_lo * [log(u-lo)] * g(u) du
+for smooth vectorized g and exponents > -1, the log factor optional.  An
+algebraic endpoint factor, and the log, are absorbed into the rule's weight
+on subintervals touching their endpoint and evaluated directly elsewhere.
+Each subinterval is estimated by a nested pair of Fejér's second rules,
+whose nodes are the interior Chebyshev points cos(j pi / N): the fine rule
+has N = 32 (31 nodes), the coarse rule N = 16, whose 15 nodes are every
+other fine node.  Their difference, plus the rounding of the fine rule's
+weighted sum, is the piece's estimate; the worst piece is bisected until
+the summed estimate meets tolerance, the interval budget runs out, or the
+estimate hits the rounding floor of the accumulated sums.  No node is an
+endpoint, so g is never evaluated where an integrand may be undefined:
+u = 0 is t = x/0 on the right-sided transforms.
 
 The rules are built from modified Chebyshev moments, as in QUADPACK's QAWS
 (Piessens, de Doncker-Kapenga, Überhuber and Kahaner, QUADPACK, Springer
 1983).  The moments M_k = int_-1^1 (1+x)^b T_k(x) dx, k < 31, come from the
 forward recurrence of its QMOMO (Piessens & Branders, BIT 13 (1973) 443),
-and (1-x)^a has the moments (-1)^k M_k(a).  A rule integrates the weight
-times the polynomial interpolating g at its nodes, whose Chebyshev
-coefficients are a fixed linear map of g's values, so its weights are the
-moments times a fixed matrix.  A rule carries one endpoint weight, so a
-call with both exponents nonzero first splits at the midpoint, as QAWS
-does.  Trefethen (SIAM Review 50 (2008) 67) shows why such rules match
-Gauss at equal node count on analytic integrands.  31/15 is the smallest
-Fejér pair tried whose transforms on the acceptance-1 ranges are refused
-no more often than with the Gauss-Jacobi 24/12 pair it replaced: on one
-benchmark seed 27/13 refused 6 and 23/11 refused 63 where 24/12 refused 1.
-As b -> -1 the fine weights alternate in sign: sum|w| / sum w is 30.8 at
-b = -0.999 and 14.8 at -0.9, against 1.000 on [-0.5, 1] and at most 1.013
-up to 6, and the rounding of the weighted sum grows by the same factor.
+and (1-x)^a has the moments (-1)^k M_k(a).  QMOMO's log moments
+H_k = int_-1^1 (1+x)^b log((1+x)/2) T_k(x) dx follow from the same
+recurrence differentiated in b.  On a piece [lo, lo+h] touching the log's
+endpoint, u - lo = h (1+x)/2, so the weight (u-lo)^b log(u-lo) has the
+moments (h/2)^b (H_k + log(h) M_k): one rule, with the same nodes and
+matrices as every other, and the same stop test and bisection heap.  A
+rule integrates the weight times the polynomial interpolating g at its
+nodes, whose Chebyshev coefficients are a fixed linear map of g's values,
+so its weights are the moments times a fixed matrix.  A rule carries one
+endpoint weight, so a call with weights at both ends first splits at the
+midpoint, as QAWS does.  Trefethen (SIAM Review 50 (2008) 67) shows why
+such rules match Gauss at equal node count on analytic integrands.  31/15
+is the smallest Fejér pair tried whose transforms on the acceptance-1
+ranges are refused no more often than with the Gauss-Jacobi 24/12 pair it
+replaced: on one benchmark seed 27/13 refused 6 and 23/11 refused 63 where
+24/12 refused 1.  As b -> -1 the fine weights alternate in sign:
+sum|w| / sum w is 30.8 at b = -0.999 and 14.8 at -0.9, against 1.000 on
+[-0.5, 1] and at most 1.013 up to 6, and the rounding of the weighted sum
+grows by the same factor.  So each piece's estimate adds the rounding
+bound of its 31-term weighted sum, 16 eps sum|w_i g_i| (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2: gamma_31 is
+below 16 eps), and the stop test's floor is a multiple of the same sums, so
+bisection never chases the rounding it cannot shrink.
 
 The integrand's own series are summed over all nodes of a call at once
 (series.sum_series): the terms are formed one by one at the largest node
 only, then rescaled to every node by one nodes-by-terms product.  Most of
 a call's cost is that per-term loop, tens of microseconds that barely grow
-with the node count.  So g is called once per piece, on the fine nodes,
-and the dyadic log rule calls g once per block of LOG_BLOCK pieces.
+with the node count.  So g is called once per piece, on the fine nodes.
 evaluations counts every node g saw.  In the operators' integrands the
 kernel part of that cost is paid once per kernel and node set, not per
 call: operators memoizes the kernel's values by node bytes, so another x
@@ -44,13 +54,14 @@ of the same draw pays only for the integrand's own smooth part.
 
 What a call costs beyond g: its one or two start pieces, each one rule
 lookup, the piece's nodes (mapped once per piece geometry and cached, read
-only), and two dot products over 31 values, then one stop test.  Neither
-benchmark workload ever bisects, so a call that meets tolerance on its
-start pieces returns there, and only one that misses it builds the
-QUADPACK-style heap of pieces, seeded with the pieces it already has.  A
-piece whose value or estimate is not finite raises DomainError where it is
-evaluated: bisection cannot repair it, and a NaN estimate fails every stop
-test, so such a piece once bisected down to float resolution.
+only), one 2 x 31 product for both rules and one 31-term sum for the
+rounding bound, then one stop test.  Neither benchmark workload ever
+bisects, so a call that meets tolerance on its start pieces returns there,
+and only one that misses it builds the QUADPACK-style heap of pieces,
+seeded with the pieces it already has.  A piece whose value or estimate is
+not finite raises DomainError where it is evaluated: bisection cannot
+repair it, and a NaN estimate fails every stop test, so such a piece once
+bisected down to float resolution.
 """
 
 from __future__ import annotations
@@ -65,10 +76,13 @@ import numpy as np
 from .errors import AccuracyError, DomainError, require_finite, require_positive_finite
 
 MAX_INTERVALS = 2000
-LOG_BLOCK = 8  # dyadic pieces per integrand call in integrate_log_jacobi
 
-# the rounding floor of a sum of pieces, as a multiple of its absolute sum
-_NOISE = 100.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+# a piece's rounding bound, per unit of its sum |w_i g_i|: gamma_31 < 16 eps
+_ROUNDING = 16.0 * _EPS
+# the stop test's floor, per unit of the pieces' summed sum |w_i g_i|: it
+# covers their rounding bounds with room for the rule difference's own noise
+_NOISE = 100.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,12 @@ _COARSE_FIRST = np.r_[1:31:2, 0:31:2]
 _NODES = np.sin(np.pi * np.arange(-15, 16) / 32)[_COARSE_FIRST]
 _FINE = _fejer_matrix(32)[:, _COARSE_FIRST]
 _COARSE = _fejer_matrix(16)
-for _array in (_NODES, _FINE, _COARSE):
+# Both side by side, the coarse rule's 15 columns padded to 31 with zeros:
+# moments @ _PAIR, reshaped to 2 x 31, is the pair's weights, row by rule.
+_PAIR = np.zeros((31, 62))
+_PAIR[:15, :15] = _COARSE
+_PAIR[:, 31:] = _FINE
+for _array in (_NODES, _FINE, _COARSE, _PAIR):
     _array.flags.writeable = False
 
 
@@ -144,6 +163,22 @@ def _moments(e: float) -> list:
     return m
 
 
+def _log_moments(e: float) -> list:
+    """H_k = int_-1^1 (1+x)^e log((1+x)/2) T_k(x) dx for k < 31, by QMOMO's
+    recurrence: _moments' recurrence differentiated in e, whose log 2 terms
+    cancel.  Within 1.2e-15 |H_0| of the exact moments for every e sampled
+    in [-0.999, 30], and 2.3e-15 |H_0| at e = -0.99999."""
+    m = _moments(e)
+    h = [-m[0] / (e + 1.0)]
+    h.append(-(2.0 ** (e + 2.0)) / (e + 2.0) ** 2 - h[0])
+    for k in range(2, 31):
+        h.append(
+            -(k * (k - e - 2.0) * h[-1] - k * m[k - 1] + (k - 1.0) * m[k])
+            / ((k - 1.0) * (k + e + 1.0))
+        )
+    return h
+
+
 # Exponents are new reals on every draw, so a rule is reused only within a
 # draw: on both benchmark workloads the hit share at 8 entries is within
 # 0.005 of that at 4,096 (0.723 and 0.667), while each entry holds about
@@ -152,33 +187,29 @@ _RULES = 64
 
 
 @lru_cache(maxsize=_RULES)
-def _rule(a: float, b: float):
-    """(coarse, fine) weights on [-1, 1] for the weight (1-x)^a (1+x)^b, at
-    least one of a and b zero, for the nodes _NODES[:15] and _NODES.
+def _rule(a: float, b: float, log_h: float | None = None):
+    """(weights, abs_fine) on [-1, 1] for the weight (1-x)^a (1+x)^b, at
+    least one of a and b zero, times (log((1+x)/2) + log_h) unless log_h is
+    None (then a is zero).
 
-    The arrays are read-only, since every caller shares the cached pair.
+    weights is 2 x 31: the coarse rule's 15 weights, zero past them, and
+    the fine rule's, for the nodes _NODES, so one product gives both rules;
+    abs_fine is what the fine rule's rounding bound sums against |g|: |w|,
+    or |w_H| + |log_h| |w_M| for the two moment sets of a log weight.  The
+    arrays are read-only, since every caller shares the cached pair.
     """
     m = np.array(_moments(b if b else a))
     if a:  # the moments of (1-x)^a are (-1)^k M_k(a)
         m[1::2] *= -1.0
-    coarse = m[:15] @ _COARSE
-    fine = m @ _FINE
-    coarse.flags.writeable = False
-    fine.flags.writeable = False
-    return coarse, fine
-
-
-def _legendre(n: int):
-    """The n-point Gauss-Legendre rule by Golub-Welsch (Math. Comp. 23, 1969):
-    nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence, weights twice the squared first eigenvector components."""
-    k = np.arange(1.0, n)
-    x, v = np.linalg.eigh(np.diag(np.sqrt(k * k / (4.0 * k * k - 1.0)), -1))
-    return x, 2.0 * v[0] ** 2
-
-
-# the log rule's, fixed: built once, at import
-_LOG_X, _LOG_W = _legendre(12)
+    weights = m.dot(_PAIR).reshape(2, 31)
+    abs_fine = np.abs(weights[1])
+    if log_h is not None:
+        log_weights = np.array(_log_moments(b)).dot(_PAIR).reshape(2, 31)
+        abs_fine = np.abs(log_weights[1]) + abs(log_h) * abs_fine
+        weights = log_weights + log_h * weights
+    weights.flags.writeable = False
+    abs_fine.flags.writeable = False
+    return weights, abs_fine
 
 
 # A piece's nodes depend only on its ends.  An unbisected call has one or
@@ -197,119 +228,53 @@ def _nodes_on(plo: float, phi: float) -> np.ndarray:
     return u
 
 
-def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi):
+def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, log_lo):
     """The coarse and fine weighted rules over [plo, phi] within [lo, hi].
 
     g is called once, on the fine rule's nodes; the coarse rule reads the
-    first 15 values, at its own nodes.  Returns the fine value,
-    |fine - coarse| and the number of nodes g saw.  Raises DomainError when
-    either is not finite: no bisection can make such a piece meet a
-    tolerance, and a NaN estimate fails every stop test.
+    first 15 values, at its own nodes.  Returns the fine value, its estimate
+    |fine - coarse| plus its rounding bound, the sum |w_i g_i| that bound is
+    taken of (scaled to the piece), and the number of nodes g saw.  Raises
+    DomainError when the value or the estimate is not finite: no bisection
+    can make such a piece meet a tolerance, and a NaN estimate fails every
+    stop test.
     """
     touches_lo = plo == lo
     touches_hi = phi == hi
     aj = exp_hi if touches_hi else 0.0
     bj = exp_lo if touches_lo else 0.0
-    w_coarse, w_fine = _rule(aj, bj)
     u = _nodes_on(plo, phi)
     vals = g(u)
     if not touches_hi and exp_hi != 0.0:
         vals = vals * np.power(hi - u, exp_hi)
-    if not touches_lo and exp_lo != 0.0:
-        vals = vals * np.power(u - lo, exp_lo)
-    scale = ((phi - plo) / 2.0) ** (aj + bj + 1.0)
-    coarse = scale * float(np.dot(w_coarse, vals[:15]))
-    fine = scale * float(np.dot(w_fine, vals))
-    err = abs(fine - coarse)
+    if not touches_lo:
+        if exp_lo != 0.0:
+            vals = vals * np.power(u - lo, exp_lo)
+        if log_lo:
+            vals = vals * np.log(u - lo)
+    h = phi - plo
+    weights, abs_fine = _rule(aj, bj, math.log(h) if log_lo and touches_lo else None)
+    scale = (h / 2.0) ** (aj + bj + 1.0)
+    wabs = scale * float(abs_fine.dot(np.abs(vals)))
+    if math.isfinite(wabs):  # else the rules' products would meet 0 * inf
+        coarse, fine = weights.dot(vals).tolist()
+        fine *= scale
+        err = abs(fine - scale * coarse) + _ROUNDING * wabs
+    else:
+        fine = err = wabs
     if not (math.isfinite(fine) and math.isfinite(err)):
         raise DomainError(
             f"integrate_jacobi: value {fine!r} or estimate {err!r} on the piece "
             f"[{plo!r}, {phi!r}] is not finite"
         )
-    return fine, err, u.size
+    return fine, err, wabs, u.size
 
 
-def _meets(total: float, total_abs: float, total_err: float, tol: float) -> bool:
+def _meets(total: float, total_wabs: float, total_err: float, tol: float) -> bool:
     """integrate_jacobi's stop test: the summed estimate meets tol, absolute
-    or relative, or sits on the rounding floor of the summed pieces."""
-    return total_err <= max(tol, tol * abs(total), _NOISE * total_abs)
-
-
-def integrate_log_jacobi(
-    g,
-    h: float,
-    exp_lo: float,
-    tol: float = 1e-9,
-) -> QuadratureResult:
-    """Integral of u**exp_lo * log(u) * g(u) over (0, h) for g analytic on [0, h].
-
-    The log factor defeats fixed endpoint-weight rules, but on each dyadic
-    piece [h/2^(j+1), h/2^j] the whole integrand is analytic, so a single
-    12-point Gauss-Legendre rule there is exact to rounding.  Pieces are
-    accumulated downward until the analytic bound on the remaining [0, h/2^J]
-    tail (|g| bounded near 0, weight integrated exactly) meets the same
-    absolute-or-relative tolerance rule as integrate_jacobi.  g is called
-    once per block of LOG_BLOCK consecutive pieces (never past MAX_INTERVALS),
-    on every node of the block plus each piece's tail probe; the pieces are
-    then accumulated and tested in order, and those past the stopping piece
-    are discarded.  evaluations counts every node g saw, discarded pieces
-    included.  Piece scales h_j^(exp_lo+1) are formed in log space, so
-    arbitrarily deep descent cannot overflow.  Requires exp_lo > -1 and
-    0 < h <= 1.  Raises DomainError at the first piece, in order, whose value
-    or tail bound is not finite; a discarded piece is never tested.
-    """
-    if not (0.0 < h <= 1.0):
-        raise DomainError(f"integrate_log_jacobi: h must lie in (0, 1], got {h!r}")
-    if not (exp_lo > -1.0):
-        raise DomainError(
-            f"integrate_log_jacobi: endpoint exponent {exp_lo!r} must exceed -1"
-        )
-    require_positive_finite("integrate_log_jacobi", "tol", tol)
-
-    s = 1.0 + 0.5 * (_LOG_X + 1.0)  # nodes mapped to [1, 2]
-    s_pow = np.power(s, exp_lo)
-    log_s = np.log(s)
-    # each piece's tail probe at a/2 rides along with its nodes
-    s_probe = np.append(s, 0.5)
-    q1 = exp_lo + 1.0
-    log_h = math.log(h)
-
-    total = 0.0
-    total_abs = 0.0
-    evals = 0
-    for first in range(0, MAX_INTERVALS, LOG_BLOCK):
-        log_as = [
-            log_h - (j + 1.0) * math.log(2.0)
-            for j in range(first, min(first + LOG_BLOCK, MAX_INTERVALS))
-        ]
-        u = np.multiply.outer([math.exp(log_a) for log_a in log_as], s_probe)
-        g_all = g(u.ravel()).reshape(u.shape)
-        evals += u.size
-        # sup |g| on [0, a] from the piece's nodes and its probe
-        g_sups = 2.0 * np.abs(g_all).max(axis=1)
-        for log_a, g_row, g_sup in zip(log_as, g_all, g_sups):
-            scale = math.exp(q1 * log_a) * 0.5
-            piece = scale * float(np.dot(_LOG_W, s_pow * (log_a + log_s) * g_row[:-1]))
-            total += piece
-            total_abs += abs(piece)
-            # tail bound: int_0^a u^exp_lo |log u| du * sup |g| on [0, a]
-            tail = math.exp(q1 * log_a) / q1 * (-log_a + 1.0 / q1) * float(g_sup)
-            if not (math.isfinite(piece) and math.isfinite(tail)):
-                raise DomainError(
-                    f"integrate_log_jacobi: value {piece!r} or tail bound {tail!r} on "
-                    f"the piece at {math.exp(log_a)!r} is not finite"
-                )
-            noise = _NOISE * total_abs
-            err = tail + noise
-            if tail <= max(tol, tol * abs(total), noise):
-                return QuadratureResult(total, err, evals)
-    raise AccuracyError(
-        f"integrate_log_jacobi: {MAX_INTERVALS} pieces without reaching tol={tol!r} "
-        f"(tail bound {float(tail)!r})",
-        value=float(total),
-        error_estimate=float(err),
-        evaluations=evals,
-    )
+    or relative, or sits on the rounding floor of the pieces' weighted sums,
+    which covers the rounding bounds inside the estimate."""
+    return total_err <= max(tol, tol * abs(total), _NOISE * total_wabs)
 
 
 def integrate_jacobi(
@@ -319,12 +284,15 @@ def integrate_jacobi(
     exp_lo: float = 0.0,
     exp_hi: float = 0.0,
     tol: float = 1e-9,
+    *,
+    log_lo: bool = False,
 ) -> QuadratureResult:
-    """Adaptive integral of (hi-u)^exp_hi (u-lo)^exp_lo g(u) over (lo, hi).
+    """Adaptive integral of (hi-u)^exp_hi (u-lo)^exp_lo g(u) over (lo, hi),
+    times log(u-lo) when log_lo.
 
     tol is absolute-or-relative, whichever is larger at the result's scale.
     Each piece calls g once, on the 31 nodes of its fine rule, so evaluations
-    is 31 per piece.  With both exponents nonzero the interval starts as two
+    is 31 per piece.  With weights at both ends the interval starts as two
     pieces, split at its midpoint; it must be wide enough to split.  A piece
     at float resolution is no longer bisected but keeps its estimate in the
     total.  When the start pieces meet tolerance, as every piece of both
@@ -345,7 +313,7 @@ def integrate_jacobi(
         )
     require_positive_finite("integrate_jacobi", "tol", tol)
     starts = [(lo, hi)]
-    if exp_lo != 0.0 and exp_hi != 0.0:  # a rule carries one endpoint weight
+    if (exp_lo != 0.0 or log_lo) and exp_hi != 0.0:  # a rule carries one endpoint weight
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             raise DomainError(
@@ -354,59 +322,61 @@ def integrate_jacobi(
             )
         starts = [(lo, mid), (mid, hi)]
 
+    spec = (lo, hi, exp_lo, exp_hi, log_lo)
     pieces = []
-    total = total_abs = total_err = 0.0
+    total = total_wabs = total_err = 0.0
     evals = 0
     for plo, phi in starts:
-        val, err, nodes = _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi)
-        pieces.append((plo, phi, val, err))
+        val, err, wabs, nodes = _eval_pair(g, plo, phi, *spec)
+        pieces.append((plo, phi, val, err, wabs))
         evals += nodes
         total += val
-        total_abs += abs(val)
+        total_wabs += wabs
         total_err += err
-    if _meets(total, total_abs, total_err, tol):
+    if _meets(total, total_wabs, total_err, tol):
         return QuadratureResult(total, total_err, evals)
-    return _bisect(g, lo, hi, exp_lo, exp_hi, tol, pieces, (total, total_abs, total_err, evals))
+    return _bisect(g, spec, tol, pieces, (total, total_wabs, total_err, evals))
 
 
-def _bisect(g, lo, hi, exp_lo, exp_hi, tol, pieces, sums) -> QuadratureResult:
+def _bisect(g, spec, tol, pieces, sums) -> QuadratureResult:
     """integrate_jacobi past its start pieces, which missed tol: bisect the
     piece of largest estimate until the sums meet the stop test.
 
-    pieces are the start pieces (plo, phi, value, estimate), in order; sums
-    are their running total, absolute total, estimate and evaluations, so no
-    piece is evaluated twice.  A piece at float resolution is kept, with its
-    estimate, and never popped again.
+    spec is the call's (lo, hi, exp_lo, exp_hi, log_lo); pieces are the
+    start pieces (plo, phi, value, estimate, weighted absolute sum), in
+    order; sums are their running total, weighted absolute sum, estimate
+    and evaluations, so no piece is evaluated twice.  A piece at float
+    resolution is kept, with its estimate, and never popped again.
     """
-    total, total_abs, total_err, evals = sums
-    heap = [(-err, i, plo, phi, val, err) for i, (plo, phi, val, err) in enumerate(pieces)]
+    total, total_wabs, total_err, evals = sums
+    heap = [(-piece[3], i, *piece) for i, piece in enumerate(pieces)]
     heapq.heapify(heap)
     counter = len(heap)
     while True:
         if len(heap) >= MAX_INTERVALS:
             reason = f"{MAX_INTERVALS} intervals"
             break
-        priority, _, plo, phi, pval, perr = heapq.heappop(heap)
+        priority, _, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
         if priority >= 0.0:  # only kept or zero-estimate pieces left: bisection cannot help
             reason = "pieces at float resolution"
             break
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:  # at float resolution: keep it, and its estimate
-            heapq.heappush(heap, (math.inf, counter, plo, phi, pval, perr))
+            heapq.heappush(heap, (math.inf, counter, plo, phi, pval, perr, pwabs))
             counter += 1
             continue
         total -= pval
-        total_abs -= abs(pval)
+        total_wabs -= pwabs
         total_err -= perr
         for qlo, qhi in ((plo, mid), (mid, phi)):
-            v, e, nodes = _eval_pair(g, qlo, qhi, lo, hi, exp_lo, exp_hi)
+            v, e, wabs, nodes = _eval_pair(g, qlo, qhi, *spec)
             evals += nodes
-            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e))
+            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e, wabs))
             counter += 1
             total += v
-            total_abs += abs(v)
+            total_wabs += wabs
             total_err += e
-        if _meets(total, total_abs, total_err, tol):
+        if _meets(total, total_wabs, total_err, tol):
             return QuadratureResult(total, total_err, evals)
     raise AccuracyError(
         f"integrate_jacobi: {reason} without reaching tol={tol!r} "
@@ -415,3 +385,10 @@ def _bisect(g, lo, hi, exp_lo, exp_hi, tol, pieces, sums) -> QuadratureResult:
         error_estimate=float(total_err),
         evaluations=evals,
     )
+
+
+def integrate_log_jacobi(g, h: float, exp_lo: float, tol: float = 1e-9) -> QuadratureResult:
+    """Integral of u**exp_lo * log(u) * g(u) over (0, h) for g analytic on
+    [0, h]: integrate_jacobi with the log weight, the entry point of the
+    kernel's log branches."""
+    return integrate_jacobi(g, 0.0, h, exp_lo, 0.0, tol, log_lo=True)

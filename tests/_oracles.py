@@ -4,7 +4,8 @@ These deliberately avoid the package's own code paths: log-gamma comes from
 a shifted Stirling series with Bernoulli-number corrections, the classical
 Bessel function from its direct power series via math.gamma, the
 hypergeometric sums from brute-force Pochhammer products, and the Chebyshev
-moments of a Jacobi weight in exact rational arithmetic.
+moments of a Jacobi weight, and of its log weight, in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -120,17 +121,23 @@ def _shifted_chebyshev(n: int) -> list:
     return polys[:n]
 
 
-def chebyshev_moments_oracle(b: float, n: int = 31) -> list:
-    """int_-1^1 (1+x)^b T_k(x) dx for k < n, b > -1.
+def chebyshev_moments_oracle(b: float, n: int = 31, log: bool = False) -> list:
+    """int_-1^1 (1+x)^b T_k(x) dx for k < n, b > -1; with log, the log
+    moments int_-1^1 (1+x)^b log((1+x)/2) T_k(x) dx.
 
     With x = 2s - 1 the moment is 2^(b+1) sum_j c_kj / (b+j+1), the c_kj of
-    T_k(2s - 1); the sum is formed exactly in rationals at the float b's
-    exact value, so its heavy cancellation costs nothing, and only the final
-    product with 2^(b+1) rounds.
+    T_k(2s - 1), and the log moment -2^(b+1) sum_j c_kj / (b+j+1)^2, since
+    int_0^1 s^p log(s) ds = -1/(p+1)^2 and log((1+x)/2) is log(s) exactly:
+    the log 2 of log(1+x) = log 2 + log(s) is the one the log moments take
+    out, so no log 2 factor enters.  The sum is formed exactly in rationals
+    at the float b's exact value, so its heavy cancellation costs nothing,
+    and only the final product with 2^(b+1) rounds.
     """
     exact_b = Fraction(b)
+    power, sign = (2, -1.0) if log else (1, 1.0)
     return [
-        2.0 ** (b + 1.0) * float(sum(Fraction(c) / (exact_b + j + 1) for j, c in enumerate(cs)))
+        sign * 2.0 ** (b + 1.0)
+        * float(sum(Fraction(c) / (exact_b + j + 1) ** power for j, c in enumerate(cs)))
         for cs in _shifted_chebyshev(n)
     ]
 

@@ -236,12 +236,12 @@ def test_verify_negative_seed_exits_2(capsys):
 
 
 def test_transform_uncertifiable_tolerance_exits_3(capsys):
-    # lam == beta makes the exact image zero by cancellation: the quadrature
-    # cannot certify a relative target that tight and must say so
+    # a relative target of 1e-17 is below the rounding bound of every
+    # quadrature piece: the transform cannot certify it and must say so
     code, _, err = run(
         capsys, "transform", "--family", "saigo", "--side", "left",
         "--alpha", "1.0", "--beta", "0.25", "--eta", "0.25",
-        "--x", "0.5", "--monomial", "0.25", "--tol", "1e-10",
+        "--x", "0.5", "--monomial", "1.3", "--tol", "1e-17",
     )
     assert code == 3
     assert "accuracy" in err

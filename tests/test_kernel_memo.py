@@ -26,7 +26,7 @@ _OPS = [
     # two-branch connection formula
     ("left", 1.3, SaigoParams(0.8, 0.2, 1.1), 1e-9),
     ("right", 0.6, SaigoParams(0.8, 0.2, 1.1), 1e-9),
-    # integer eta-beta: logarithmic expansion and the dyadic log rule
+    # integer eta-beta: logarithmic expansion and the log-moment rule
     ("left", 1.3, SaigoParams(1.3, 0.25, 1.25), 1e-9),
     ("right", 0.6, SaigoParams(1.3, 0.25, 1.25), 1e-9),
     # Riemann-Liouville: beta = -alpha, kernel 1
@@ -46,8 +46,8 @@ _OPS = [
     ("right", 0.2, SaigoParams(0.5, -0.5 + 5e-10, 0.7), 1e-12),
     # DomainError after the upper half: branch exponent -0.8 - 0.5 <= -1
     ("left", 0.2, SaigoParams(1.0, 1.0, 0.5), 1e-9),
-    # AccuracyError: lam == beta cancels the image to zero
-    ("left", 0.25, SaigoParams(1.0, 0.25, 0.25), 1e-10),
+    # AccuracyError: a tol below every piece's rounding bound
+    ("left", 1.3, SaigoParams(1.3, 0.25, 1.25), 1e-17),
 ]
 
 # k-Bessel integrands through the harness, both sides and a reduction each
@@ -173,3 +173,26 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
     assert info.maxsize is not None and info.maxsize <= 64
     nodes = np.linspace(0.0, 0.5, 5).tobytes()
     assert not operators._draw_factor(0.3, nodes).flags.writeable
+
+
+def test_log_branch_shares_the_lower_half_nodes():
+    # integer eta-beta: the log branch integrates over the lower half's 31
+    # nodes like the other branches, so the transform evaluates the smooth
+    # part once per half, and the log branch's kernel series once per draw
+    smooth_nodes = []
+
+    def ones(t):
+        smooth_nodes.append(t.size)
+        return np.ones_like(t)
+
+    f = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
+    p = SaigoParams(1.3, 0.25, 1.25)
+    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
+    assert any(t.log_factor for t in operators._split(*kernel))
+    for x in X_POINTS:
+        before = len(smooth_nodes)
+        saigo_left(f, p, x)
+        assert smooth_nodes[before:] == [31, 31]
+    # the upper half's kernel and one array per lower-half branch
+    info = operators._kernel_at.cache_info()
+    assert info.misses == 1 + len(operators._split(*kernel))

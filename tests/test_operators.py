@@ -17,7 +17,6 @@ from fracbessel import (
     eval_pfq,
     eval_wright,
     evaluate_closed_form,
-    quadrature,
     theorem21_spec,
 )
 from fracbessel.errors import AccuracyError, DomainError
@@ -385,9 +384,10 @@ def test_near_integer_eta_minus_beta_error_within_estimate(lam, eta):
 
 
 def test_refused_transform_and_soft_pieces_report_their_evaluations():
-    # lam == beta: the exact image is zero by cancellation, so a 1e-10
-    # relative target cannot be certified; the refusal still counts every
-    # node the integrand was sampled at
+    # a relative target of 1e-17 is below every piece's rounding bound, 16
+    # eps of its weighted sum, so it cannot be certified; the refusal still
+    # counts every node the integrand was sampled at (kernel 1: one
+    # lower-half branch, so no node set is shared between branches)
     seen = []
 
     def ones(t):
@@ -396,7 +396,7 @@ def test_refused_transform_and_soft_pieces_report_their_evaluations():
 
     f = Integrand(fn=lambda t: np.power(t, -0.75), exponent_at_zero=-0.75, smooth_at_zero=ones)
     with pytest.raises(AccuracyError) as info:
-        saigo_left(f, SaigoParams(alpha=1.0, beta=0.25, eta=0.25), 0.5, tol=1e-10)
+        saigo_left(f, SaigoParams(alpha=1.0, family=Family.RIEMANN_LIOUVILLE), 0.5, tol=1e-17)
     assert info.value.evaluations == sum(seen) > 0
 
     def refuse(*args):
@@ -404,6 +404,29 @@ def test_refused_transform_and_soft_pieces_report_their_evaluations():
 
     r = _integrate_soft(refuse)
     assert (r.value, r.error_estimate, r.evaluations) == (1.0, 0.5, 42)
+
+
+# ------------------------------------------- integer eta-beta: the log branch
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("beta", [-0.3, 0.25, 0.8])
+@pytest.mark.parametrize("alpha", [0.7, 1.6])
+def test_snapped_transforms_reach_their_images_within_their_estimates(alpha, beta, m):
+    # eta = beta + m puts a log(u) branch in the kernel, which the log-moment
+    # rule integrates on the lower half's own nodes, to near rounding
+    p = SaigoParams(alpha, beta, beta + m)
+    cases = [
+        (saigo_left, saigo_left_monomial, max(0.0, -m) + 0.9),
+        (saigo_right, saigo_right_monomial, 1.0 + min(beta, beta + m) - 0.9),
+    ]
+    for transform, image, lam in cases:
+        coeff, exponent = image(p, lam)
+        for x in (0.5, 1.0, 2.0):
+            r = transform(monomial(lam), p, x)
+            err = abs(r.value - coeff * x**exponent)
+            assert err <= r.error_estimate, (transform.__name__, x)
+            assert err <= 1e-12 * abs(coeff * x**exponent), (transform.__name__, x)
 
 
 # ------------------------------------------------ quadrature nodes are interior
@@ -487,8 +510,8 @@ def test_non_finite_smooth_part_raises_domain_error(side, p, name):
     with pytest.raises(DomainError, match="not finite"):
         transform(f, p, 1.0)
     # refused at the first non-finite piece: the upper half's one piece, or
-    # the lower half's first piece or first block of dyadic pieces
-    assert len(seen) <= 2 and sum(seen) <= 31 + quadrature.LOG_BLOCK * 13
+    # the lower half's first piece, whose nodes every branch shares
+    assert len(seen) <= 2 and sum(seen) <= 2 * 31
 
 
 # ------------------------------------------------------- validity guards

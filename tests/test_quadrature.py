@@ -1,5 +1,5 @@
 """Adaptive quadrature with endpoint power weights: nested Fejér rules built
-from Chebyshev moments, and the dyadic log-weight rule."""
+from Chebyshev moments, the log weight's rule among them."""
 
 import heapq
 import math
@@ -16,6 +16,7 @@ from _oracles import JACOBI_POLY_INTEGRALS, chebyshev_moments_oracle
 
 EPS = np.finfo(float).eps
 FINE = 31  # nodes of the fine rule, so evaluations per piece
+ROUNDING = 16.0 * EPS  # a piece's rounding bound per unit of sum |w_i g_i|
 
 
 def test_plain_polynomial():
@@ -94,13 +95,12 @@ def test_budget_exhaustion_raises_with_partial_value(monkeypatch):
     assert seen == [FINE] * 5
     assert err.evaluations == sum(seen)
 
+    # the log weight's pieces share the heap, the budget and the count
     seen.clear()
-    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
     with pytest.raises(AccuracyError) as info:
         integrate_log_jacobi(g, 1.0, 0.0, tol=1e-14)
-    # one g call on 4 dyadic pieces (the block stops at the budget), each 12
-    # nodes plus the tail probe
-    assert seen == [4 * (12 + 1)]
+    assert info.value.error_estimate > 0
+    assert seen == [FINE] * 5
     assert info.value.evaluations == sum(seen)
 
 
@@ -133,7 +133,7 @@ def test_float_resolution_piece_keeps_its_estimate():
         return np.where(u > 1.0, 1.0, 0.0)
 
     lo, hi = 1.0, math.nextafter(1.0, 2.0)
-    _, piece_err, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0)
+    _, piece_err, _, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0, False)
     assert piece_err > 1e-10
     with pytest.raises(AccuracyError, match="float resolution") as info:
         integrate_jacobi(g, lo, hi, exp_lo=-0.5, tol=1e-14)
@@ -148,23 +148,22 @@ def test_non_finite_integrand_raises_at_its_first_piece(bad):
         integrate_jacobi(counted, 0.0, 1.0, exp_lo=-0.5)
     assert seen == [FINE]
 
-    # the dyadic rule first meets u < 2e-4 at the tail probe of its eleventh
-    # piece, in its second block
-    counted, seen = _counting(lambda u: np.where(u < 2e-4, bad, np.cos(u)))
+    # the log weight's first piece is [0, 1/2], whose lowest node is 1.2e-3
+    counted, seen = _counting(lambda u: np.where(u < 2e-3, bad, np.cos(u)))
     with pytest.raises(DomainError, match="not finite"):
         integrate_log_jacobi(counted, 0.5, -0.5)
-    assert seen == _log_blocks(2 * quadrature.LOG_BLOCK)
+    assert seen == [FINE]
 
 
 def test_non_finite_values_past_the_stopping_piece_are_discarded():
-    # a loose tol stops the log rule at its first piece; the tail probe of
-    # the block's last piece is at u < 1e-3, and its value is discarded
+    # the log weight's call stops on its first piece, whose lowest node is
+    # 1.2e-3; a deeper piece would reach u < 1e-3, but none is evaluated
     def g(u):
         return np.where(u < 1e-3, math.nan, np.cos(u))
 
     r = integrate_log_jacobi(g, 0.5, 2.0, tol=0.05)
     assert r == integrate_log_jacobi(np.cos, 0.5, 2.0, tol=0.05)
-    assert r.evaluations == quadrature.LOG_BLOCK * 13
+    assert r.evaluations == FINE
 
 
 @pytest.mark.parametrize(
@@ -192,7 +191,7 @@ def test_result_is_immutable_record():
         r.value = 0.0
 
 
-# ------------------------------------------------- log-weight dyadic rule
+# ------------------------------------------------------- log-weight rule
 
 
 @pytest.mark.parametrize("q", [0.0, -0.5, -0.94, 2.0])
@@ -211,7 +210,7 @@ def test_log_weight_with_smooth_factor():
 
 
 def test_log_weight_estimate_is_honest_near_slow_exponent():
-    # q+1 = 0.06 makes the dyadic tail decay slowly; the bound must still cover
+    # q+1 = 0.06 makes the weights alternate strongly; the estimate must still cover
     r = integrate_log_jacobi(lambda u: 1.0 / (1.0 + u), 0.5, -0.94, tol=1e-10)
     # reference by the same closed-form moments against the geometric series
     exact = sum(
@@ -222,18 +221,36 @@ def test_log_weight_estimate_is_honest_near_slow_exponent():
     assert abs(r.value - exact) <= max(10.0 * r.error_estimate, 1e-12)
 
 
+def test_log_piece_bisects_through_the_shared_heap():
+    # an oscillatory smooth part: the piece touching 0 keeps the log weight,
+    # the pieces bisected off it carry log(u) in g, and the sum converges
+    sici = pytest.importorskip("scipy.special").sici
+    # int_0^h log(u) cos(w u) du = (log(h) sin(w h) - Si(w h)) / w
+    w, h = 300.0, 0.5
+    r = integrate_log_jacobi(lambda u: np.cos(w * u), h, 0.0, tol=1e-12)
+    want = (math.log(h) * math.sin(w * h) - sici(w * h)[0]) / w
+    assert r.evaluations > 9 * FINE
+    assert abs(r.value - want) <= r.error_estimate <= 1e-12
+
+    # u^40 is past what either rule integrates exactly; the reference is
+    # int_0^1 u^(40-1/2) log(u) du = -1/40.5^2
+    r = integrate_log_jacobi(lambda u: u**40, 1.0, -0.5, tol=1e-14)
+    assert r.evaluations > FINE
+    assert abs(r.value + 1.0 / 40.5**2) <= r.error_estimate <= 1e-14
+
+
 def test_log_weight_domain_validation():
     with pytest.raises(DomainError):
         integrate_log_jacobi(lambda u: u, 0.5, -1.0)
     with pytest.raises(DomainError):
         integrate_log_jacobi(lambda u: u, 0.0, -0.5)
     with pytest.raises(DomainError):
-        integrate_log_jacobi(lambda u: u, 2.0, -0.5)
+        integrate_log_jacobi(lambda u: u, math.inf, -0.5)
     with pytest.raises(DomainError):
         integrate_log_jacobi(lambda u: u, 0.5, -0.5, tol=0.0)
 
 
-# ------------------------------------- one integrand call per piece / block
+# ------------------------------------------- one integrand call per piece
 
 
 def _counting(g):
@@ -251,60 +268,75 @@ def _fejer_nodes(n):
     return np.sin(np.pi * np.arange(1 - n // 2, n // 2) / n)
 
 
-def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol):
+def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol, log_lo=False, max_bisections=None):
     """The adaptive rule with one g call per rule of the pair, each on its
-    own nodes: (value, estimate, pieces)."""
+    own nodes: (value, estimate, pieces), or AccuracyError after
+    max_bisections bisections."""
     pieces = 0
 
-    def rule_value(plo, phi, x, w):
+    def rule_values(plo, phi, x):
         h2 = (phi - plo) / 2.0
         u = plo + h2 * (x + 1.0)
         vals = g(u)
         if phi != hi and exp_hi != 0.0:
             vals = vals * np.power(hi - u, exp_hi)
-        if plo != lo and exp_lo != 0.0:
-            vals = vals * np.power(u - lo, exp_lo)
-        aj = exp_hi if phi == hi else 0.0
-        bj = exp_lo if plo == lo else 0.0
-        return h2 ** (aj + bj + 1.0) * float(np.dot(w, vals))
+        if plo != lo:
+            if exp_lo != 0.0:
+                vals = vals * np.power(u - lo, exp_lo)
+            if log_lo:
+                vals = vals * np.log(u - lo)
+        return vals
 
     def piece(plo, phi):
         nonlocal pieces
         pieces += 1
-        w_coarse, w_fine = quadrature._rule(exp_hi if phi == hi else 0.0, exp_lo if plo == lo else 0.0)
-        coarse = rule_value(plo, phi, _fejer_nodes(16), w_coarse)
+        aj = exp_hi if phi == hi else 0.0
+        bj = exp_lo if plo == lo else 0.0
+        log_h = math.log(phi - plo) if log_lo and plo == lo else None
+        weights, abs_fine = quadrature._rule(aj, bj, log_h)
+        scale = ((phi - plo) / 2.0) ** (aj + bj + 1.0)
+        # the coarse row's weights past its 15 nodes are zero
+        coarse_vals = np.concatenate((rule_values(plo, phi, _fejer_nodes(16)), np.zeros(16)))
+        coarse = scale * float(weights.dot(coarse_vals)[0])
         # the fine weights are ordered as the coarse nodes, then the others
         fine_x = np.concatenate((_fejer_nodes(16), _fejer_nodes(32)[0::2]))
-        fine = rule_value(plo, phi, fine_x, w_fine)
-        return fine, abs(fine - coarse)
+        fine_vals = rule_values(plo, phi, fine_x)
+        fine = scale * float(weights.dot(fine_vals)[1])
+        wabs = scale * float(abs_fine.dot(np.abs(fine_vals)))
+        return fine, abs(fine - coarse) + ROUNDING * wabs, wabs
 
     starts = [(lo, hi)]
-    if exp_lo != 0.0 and exp_hi != 0.0:
+    if (exp_lo != 0.0 or log_lo) and exp_hi != 0.0:
         mid = 0.5 * (lo + hi)
         starts = [(lo, mid), (mid, hi)]
     heap = []
-    total = total_abs = total_err = 0.0
+    total = total_wabs = total_err = 0.0
     for plo, phi in starts:
-        val, err = piece(plo, phi)
-        heap.append((-err, len(heap), plo, phi, val, err))
+        val, err, wabs = piece(plo, phi)
+        heap.append((-err, len(heap), plo, phi, val, err, wabs))
         total += val
-        total_abs += abs(val)
+        total_wabs += wabs
         total_err += err
     heapq.heapify(heap)
     counter = len(heap)
-    while total_err > max(tol, tol * abs(total), 100.0 * EPS * total_abs):
-        _, _, plo, phi, pval, perr = heapq.heappop(heap)
+    bisections = 0
+    while total_err > max(tol, tol * abs(total), 100.0 * EPS * total_wabs):
+        if bisections == max_bisections:
+            raise AccuracyError("reference", value=total, error_estimate=total_err,
+                                evaluations=FINE * pieces)
+        bisections += 1
+        _, _, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
         mid = 0.5 * (plo + phi)
         assert plo < mid < phi
         total -= pval
-        total_abs -= abs(pval)
+        total_wabs -= pwabs
         total_err -= perr
         for qlo, qhi in ((plo, mid), (mid, phi)):
-            v, e = piece(qlo, qhi)
-            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e))
+            v, e, w = piece(qlo, qhi)
+            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e, w))
             counter += 1
             total += v
-            total_abs += abs(v)
+            total_wabs += w
             total_err += e
     return total, total_err, pieces
 
@@ -314,7 +346,7 @@ def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol):
     [
         (np.cos, 0.0, 1.0, 0.0, 0.0, 1e-12, 0),
         (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, 1e-12, 7),
-        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13, 0),
+        (lambda u: ((u - 0.7) * u + 2.0) * u**7 - 3.0, 0.25, 2.0, -0.3, 0.4, 1e-13, 1),
         (lambda u: np.cos(40.0 * u), 0.25, 2.0, -0.3, 0.4, 1e-12, 14),
     ],
     ids=["cos", "cos-bisects", "polynomial-jacobi-weight", "jacobi-weight-bisects"],
@@ -322,7 +354,8 @@ def _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol):
 def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol, bisections):
     # the coarse rule reads the fine rule's values at its own nodes, every
     # other fine node, so one g call per piece gives the results of one
-    # call per rule, bit for bit
+    # call per rule, bit for bit, estimates and their rounding bounds
+    # included
     nodes = []
 
     def counted(u):
@@ -340,73 +373,45 @@ def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol, bi
     assert len(set(nodes)) == pieces
 
 
-def _log_reference(g, h, exp_lo, tol, max_pieces):
-    """The dyadic descent with one g call per piece:
-    (value, estimate, pieces used), or AccuracyError."""
-    s = 1.0 + 0.5 * (quadrature._LOG_X + 1.0)
-    s_pow = np.power(s, exp_lo)
-    log_s = np.log(s)
-    s_probe = np.append(s, 0.5)
-    q1 = exp_lo + 1.0
-    total = total_abs = 0.0
-    for j in range(max_pieces):
-        log_a = math.log(h) - (j + 1.0) * math.log(2.0)
-        g_all = g(math.exp(log_a) * s_probe)
-        scale = math.exp(q1 * log_a) * 0.5
-        piece = scale * float(np.dot(quadrature._LOG_W, s_pow * (log_a + log_s) * g_all[:-1]))
-        total += piece
-        total_abs += abs(piece)
-        g_sup = 2.0 * float(np.max(np.abs(g_all)))
-        tail = math.exp(q1 * log_a) / q1 * (-log_a + 1.0 / q1) * g_sup
-        noise = 100.0 * EPS * total_abs
-        if tail <= max(tol, tol * abs(total), noise):
-            return total, tail + noise, j + 1
-    raise AccuracyError("reference", value=total, error_estimate=tail + noise,
-                        evaluations=max_pieces * s_probe.size)
-
-
-# g, h, exp_lo
-_LOG_CASE = (lambda u: 1.5 + 0.5 * np.cos(3.0 * u), 0.5, 0.5)
-
-
-def _log_blocks(pieces):
-    """Node counts of the g calls over `pieces` pieces in blocks: each piece
-    is the log rule's 12 nodes plus its tail probe."""
-    full, rest = divmod(pieces, quadrature.LOG_BLOCK)
-    return [quadrature.LOG_BLOCK * 13] * full + ([rest * 13] if rest else [])
+# g, h, exp_lo: an oscillatory smooth part, so the log weight's call bisects
+_LOG_CASE = (lambda u: 1.5 + 0.5 * np.cos(300.0 * u), 0.5, -0.5)
 
 
 @pytest.mark.parametrize("stop", [1, 8, 9, 17])
 def test_log_blocks_stop_on_the_same_piece(stop):
+    # the log weight's pieces go through the one heap and stop test: the
+    # piece touching 0 on the log rule, the others with log(u) in g
     g, h, exp_lo = _LOG_CASE
-    # the tolerance met first at piece `stop`: its own unconverged estimate
+    # the tolerance met first after `stop` bisections: its own estimate then,
+    # less than the estimate at any earlier step, with a margin for the
+    # rounding of tol * |value|
     with pytest.raises(AccuracyError) as info:
-        _log_reference(g, h, exp_lo, 1e-300, stop)
-    tol = info.value.error_estimate / max(1.0, abs(info.value.value))
-    value, estimate, used = _log_reference(g, h, exp_lo, tol, 2000)
-    assert used == stop
+        _jacobi_reference(g, 0.0, h, exp_lo, 0.0, 1e-300, log_lo=True, max_bisections=stop)
+    tol = (1.0 + 1e-9) * info.value.error_estimate / max(1.0, abs(info.value.value))
+    value, estimate, pieces = _jacobi_reference(g, 0.0, h, exp_lo, 0.0, tol, log_lo=True)
+    assert pieces == 1 + 2 * stop
 
     counted, seen = _counting(g)
     r = integrate_log_jacobi(counted, h, exp_lo, tol=tol)
     assert (r.value, r.error_estimate) == (value, estimate)
-    # whole blocks, the surplus pieces past the stop included
-    blocks = -(-stop // quadrature.LOG_BLOCK)
-    assert seen == _log_blocks(blocks * quadrature.LOG_BLOCK)
+    assert seen == [FINE] * pieces
     assert r.evaluations == sum(seen)
 
 
 @pytest.mark.parametrize("max_pieces", [3, 8, 11])
 def test_log_blocks_never_pass_the_piece_budget(monkeypatch, max_pieces):
+    # the heap holds at most MAX_INTERVALS pieces, log weight or not
     g, h, exp_lo = _LOG_CASE
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", max_pieces)
     with pytest.raises(AccuracyError) as ref:
-        _log_reference(g, h, exp_lo, 1e-300, max_pieces)
+        _jacobi_reference(g, 0.0, h, exp_lo, 0.0, 1e-300, log_lo=True,
+                          max_bisections=max_pieces - 1)
     counted, seen = _counting(g)
     with pytest.raises(AccuracyError) as info:
         integrate_log_jacobi(counted, h, exp_lo, tol=1e-300)
     got, want = info.value, ref.value
     assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
-    assert seen == _log_blocks(max_pieces)
+    assert seen == [FINE] * (2 * max_pieces - 1)
     assert got.evaluations == sum(seen) == want.evaluations
 
 
@@ -450,13 +455,44 @@ def test_weights_reproduce_the_moments(side, e):
     # each rule integrates the Chebyshev polynomials it can interpolate
     # exactly: sum_i w_i T_k(x_i) = M_k, with (-1)^k M_k for (1-x)^e; the
     # sum's own rounding is a few eps times sum |w_i|
-    coarse, fine = quadrature._rule(e, 0.0) if side == "hi" else quadrature._rule(0.0, e)
+    weights, abs_fine = quadrature._rule(e, 0.0) if side == "hi" else quadrature._rule(0.0, e)
+    coarse, fine = weights[0, :15], weights[1]
+    assert not np.any(weights[0, 15:]) and np.array_equal(abs_fine, np.abs(fine))
     moments = np.array(chebyshev_moments_oracle(e))
     if side == "hi":
         moments[1::2] *= -1.0
     assert np.all(np.abs(_T @ fine - moments) <= 4.0 * EPS * np.sum(np.abs(fine)))
     assert np.all(np.abs(_T[:15, :15] @ coarse - moments[:15]) <= 4.0 * EPS * np.sum(np.abs(coarse)))
-    assert not (coarse.flags.writeable or fine.flags.writeable)
+    assert not (weights.flags.writeable or abs_fine.flags.writeable)
+
+
+_LOG_EXPONENTS = (-0.999, -0.9, -0.5, 0.3, 4.0, 12.0)
+
+
+@pytest.mark.parametrize("e", _LOG_EXPONENTS)
+def test_log_moments_match_exact_oracle(e):
+    got = np.array(quadrature._log_moments(e))
+    want = np.array(chebyshev_moments_oracle(e, log=True))
+    assert np.all(np.abs(got - want) <= 2e-15 * abs(want[0]))
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("e", _LOG_EXPONENTS)
+def test_log_rule_is_exact_on_powers(e, h):
+    # on [0, h] the log rule integrates u^e log(u) u^j for j < 15 (coarse)
+    # and j < 31 (fine): int_0^h u^(e+j) log(u) du = h^p (log(h)/p - 1/p^2)
+    # with p = e+j+1.  The weights carry their moments' error on top of the
+    # sum's rounding, up to 35 eps of sum |w_i| |u_i|^j (at h = 1).
+    weights, abs_fine = quadrature._rule(0.0, e, math.log(h))
+    u = h * (quadrature._NODES + 1.0) / 2.0
+    scale = (h / 2.0) ** (e + 1.0)
+    for j in range(31):
+        p = e + j + 1.0
+        want = h**p * (math.log(h) / p - 1.0 / p**2)
+        bound = 64.0 * EPS * scale * float(abs_fine.dot(u**j))
+        for row in (0, 1) if j < 15 else (1,):
+            got = scale * float(weights[row].dot(u**j))
+            assert abs(got - want) <= bound, (j, row)
 
 
 @pytest.mark.parametrize("n,a,b", sorted(JACOBI_POLY_INTEGRALS))
