@@ -221,6 +221,14 @@ def test_log_weight_estimate_is_honest_near_slow_exponent():
     assert abs(r.value - exact) <= max(10.0 * r.error_estimate, 1e-12)
 
 
+def test_log_weight_with_a_weight_at_the_other_end():
+    # the log counts as the lower end's weight, so the call splits first:
+    # int_0^1 (1-u)^(-1/2) log(u) du = B(1, 1/2) (psi(1) - psi(3/2)) = 4 log 2 - 4
+    r = integrate_jacobi(np.ones_like, 0.0, 1.0, 0.0, -0.5, tol=1e-14, log_lo=True)
+    assert r.evaluations % (2 * FINE) == 0  # two start pieces, then two per bisection
+    assert abs(r.value - (4.0 * math.log(2.0) - 4.0)) <= r.error_estimate <= 1e-14
+
+
 def test_log_piece_bisects_through_the_shared_heap():
     # an oscillatory smooth part: the piece touching 0 keeps the log weight,
     # the pieces bisected off it carry log(u) in g, and the sum converges
