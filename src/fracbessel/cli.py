@@ -60,9 +60,6 @@ _FAMILIES = {
     "ek": Family.ERDELYI_KOBER,
 }
 
-_BOOLEAN_KEYS = {"reciprocal"}
-
-
 def _tol_arg(text: str) -> float:
     try:
         value = float(text)
@@ -129,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--monomial", type=float, default=None, metavar="LAM",
                       help="integrand t^(LAM-1)")
     p_tr.add_argument("--kbessel", type=float, nargs=3, default=None, metavar=("V", "C", "K"),
-                      help="integrand W^k_{v,c}(t) (with --reciprocal: W^k_{v,c}(1/t))")
-    p_tr.add_argument("--reciprocal", action="store_true",
-                      help="use the reciprocal-argument k-Bessel integrand (right side)")
+                      help="integrand W^k_{v,c}(t) on --side left, W^k_{v,c}(1/t) on --side right")
     p_tr.add_argument("--tol", type=_tol_arg, default=1e-9)
     _output_flags(p_tr)
 
@@ -175,14 +170,7 @@ def _load_config_args(path: str) -> list:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise DomainError(f"{path}:{lineno}: empty key")
-        flag = "--" + key.replace("_", "-")
-        if key in _BOOLEAN_KEYS:
-            if value.lower() in ("1", "true", "yes", "on"):
-                args.append(flag)
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise DomainError(f"{path}:{lineno}: boolean key {key!r} got {value!r}")
-            continue
-        args.append(flag)
+        args.append("--" + key.replace("_", "-"))
         args.extend(value.split() or [""])
     return args
 
@@ -274,20 +262,14 @@ def cmd_transform(args) -> int:
     sp = SaigoParams(alpha=args.alpha, beta=args.beta, eta=args.eta, family=family)
 
     if args.monomial is not None:
-        if args.reciprocal:
-            raise DomainError("--reciprocal applies only to --kbessel integrands")
         f = monomial(args.monomial)
     else:
+        # each side has one closed-form image: of W(t) on the left, and of
+        # W(1/t) on the right, whose argument stays bounded as t -> inf
         v, c, k = args.kbessel
-        want_reciprocal = args.side == "right"
-        if args.reciprocal != want_reciprocal:
-            raise DomainError(
-                "the k-Bessel integrand must decay toward the integration tail: "
-                "use --reciprocal with --side right and omit it with --side left"
-            )
         f = kbessel_integrand(
             KBesselParams(v=v, c=c, k=k), lam=k,
-            reciprocal=want_reciprocal, series_tol=args.tol / 100.0,
+            reciprocal=args.side == "right", series_tol=args.tol / 100.0,
         )
 
     operator = saigo_left if args.side == "left" else saigo_right

@@ -23,18 +23,28 @@ Special cases: beta = -alpha collapses the kernel to 1 (classical
 Riemann-Liouville); beta = 0 collapses it to (t/x)^eta (Erdelyi-Kober,
 with overall prefactor x^(-alpha-eta)).
 
+A transform is a loop over its kernel's parts: part 0 is the upper half
+u in [1/2, 1], where the kernel is its direct 2F1 series, and the parts
+after it are the lower half's branches.  Each part is one integral, and
+only the rule differs between them (a (1-u)^(alpha-1) weight on the upper
+half, a u-power weight on a lower-half branch, times log(u) on a log
+branch).  The combined value is the coefficient-weighted sum of the parts
+times the prefactor x^(x_power-beta)/Gamma(alpha).
+
 Each factor of a transform is computed once, at the narrowest scope it
 depends on, and reused bit for bit:
 
 * per draw (the operator orders, the integrand's power and the node set,
-  not x): the kernel_split terms (_split, keyed by the six exact kernel
-  parameters, at most _SPLITS kernels); the kernel's values at a call's
-  nodes (_kernel_at: the upper half's 2F1 or one lower-half term's series,
-  keyed by those parameters, the branch and the nodes' bytes); the weight
-  powers u^exp0 of the upper half and (1-u)^(alpha-1) of the lower half at
-  a call's nodes, and log Gamma(alpha) (_draw_factor).  These are bounded,
-  typed LRU caches; _kernel_at and _draw_factor hold at most _NODE_VALUES
-  entries each, their arrays read-only;
+  not x): a kernel's parts (_split, keyed by the six exact kernel
+  parameters, SaigoParams.kernel, at most _SPLITS kernels); the
+  prefactor's log Gamma(alpha) (_log_gamma_abs, at most _SPLITS orders: a
+  log_gamma call is about 3% of a warm transform); a part's series
+  at a call's nodes (_kernel_at, keyed by those parameters, the part and
+  the nodes' bytes); the weight power a part's rule leaves to its
+  integrand, u^exp0 on the upper half and (1-u)^(alpha-1) on the lower
+  half, at a call's nodes (_draw_factor).  These are bounded, typed LRU
+  caches; _kernel_at and _draw_factor hold at most _NODE_VALUES entries
+  each, their arrays read-only;
 * per transform (one x): the integrand's smooth part at each node set, so
   the lower-half branches of a kernel, log branch included, which integrate
   over the same nodes, evaluate it once between them;
@@ -45,9 +55,9 @@ factors that earlier transforms of its draw computed, at any x and on either
 side, except on a piece none of them reached (a bisected piece).  A hit
 returns the array a miss computed, multiplied in the same order (kernel,
 smooth part, weight power), so results are bit-identical whether the memos
-are warm or cold; an exception is never cached.  A miss calls
-kernel_split, hyp2f1_kernel and log_gamma through this module's globals, so
-a wrapper placed there sees every miss.
+are warm or cold; an exception is never cached.  A miss calls kernel_split,
+hyp2f1_kernel and log_gamma, and a transform its integrators, through this
+module's globals, so a wrapper placed there sees every such call.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_ratio, log_gamma
-from .hyp2f1 import hyp2f1_kernel, kernel_split
+from .hyp2f1 import KernelTerm, hyp2f1_kernel, kernel_split
 from .integrands import Integrand
 from .quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
 
@@ -107,9 +117,14 @@ class SaigoParams:
         require_finite("SaigoParams", self.alpha, self.beta, self.eta)
 
     @property
-    def kernel_abc(self) -> tuple[float, float, float]:
-        """(a, b, c) of the kernel 2F1(a, b; c; .)."""
-        return (self.alpha + self.beta, -self.eta, self.alpha)
+    def kernel(self) -> tuple[float, float, float, float, float, float]:
+        """(a, b, c, c-a-b, c-a, c-b) of the kernel 2F1(a, b; c; .), with
+        a = alpha+beta, b = -eta, c = alpha.  The differences are formed from
+        the primitive orders (eta-beta, -beta, alpha+eta), so c-a-b and c-a
+        are exact, where recomputing them from the rounded sum a would put
+        ~1 ulp of noise next to a gamma pole."""
+        a = self.alpha + self.beta
+        return (a, -self.eta, self.alpha, self.eta - self.beta, -self.beta, self.alpha + self.eta)
 
 
 def _integrate_soft(integrate, *args) -> QuadratureResult:
@@ -160,9 +175,8 @@ def _combine(parts, pref: float, tol: float) -> QuadratureResult:
 
 # Bounds of the per-draw memos (module docstring).  A draw transformed at
 # several x on both sides keeps one split and 3 or so kernel node arrays live
-# (the upper half's and one per lower-half branch, shared by both sides),
-# and 4 or so other factors (log Gamma(alpha), u^exp0 per side, the lower
-# half's (1-u)^(alpha-1)): on 1,000 benchmark
+# (one per part, shared by both sides), and 3 or so weight powers (u^exp0 per
+# side, the lower half's (1-u)^(alpha-1)): on 1,000 benchmark
 # monomial transforms the node-value hit share is 0.83 from 16 arrays up to
 # 512 and the split hit share 0.90 from 1 split up.  The bounds leave room
 # for about a dozen interleaved draws, at most ~0.1 MB each.  The caches are
@@ -173,31 +187,32 @@ _NODE_VALUES = 64
 
 @lru_cache(maxsize=_SPLITS, typed=True)
 def _split(a, b, c, gamma, c_minus_a, c_minus_b) -> tuple:
-    """kernel_split's terms, shared by every x and side of one kernel."""
-    return tuple(kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
+    """A kernel's parts, shared by every x and side: first the upper half's
+    direct 2F1(a, b; c; 1-u), as an analytic term of coefficient 1, then
+    kernel_split's lower-half branches."""
+    upper = KernelTerm(1.0, 0.0, False, lambda u: hyp2f1_kernel(a, b, c, 1.0 - u))
+    return (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
 
 
 @lru_cache(maxsize=_NODE_VALUES, typed=True)
-def _kernel_at(a, b, c, gamma, c_minus_a, c_minus_b, branch: int, nodes: bytes) -> np.ndarray:
-    """The kernel factor at the float64 nodes u packed in nodes, read-only:
-    2F1(a, b; c; 1-u) for branch -1, else the series of _split's term branch."""
-    u = np.frombuffer(nodes)
-    if branch < 0:
-        v = hyp2f1_kernel(a, b, c, 1.0 - u)
-    else:
-        v = _split(a, b, c, gamma, c_minus_a, c_minus_b)[branch].series(u)
+def _kernel_at(a, b, c, gamma, c_minus_a, c_minus_b, part: int, nodes: bytes) -> np.ndarray:
+    """The series of _split's part at the float64 nodes u packed in nodes,
+    read-only."""
+    v = _split(a, b, c, gamma, c_minus_a, c_minus_b)[part].series(np.frombuffer(nodes))
     v.flags.writeable = False
     return v
 
 
+@lru_cache(maxsize=_SPLITS, typed=True)
+def _log_gamma_abs(alpha: float) -> float:
+    """log|Gamma(alpha)| of a draw's prefactor, shared by every x and side."""
+    return log_gamma(alpha).log_abs
+
+
 @lru_cache(maxsize=_NODE_VALUES, typed=True)
-def _draw_factor(e, nodes: Optional[bytes] = None, reflect: bool = False):
-    """A factor of a draw's transforms besides the kernel, shared by every x
-    and side: log|Gamma(e)| when nodes is None, else the weight power u^e,
-    or (1-u)^e when reflect, at the float64 nodes u packed in nodes,
-    read-only."""
-    if nodes is None:
-        return log_gamma(e).log_abs
+def _draw_factor(e, reflect: bool, nodes: bytes) -> np.ndarray:
+    """The weight power u^e, or (1-u)^e when reflect, at the float64 nodes u
+    packed in nodes, read-only: shared by every x and side of a draw."""
     u = np.frombuffer(nodes)
     v = np.power(1.0 - u if reflect else u, e)
     v.flags.writeable = False
@@ -208,62 +223,43 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
     """Shared left/right transform: quadrature over u in (0,1), then prefactor.
 
     Computes x^(x_power-beta)/Gamma(alpha) * int_0^1 (1-u)^(alpha-1) u^exp0
-    K(1-u) smooth(u) du, splitting at u=1/2 and applying the kernel
-    connection split on the lower half.  smooth must be analytic on [0, 1].
+    K(1-u) smooth(u) du, one integral per part of the kernel (_split): the
+    upper half u in [1/2, 1] under the (1-u)^(alpha-1) weight, then each
+    lower-half branch under its u-power weight, times log(u) for a branch
+    carrying one.  smooth must be analytic on [0, 1].
     """
     al = p.alpha
-    # (a, b, c) and the kernel combination data formed from the primitive
-    # orders: c-a-b and c-a are exact this way, where recomputing them from
-    # the rounded sum a = alpha+beta would put ~1 ulp of noise next to a
-    # gamma pole
-    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
-    if not (exp0 > -1.0):
-        raise DomainError(
-            f"transform does not converge: endpoint exponent {exp0!r} <= -1 "
-            "(integrand grows too fast against the operator weight)"
-        )
-
+    kernel = p.kernel
     # smooth at each node set this transform reaches: the lower-half
     # branches of a connection kernel share theirs
     smooth_at = {}
-
-    def smooth_on(u, nodes):
-        v = smooth_at.get(nodes)
-        if v is None:
-            v = smooth_at[nodes] = smooth(u)
-        return v
-
     parts = []
-    # upper half: kernel argument w = 1-u <= 1/2, direct series territory
-    def g_hi(u):
-        nodes = u.tobytes()
-        return _kernel_at(*kernel, -1, nodes) * smooth_on(u, nodes) * _draw_factor(exp0, nodes)
-
-    parts.append((1.0, _integrate_soft(integrate_jacobi, g_hi, 0.5, 1.0, 0.0, al - 1.0, tol / 4)))
-
-    # One weighted piece per kernel branch (a terminating kernel is a single
-    # analytic branch): the u^exponent factor joins the endpoint weight
-    # exactly, and so does the log(u) factor of a branch carrying one
-    # (integer eta-beta), through the log-moment rule on the same nodes.
-    for i, term in enumerate(_split(*kernel)):
-        e0 = exp0 + term.exponent
+    for i, part in enumerate(_split(*kernel)):
+        e0 = exp0 + part.exponent
         if not (e0 > -1.0):
             raise DomainError(
-                f"transform does not converge: kernel branch exponent {e0!r} <= -1"
+                f"transform does not converge: kernel part {i} has u-power {e0!r} <= -1 at u = 0"
             )
+        # the weight power the rule leaves to g: u^exp0 on the upper half,
+        # (1-u)^(alpha-1) on the lower half
+        power = (al - 1.0, True) if i else (exp0, False)
 
-        def g(u, i=i):
+        def g(u, i=i, power=power):
             nodes = u.tobytes()
-            return (
-                _kernel_at(*kernel, i, nodes) * smooth_on(u, nodes)
-                * _draw_factor(al - 1.0, nodes, True)
-            )
+            k = _kernel_at(*kernel, i, nodes)
+            v = smooth_at.get(nodes)
+            if v is None:
+                v = smooth_at[nodes] = smooth(u)
+            return k * v * _draw_factor(*power, nodes)
 
-        if term.log_factor:
-            parts.append((term.coef, _integrate_soft(integrate_log_jacobi, g, 0.5, e0, tol / 4)))
+        if not i:
+            args = (integrate_jacobi, g, 0.5, 1.0, 0.0, al - 1.0)
+        elif part.log_factor:
+            args = (integrate_log_jacobi, g, 0.5, e0)
         else:
-            parts.append((term.coef, _integrate_soft(integrate_jacobi, g, 0.0, 0.5, e0, 0.0, tol / 4)))
-    pref = math.exp((x_power - p.beta) * math.log(x) - _draw_factor(p.alpha))
+            args = (integrate_jacobi, g, 0.0, 0.5, e0, 0.0)
+        parts.append((part.coef, _integrate_soft(*args, tol / 4)))
+    pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
     return _combine(parts, pref, tol)
 
 

@@ -30,10 +30,9 @@ so its weights are the moments times a fixed matrix.  A rule carries one
 endpoint weight, so a call with weights at both ends first splits at the
 midpoint, as QAWS does.  Trefethen (SIAM Review 50 (2008) 67) shows why
 such rules match Gauss at equal node count on analytic integrands.  31/15
-is the smallest Fejér pair tried whose transforms on the acceptance-1
-ranges are refused no more often than with the Gauss-Jacobi 24/12 pair it
-replaced: on one benchmark seed 27/13 refused 6 and 23/11 refused 63 where
-24/12 refused 1.  As b -> -1 the fine weights alternate in sign:
+is the smallest Fejér pair tried that refuses next to none of the
+transforms on the acceptance-1 ranges: on one benchmark seed 27/13 refused
+6 and 23/11 refused 63.  As b -> -1 the fine weights alternate in sign:
 sum|w| / sum w is 30.8 at b = -0.999 and 14.8 at -0.9, against 1.000 on
 [-0.5, 1] and at most 1.013 up to 6, and the rounding of the weighted sum
 grows by the same factor.  So each piece's estimate adds the rounding
@@ -60,8 +59,8 @@ bisects, so a call that meets tolerance on its start pieces returns there,
 and only one that misses it builds the QUADPACK-style heap of pieces,
 seeded with the pieces it already has.  A piece whose value or estimate is
 not finite raises DomainError where it is evaluated: bisection cannot
-repair it, and a NaN estimate fails every stop test, so such a piece once
-bisected down to float resolution.
+repair it, and a NaN estimate fails every stop test, so bisection would
+run such a piece down to float resolution.
 """
 
 from __future__ import annotations
@@ -92,17 +91,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-    def __post_init__(self):
-        # normalize numpy scalars (np.float64 is a float subclass) so
-        # downstream reprs and JSON stay clean; plain floats and ints, what
-        # the integrators return, pass through untouched
-        if type(self.value) is not float:
-            object.__setattr__(self, "value", float(self.value))
-        if type(self.error_estimate) is not float:
-            object.__setattr__(self, "error_estimate", float(self.error_estimate))
-        if type(self.evaluations) is not int:
-            object.__setattr__(self, "evaluations", int(self.evaluations))
 
 
 def _sin_pi(p: np.ndarray, n: int) -> np.ndarray:

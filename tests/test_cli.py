@@ -163,20 +163,23 @@ def test_transform_kbessel_left_matches_closed_form(capsys):
     assert d["rel_difference"] <= 1e-7
 
 
-def test_transform_kbessel_right_requires_reciprocal(capsys):
-    code, _, err = run(
+def test_transform_kbessel_side_picks_the_integrand(capsys):
+    # --side right transforms W(1/t), whose image the closed form gives;
+    # there is no flag to choose it
+    d = run_json(
         capsys, "transform", "--family", "saigo", "--side", "right",
         "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
         "--x", "1", "--kbessel", "0.5", "1", "1",
     )
-    assert code == 2
-    assert "reciprocal" in err
-    code, _, err = run(
-        capsys, "transform", "--family", "saigo", "--side", "left",
-        "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
-        "--x", "1", "--kbessel", "0.5", "1", "1", "--reciprocal",
-    )
-    assert code == 2
+    assert d["rel_difference"] <= 1e-7
+    with pytest.raises(SystemExit) as exc:
+        run(
+            capsys, "transform", "--family", "saigo", "--side", "right",
+            "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
+            "--x", "1", "--kbessel", "0.5", "1", "1", "--reciprocal",
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reciprocal" in capsys.readouterr().err
 
 
 def test_transform_integrand_flags_are_exclusive(capsys):
@@ -218,8 +221,10 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
          "--x", "1e300", "--monomial", "3"),
         ("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
          "--x", "1", "--monomial", "1.5"),
+        ("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
+         "--beta", "0.5", "--eta", "3000", "--x", "1", "--monomial", "1.5"),
     ],
-    ids=["gamma-k", "wright", "transform-x", "transform-alpha"],
+    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-kernel"],
 )
 def test_result_out_of_float_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -393,22 +398,26 @@ def test_config_file_explicit_flag_wins(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_file_boolean_key(capsys, tmp_path):
+def test_config_file_value_is_the_flags_argument(capsys, tmp_path):
+    # every key names a flag that takes a value; a former switch is
+    # refused like any unknown flag
     cfg = tmp_path / "transform.cfg"
-    cfg.write_text("reciprocal = true\n")
+    cfg.write_text("eta = 1.0\n")
     d = run_json(
         capsys, "transform", "--family", "saigo", "--side", "right",
-        "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
+        "--alpha", "0.8", "--beta", "0.2",
         "--x", "1", "--kbessel", "0.5", "1", "1", "--config", str(cfg),
     )
-    assert d["rel_difference"] <= 1e-7
-    cfg.write_text("reciprocal = maybe\n")
-    code, _, err = run(
-        capsys, "transform", "--family", "saigo", "--side", "right",
-        "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
-        "--x", "1", "--kbessel", "0.5", "1", "1", "--config", str(cfg),
-    )
-    assert code == 2 and "boolean" in err
+    assert d["eta"] == 1.0 and d["rel_difference"] <= 1e-7
+    cfg.write_text("reciprocal = true\n")
+    with pytest.raises(SystemExit) as exc:
+        run(
+            capsys, "transform", "--family", "saigo", "--side", "right",
+            "--alpha", "0.8", "--beta", "0.2", "--eta", "1.0",
+            "--x", "1", "--kbessel", "0.5", "1", "1", "--config", str(cfg),
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reciprocal true" in capsys.readouterr().err
 
 
 def test_config_file_errors(capsys, tmp_path):

@@ -60,6 +60,11 @@ def test_kernel_lower_pole_reached_by_terminating_series_rejected():
             kernel_split(a, b, -5.0)
 
 
+def test_non_terminating_kernel_with_c_on_a_pole_rejected():
+    with pytest.raises(DomainError, match="nonpositive integer"):
+        hyp2f1_kernel(0.5, 0.5, -1.0, np.array([0.3, 0.7]))
+
+
 def test_kernel_rejects_arguments_outside_unit_interval():
     with pytest.raises(DomainError):
         hyp2f1_kernel(1.4, -3.0, 0.9, np.array([1.0]))

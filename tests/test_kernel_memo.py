@@ -44,7 +44,7 @@ _OPS = [
     # a = alpha+beta 5e-10 from 0: just short of a terminating kernel
     ("left", 1.3, SaigoParams(0.5, -0.5 + 5e-10, 0.7), 1e-12),
     ("right", 0.2, SaigoParams(0.5, -0.5 + 5e-10, 0.7), 1e-12),
-    # DomainError after the upper half: branch exponent -0.8 - 0.5 <= -1
+    # DomainError after the upper half: part 1's u-power -0.8 - 0.5 <= -1
     ("left", 0.2, SaigoParams(1.0, 1.0, 0.5), 1e-9),
     # AccuracyError: a tol below every piece's rounding bound
     ("left", 1.3, SaigoParams(1.3, 0.25, 1.25), 1e-17),
@@ -123,9 +123,10 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
         saigo_right(monomial(0.6), p, x)
     assert calls == {"kernel_split": 1, "hyp2f1_kernel": 1}
 
-    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
+    # the upper half and two lower-half branches
+    assert len(operators._split(*p.kernel)) == 3
     nodes = np.linspace(0.5, 1.0, 5).tobytes()
-    assert not any(operators._kernel_at(*kernel, i, nodes).flags.writeable for i in (-1, 0, 1))
+    assert not any(operators._kernel_at(*p.kernel, i, nodes).flags.writeable for i in range(3))
 
     for i in range(24):  # distinct kernels, more than either memo holds
         saigo_left(monomial(1.3), SaigoParams(0.8, 0.2, 1.1 + i / 64), 1.0)
@@ -162,17 +163,16 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
             before = len(smooth_nodes)
             transform(f, p, x)
             assert smooth_nodes[before:] == [31, 31]
-    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
-    assert len(operators._split(*kernel)) == 2  # two lower-half branches
+    assert len(operators._split(*p.kernel)) == 3  # the upper half, two branches
     assert log_gamma_args == [p.alpha]
-    # log Gamma(alpha), u^exp0 on each side, and the lower half's
-    # (1-u)^(alpha-1): four factors, each built by the first transform that
-    # needs it and found by every later one, at four lookups a transform
+    # u^exp0 on each side, and the lower half's (1-u)^(alpha-1): three
+    # powers, each built by the first transform that needs it and found by
+    # every later one, at one lookup per part, three a transform
     info = operators._draw_factor.cache_info()
-    assert (info.misses, info.hits) == (4, 6 * 4 - 4)
+    assert (info.misses, info.hits) == (3, 6 * 3 - 3)
     assert info.maxsize is not None and info.maxsize <= 64
     nodes = np.linspace(0.0, 0.5, 5).tobytes()
-    assert not operators._draw_factor(0.3, nodes).flags.writeable
+    assert not operators._draw_factor(0.3, False, nodes).flags.writeable
 
 
 def test_log_branch_shares_the_lower_half_nodes():
@@ -187,12 +187,11 @@ def test_log_branch_shares_the_lower_half_nodes():
 
     f = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
     p = SaigoParams(1.3, 0.25, 1.25)
-    kernel = (*p.kernel_abc, p.eta - p.beta, -p.beta, p.alpha + p.eta)
-    assert any(t.log_factor for t in operators._split(*kernel))
+    assert any(t.log_factor for t in operators._split(*p.kernel))
     for x in X_POINTS:
         before = len(smooth_nodes)
         saigo_left(f, p, x)
         assert smooth_nodes[before:] == [31, 31]
-    # the upper half's kernel and one array per lower-half branch
+    # one array per part: the upper half's kernel and each lower-half branch
     info = operators._kernel_at.cache_info()
-    assert info.misses == 1 + len(operators._split(*kernel))
+    assert info.misses == len(operators._split(*p.kernel))

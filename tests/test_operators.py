@@ -551,6 +551,33 @@ def test_transform_tol_checked_under_its_own_name(transform, tol):
         transform(monomial(-0.5), _P_FINITE, 1.0, tol=tol)
 
 
+def test_transform_refuses_an_integrand_without_its_sides_exponent():
+    only_right = Integrand(fn=lambda t: t**-1.5, exponent_at_infinity=-1.5)
+    only_left = Integrand(fn=lambda t: t**0.5, exponent_at_zero=0.5)
+    p = SaigoParams(alpha=0.8, beta=0.2, eta=1.0)
+    with pytest.raises(DomainError, match="t->0 power exponent"):
+        saigo_left(only_right, p, 1.0)
+    with pytest.raises(DomainError, match="t->inf power exponent"):
+        saigo_right(only_left, p, 1.0)
+
+
+def test_ek_monomial_images_refuse_exponents_outside_their_range():
+    with pytest.raises(DomainError, match="lam > -eta"):
+        ek_left_monomial(0.5, 0.3, -0.5)
+    with pytest.raises(DomainError, match="lam < 1[+]eta"):
+        ek_right_monomial(0.5, 0.3, 1.5)
+
+
+@pytest.mark.parametrize("eta", [3000.0, 3000.5])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_kernel_out_of_float_range_raises_overflow_error(side, eta):
+    # the kernel's terms (and at integer eta-beta its log branch's
+    # coefficient) pass 1e308: OverflowError, not a NaN piece
+    transform, lam = (saigo_left, 1.5) if side == "left" else (saigo_right, 0.6)
+    with pytest.raises(OverflowError):
+        transform(monomial(lam), SaigoParams(alpha=1.0, beta=0.5, eta=eta), 1.0)
+
+
 def test_transform_requires_positive_x():
     p = SaigoParams(alpha=0.8, beta=0.2, eta=1.0)
     with pytest.raises(DomainError):

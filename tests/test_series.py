@@ -434,3 +434,10 @@ def test_k_bessel_scaling_against_generic_series(v, k, z):
         total += y**n / (math.gamma(n + 1.0 + v / k) * math.gamma(n + 1.0))
     expected = (z / (2.0 * k)) ** (v / k) * total if z > 0 else (1.0 if v == 0 else 0.0)
     assert sv.value == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def test_sum_series_array_whose_terms_overflow_raises_overflow_error():
+    # terms 1e200^n pass the float range at the largest node: the rescale to
+    # the other nodes would meet inf * 0, so the sum refuses before it
+    with pytest.raises(OverflowError, match="z[*] = 0.9"):
+        sum_series(1.0, lambda n: 1e200, np.array([0.0, 0.5, 0.9]), 1e-15)
