@@ -252,14 +252,9 @@ def _transform_closed_form(args, sp: SaigoParams) -> float:
 
 
 def cmd_transform(args) -> int:
-    family = _FAMILIES[args.family]
     if (args.monomial is None) == (args.kbessel is None):
         raise DomainError("transform needs exactly one of --monomial or --kbessel")
-    if family is Family.SAIGO and args.beta is None:
-        raise DomainError("--family saigo requires --beta")
-    if family is not Family.SAIGO and args.beta is not None:
-        raise DomainError(f"--beta is fixed for --family {args.family}; omit it")
-    sp = SaigoParams(alpha=args.alpha, beta=args.beta, eta=args.eta, family=family)
+    sp = SaigoParams(alpha=args.alpha, beta=args.beta, eta=args.eta, family=_FAMILIES[args.family])
 
     if args.monomial is not None:
         f = monomial(args.monomial)

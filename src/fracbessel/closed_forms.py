@@ -11,6 +11,13 @@ transforms of t^(lam/k-1) W(t) and t^(lam/k-1) W(1/t); 3.1 / 3.4 their
 duplication-reduced hypergeometric twins; cor2.x / cor3.x the
 Riemann-Liouville and Erdelyi-Kober specializations, where one gamma pair
 cancels between numerator and denominator.
+
+A form is built where every upper Fox-Wright coefficient of its theorem is
+positive, which is where the general transform converges: L and L+eta-beta
+for 2.1, M+beta and M+eta for 2.4.  _kbessel_image checks that once for
+every form; the corollaries and the hypergeometric twins inherit it, so an
+Erdelyi-Kober corollary keeps L > 0 though its transform converges for
+L > -eta.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError, require_finite, require_positive_finite
-from .gammafns import gamma_ratio, is_pole
+from .gammafns import gamma_ratio
 from .series import (
     HypergeomSpec,
     SeriesValue,
@@ -64,23 +71,6 @@ class TheoremParams:
         """M = 1 - lam/k + v/k, the right-sided index."""
         return 1.0 - self.lam / self.k + self.v / self.k
 
-    def require_left(self) -> None:
-        bound = max(0.0, self.beta - self.eta)
-        if not (self.big_l > bound):
-            raise DomainError(
-                f"left-sided validity needs (lam+v)/k > max(0, beta-eta): "
-                f"{self.big_l!r} <= {bound!r}"
-            )
-
-    def require_right(self) -> None:
-        m = self.big_m
-        if not (m + self.beta > 0 and m + self.eta > 0):
-            raise DomainError(
-                f"right-sided validity needs M+beta > 0 and M+eta > 0 with "
-                f"M = 1-(lam-v)/k = {m!r}"
-            )
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """value(x) = sign * exp(prefactor_log) * x^power_of_x * series(scale * x^argument_power)."""
@@ -111,7 +101,11 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
 def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> ClosedForm:
     """The Fox-Wright image shape 2.1 and 2.4 share: prefactor (2k)^(-v/k),
     argument -c/(4k) * x^argument_power, and the k-Bessel pair (v/k + 1, 1)
-    closing the lower parameters."""
+    closing the lower parameters.  The image holds where the transform
+    converges, which is where every upper coefficient is positive:
+    DomainError elsewhere."""
+    if not all(a > 0 for a, _ in upper):
+        raise DomainError(f"k-Bessel image: upper pairs {upper!r} need positive coefficients")
     vk = p.v / p.k
     series = WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),))
     scale = -p.c / (4.0 * p.k)
@@ -120,7 +114,6 @@ def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> Clo
 
 def theorem21_spec(p: TheoremParams) -> ClosedForm:
     """Left transform of t^(lam/k-1) W(t) as a 2-Psi-3 Fox-Wright form."""
-    p.require_left()
     big_l = p.big_l
     upper = ((big_l, 2.0), (big_l + p.eta - p.beta, 2.0))
     lower = ((big_l - p.beta, 2.0), (big_l + p.alpha + p.eta, 2.0))
@@ -129,7 +122,6 @@ def theorem21_spec(p: TheoremParams) -> ClosedForm:
 
 def theorem24_spec(p: TheoremParams) -> ClosedForm:
     """Right transform of t^(lam/k-1) W(1/t) as a 2-Psi-3 Fox-Wright form."""
-    p.require_right()
     m = p.big_m
     upper = ((m + p.beta, 2.0), (m + p.eta, 2.0))
     lower = ((m, 2.0), (m + p.alpha + p.beta + p.eta, 2.0))
@@ -206,16 +198,13 @@ def duplication_reduce(w: WrightSpec) -> tuple[HypergeomSpec, float]:
 def _reduce_closed_form(cf: ClosedForm) -> ClosedForm:
     """Duplication-reduce a Wright ClosedForm into its pFq twin, adding the
     log of prod Gamma(upper coefficients) / prod Gamma(lower coefficients) to
-    the prefactor; a coefficient on the pole lattice raises DomainError."""
+    the prefactor.  A lower coefficient on the gamma pole lattice puts a
+    lower pFq parameter on it, which HypergeomSpec refuses; the upper ones
+    are positive (_kbessel_image), and log_gamma refuses one within
+    POLE_TOL of 0."""
     w = cf.series
     assert isinstance(w, WrightSpec)
     spec, arg_scale = duplication_reduce(w)
-    for coeff, _ in w.upper + w.lower:
-        if is_pole(coeff):
-            raise DomainError(
-                f"coefficient {coeff!r} on the gamma pole lattice; "
-                "the hypergeometric form degenerates"
-            )
     log_r, sign = gamma_ratio([a for a, _ in w.upper], [b for b, _ in w.lower])
     return ClosedForm(
         prefactor_log=cf.prefactor_log + log_r,

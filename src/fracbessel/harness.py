@@ -388,9 +388,9 @@ def check_identity(
 
     Both the integrand's series truncation and the quadrature target run at
     tol/100 so the comparison's error budget is dominated by neither side.
-    Setup (domain, convergence), quadrature and closed-form failures mark
-    only the affected record as failed, with the diagnostic in its note: a
-    record passes when it has no note and is within tolerance.
+    Setup (domain, convergence, float range), quadrature and closed-form
+    failures mark only the affected record as failed, with the diagnostic in
+    its note: a record passes when it has no note and is within tolerance.
     """
     side, family, builder = _variant(draw.theorem_id)
     p = draw.params
@@ -405,7 +405,7 @@ def check_identity(
             reciprocal=(side == "right"), series_tol=inner_tol,
         )
         operator = saigo_left if side == "left" else saigo_right
-    except (DomainError, ConvergenceError) as exc:
+    except (DomainError, ConvergenceError, OverflowError) as exc:
         setup_notes.append(f"setup failed: {type(exc).__name__}: {exc}")
 
     records = []
@@ -424,14 +424,14 @@ def check_identity(
                 lhs_est = exc.error_estimate if exc.error_estimate is not None else math.nan
                 evaluations = exc.evaluations
                 notes.append(f"quadrature accuracy: {exc}")
-            except (DomainError, ConvergenceError) as exc:
+            except (DomainError, ConvergenceError, OverflowError) as exc:
                 notes.append(f"quadrature: {type(exc).__name__}: {exc}")
             try:
                 sv = evaluate_closed_form(cf, x, inner_tol)
                 rhs, rhs_trunc, terms_used = sv.value, sv.trunc_estimate, sv.terms_used
                 if not sv.converged:
                     notes.append("closed form: series not converged at cap")
-            except (DomainError, ConvergenceError) as exc:
+            except (DomainError, ConvergenceError, OverflowError) as exc:
                 notes.append(f"closed form: {type(exc).__name__}: {exc}")
 
         abs_diff = abs(lhs - rhs)

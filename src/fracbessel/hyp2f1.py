@@ -149,7 +149,9 @@ def kernel_split(
     Terminating kernels come back as a single analytic term (the exact
     polynomial; a pole of c met before termination raises here); integer
     c-a-b uses the logarithmic expansion; everything else the two-branch
-    connection formula.  Terms with exactly zero coefficient are omitted.
+    connection formula.  Terms with exactly zero coefficient are omitted; a
+    coefficient past the float range raises an OverflowError that names the
+    kernel.
 
     gamma, c_minus_a and c_minus_b default to the obvious differences;
     callers that know the parameters as sums of primitives (the operator
@@ -167,13 +169,18 @@ def kernel_split(
     if poly is not None:
         return [KernelTerm(1.0, 0.0, False, lambda u: poly(1.0 - np.asarray(u, dtype=float)))]
     r = round(g)
-    if abs(g - r) <= _INT_TOL:
-        return log_connection_parts(a, b, c, int(r))
+    try:
+        if abs(g - r) <= _INT_TOL:
+            return log_connection_parts(a, b, c, int(r))
+        coef_a = gamma_ratio([c, g], [c_minus_a, c_minus_b]).value
+        coef_b = gamma_ratio([c, -g], [a, b]).value
+    except OverflowError as exc:
+        raise OverflowError(
+            f"kernel_split: a branch coefficient of 2F1({a!r}, {b!r}; {c!r}) leaves the float range"
+        ) from exc
     terms = []
-    coef_a = gamma_ratio([c, g], [c_minus_a, c_minus_b]).value
     if coef_a:
         terms.append(KernelTerm(coef_a, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - g, u)))
-    coef_b = gamma_ratio([c, -g], [a, b]).value
     if coef_b:
         terms.append(
             KernelTerm(coef_b, g, False, lambda u: _series_2f1(c_minus_a, c_minus_b, g + 1.0, u))

@@ -31,6 +31,15 @@ half, a u-power weight on a lower-half branch, times log(u) on a log
 branch).  The combined value is the coefficient-weighted sum of the parts
 times the prefactor x^(x_power-beta)/Gamma(alpha).
 
+Whether a transform converges is decided by its parts, in one place
+(_transform_core), before any part is integrated: the upper half lies on
+[1/2, 1], and each lower-half part must leave a u-power above -1 at u = 0.
+kernel_split omits a branch whose coefficient is exactly 0, so at beta = 0,
+where Gamma(c-a) = Gamma(0), only the u^eta branch counts.  A monomial image
+states its window the same way, through its own gamma arguments
+(_monomial_image); the Riemann-Liouville and Erdelyi-Kober images are the
+Saigo image at their family's beta.
+
 Each factor of a transform is computed once, at the narrowest scope it
 depends on, and reused bit for bit:
 
@@ -230,16 +239,21 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
     """
     al = p.alpha
     kernel = p.kernel
+    split = _split(*kernel)
+    # only the lower half's parts reach u = 0, where the integral may
+    # diverge; all are checked before any is integrated
+    for i, part in enumerate(split[1:], 1):
+        if not (exp0 + part.exponent > -1.0):
+            raise DomainError(
+                f"transform does not converge: kernel part {i} has u-power "
+                f"{exp0 + part.exponent!r} <= -1 at u = 0"
+            )
     # smooth at each node set this transform reaches: the lower-half
     # branches of a connection kernel share theirs
     smooth_at = {}
     parts = []
-    for i, part in enumerate(_split(*kernel)):
+    for i, part in enumerate(split):
         e0 = exp0 + part.exponent
-        if not (e0 > -1.0):
-            raise DomainError(
-                f"transform does not converge: kernel part {i} has u-power {e0!r} <= -1 at u = 0"
-            )
         # the weight power the rule leaves to g: u^exp0 on the upper half,
         # (1-u)^(alpha-1) on the lower half
         power = (al - 1.0, True) if i else (exp0, False)
@@ -280,12 +294,8 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
     qi = f.exponent_at_infinity
     if qi is None:
         raise DomainError("saigo_right: integrand must declare its t->inf power exponent")
-    exp0 = p.beta - 1.0 - qi  # u-power at 0 after t = x/u
-    if not (exp0 > -1.0):
-        raise DomainError(
-            f"saigo_right: tail exponent {qi!r} >= beta={p.beta!r}; the integral diverges"
-        )
-    return _transform_core(p, exp0, qi, lambda u: f.reduced_at_infinity(x / u), x, tol)
+    # beta - 1 - qi is the u-power at 0 after t = x/u
+    return _transform_core(p, p.beta - 1.0 - qi, qi, lambda u: f.reduced_at_infinity(x / u), x, tol)
 
 
 def rl_left(f: Integrand, alpha: float, x: float, tol: float = 1e-9) -> QuadratureResult:
@@ -314,58 +324,61 @@ def ek_right(f: Integrand, alpha: float, eta: float, x: float, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _monomial_image(numerators, denominators, exponent: float) -> tuple[float, float]:
+    """(prod Gamma(numerators) / prod Gamma(denominators), exponent) of a
+    monomial image, after dropping each numerator/denominator pair that is
+    exactly equal.  The transform of t^(lam-1) converges where every
+    remaining numerator argument is positive: DomainError elsewhere."""
+    denominators = list(denominators)
+    kept = []
+    for a in numerators:
+        if a in denominators:
+            denominators.remove(a)
+        elif a > 0:
+            kept.append(a)
+        else:
+            raise DomainError(f"monomial image: numerator gamma argument {a!r} must be positive")
+    return gamma_ratio(kept, denominators).value, exponent
+
+
 def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
     """(coefficient, exponent) with left-transform of t^(lam-1) equal to
-    coefficient * x^exponent; requires lam > max(0, beta - eta)."""
-    if not (lam > max(0.0, p.beta - p.eta)):
-        raise DomainError(
-            f"saigo_left_monomial: needs lam > max(0, beta-eta) = "
-            f"{max(0.0, p.beta - p.eta)!r}, got {lam!r}"
-        )
-    ratio = gamma_ratio([lam, lam + p.eta - p.beta], [lam - p.beta, lam + p.alpha + p.eta])
-    return ratio.value, lam - p.beta - 1.0
+    coefficient * x^exponent: Gamma(lam) Gamma(lam+eta-beta) /
+    (Gamma(lam-beta) Gamma(lam+alpha+eta)) * x^(lam-beta-1)."""
+    return _monomial_image(
+        [lam, lam + p.eta - p.beta], [lam - p.beta, lam + p.alpha + p.eta], lam - p.beta - 1.0
+    )
 
 
 def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
-    """(coefficient, exponent) for the right transform of t^(lam-1);
-    requires lam < 1 + min(beta, eta)."""
-    if not (lam < 1.0 + min(p.beta, p.eta)):
-        raise DomainError(
-            f"saigo_right_monomial: needs lam < 1 + min(beta, eta) = "
-            f"{1.0 + min(p.beta, p.eta)!r}, got {lam!r}"
-        )
-    ratio = gamma_ratio(
+    """(coefficient, exponent) for the right transform of t^(lam-1):
+    Gamma(eta-lam+1) Gamma(beta-lam+1) / (Gamma(1-lam) Gamma(alpha+beta+eta-lam+1))
+    * x^(lam-beta-1)."""
+    return _monomial_image(
         [p.eta - lam + 1.0, p.beta - lam + 1.0],
         [1.0 - lam, p.alpha + p.beta + p.eta - lam + 1.0],
+        lam - p.beta - 1.0,
     )
-    return ratio.value, lam - p.beta - 1.0
 
 
 def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
-    """Left Erdelyi-Kober image of t^(lam-1): Gamma(lam+eta)/Gamma(lam+alpha+eta)
-    * x^(lam-1); requires lam > -eta."""
-    SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
-    if not (lam > -eta):
-        raise DomainError(f"ek_left_monomial: needs lam > -eta = {-eta!r}, got {lam!r}")
-    return gamma_ratio([lam + eta], [lam + alpha + eta]).value, lam - 1.0
+    """Left Erdelyi-Kober image of t^(lam-1), the Saigo image at beta = 0:
+    Gamma(lam+eta)/Gamma(lam+alpha+eta) * x^(lam-1)."""
+    return saigo_left_monomial(SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), lam)
 
 
 def ek_right_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
-    """Right Erdelyi-Kober image of t^(lam-1); requires lam < 1 + eta."""
-    SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER)  # the operator's order checks
-    if not (lam < 1.0 + eta):
-        raise DomainError(f"ek_right_monomial: needs lam < 1+eta = {1.0 + eta!r}, got {lam!r}")
-    return gamma_ratio([eta - lam + 1.0], [alpha + eta - lam + 1.0]).value, lam - 1.0
+    """Right Erdelyi-Kober image of t^(lam-1), the Saigo image at beta = 0."""
+    return saigo_right_monomial(SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), lam)
 
 
 def rl_left_monomial(alpha: float, lam: float) -> tuple[float, float]:
-    """Left Riemann-Liouville image of t^(lam-1):
-    Gamma(lam)/Gamma(lam+alpha) * x^(lam+alpha-1); requires lam > 0."""
-    p = SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE)
-    return saigo_left_monomial(p, lam)
+    """Left Riemann-Liouville image of t^(lam-1), the Saigo image at
+    beta = -alpha: Gamma(lam)/Gamma(lam+alpha) * x^(lam+alpha-1)."""
+    return saigo_left_monomial(SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), lam)
 
 
 def rl_right_monomial(alpha: float, lam: float) -> tuple[float, float]:
-    """Right Riemann-Liouville image of t^(lam-1); requires lam < 1 - alpha."""
-    p = SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE)
-    return saigo_right_monomial(p, lam)
+    """Right Riemann-Liouville image of t^(lam-1), the Saigo image at
+    beta = -alpha."""
+    return saigo_right_monomial(SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), lam)

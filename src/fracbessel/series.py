@@ -202,11 +202,12 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
     return gamma_ratio([c, s], [c - a, c - b]).value
 
 
-def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> float:
-    """The n-th Fox-Wright term, assembled in the log domain; exactly zero when
-    a denominator gamma pole annihilates it.  Numerator poles raise."""
+def _wright_term(spec: WrightSpec, n: int, z: float, log_abs_z: float) -> float:
+    """The n-th Fox-Wright term at z (log|z| given), assembled in the log
+    domain; exactly zero when a denominator gamma pole annihilates it.
+    Numerator poles raise, and so does a term past the float range."""
     log_abs = n * log_abs_z - math.lgamma(n + 1)
-    sign = 1 if (sign_z > 0 or n % 2 == 0) else -1
+    sign = 1 if (z > 0 or n % 2 == 0) else -1
     for a, A in spec.upper:
         arg = a + A * n
         if is_pole(arg):
@@ -221,7 +222,10 @@ def _wright_term(spec: WrightSpec, n: int, log_abs_z: float, sign_z: int) -> flo
             return 0.0
         log_abs -= math.lgamma(arg)
         sign *= gamma_sign(arg)
-    return sign * math.exp(log_abs)
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        raise OverflowError(f"eval_wright: term n={n} at z={z!r} leaves the float range") from None
 
 
 def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
@@ -247,11 +251,10 @@ def eval_wright(spec: WrightSpec, z: float, tol: float = 1e-12) -> SeriesValue:
             )
 
     if z == 0.0:
-        return SeriesValue(_wright_term(spec, 0, 0.0, 1), 1, 0.0, True)
+        return SeriesValue(_wright_term(spec, 0, z, 0.0), 1, 0.0, True)
 
     log_abs_z = math.log(abs(z))
-    sign_z = 1 if z > 0 else -1
-    terms = (_wright_term(spec, n, log_abs_z, sign_z) for n in itertools.count())
+    terms = (_wright_term(spec, n, z, log_abs_z) for n in itertools.count())
     return sum_series(1.0, lambda n: 1.0, 1.0, tol, weights=terms)
 
 

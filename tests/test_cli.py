@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import fracbessel
-from fracbessel import Report, SuiteConfig, cli
+from fracbessel import Report, SuiteConfig, cli, harness
 from fracbessel.cli import main
+from fracbessel.errors import ConvergenceError, DomainError
 
 
 def run(capsys, *argv):
@@ -64,12 +65,19 @@ def test_eval_wright_requires_parameter_lists(capsys):
     code, _, err = run(capsys, "eval", "wright", "--z", "0.5")
     assert code == 2
     assert "upper" in err
+    code, _, err = run(capsys, "eval", "pfq", "--lower", "2", "--z", "0.5")
+    assert code == 2 and "eval pfq needs --upper" in err
+    for upper, fragment in (("1", "coeff:step syntax"), ("a:1", "bad Fox-Wright pair")):
+        code, _, err = run(capsys, "eval", "wright", "--upper", upper, "--lower", "2:1", "--z", "0.5")
+        assert code == 2 and fragment in err
 
 
 def test_eval_rejects_out_of_range_tol(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "kbessel", "--z", "1", "--tol", "0.5"])
-    assert exc.value.code == 2
+    for tol, fragment in (("0.5", "tol must lie in"), ("abc", "not a number")):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "kbessel", "--z", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -122,6 +130,17 @@ def test_transform_monomial_left_matches_image(capsys):
     assert d["closed_form"] is not None
     assert d["rel_difference"] <= 1e-8
     assert d["value"] == pytest.approx(d["closed_form"], rel=1e-8)
+    # at integer beta the transform converges for lam > beta - eta, below the
+    # image's window lam > 0: a value, and a note in place of the image
+    d = run_json(
+        capsys, "transform", "--family", "saigo", "--side", "left",
+        "--alpha", "0.7", "--beta", "1", "--eta", "1.5",
+        "--x", "1", "--monomial", "-0.2",
+    )
+    assert d["closed_form"] is None and d["rel_difference"] is None
+    assert d["note"].startswith("closed form not applicable: monomial image")
+    # Gamma(lam)/Gamma(lam-1) = lam-1 continues the image across lam = 0
+    assert d["value"] == pytest.approx(-1.2 * math.gamma(0.3), rel=1e-9)
 
 
 def test_transform_monomial_right_matches_image(capsys):
@@ -201,6 +220,12 @@ def test_transform_beta_flag_agreement_with_family(capsys):
         "--alpha", "0.5", "--x", "1", "--monomial", "1",
     )
     assert code == 2 and "beta" in err
+    # the beta the family forces may be given
+    d = run_json(
+        capsys, "transform", "--family", "rl", "--side", "left",
+        "--alpha", "0.5", "--beta", "-0.5", "--x", "1", "--monomial", "1.5",
+    )
+    assert d["beta"] == -0.5 and d["rel_difference"] <= 1e-9
 
 
 @pytest.mark.parametrize("beta,eta", [("nan", "1.0"), ("0.2", "inf")])
@@ -213,24 +238,62 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ("eval", "gamma_k", "--z", "200", "--k", "1"),
-        ("eval", "wright", "--upper", "1:1", "--lower", "1:1", "--z", "1000"),
-        ("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
-         "--x", "1e300", "--monomial", "3"),
-        ("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
-         "--x", "1", "--monomial", "1.5"),
-        ("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
-         "--beta", "0.5", "--eta", "3000", "--x", "1", "--monomial", "1.5"),
+        (("eval", "gamma_k", "--z", "200", "--k", "1"), ""),
+        (("eval", "wright", "--upper", "1:1", "--lower", "1:1", "--z", "1000"),
+         "eval_wright: term n=347 at z=1000.0"),
+        (("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
+          "--x", "1e300", "--monomial", "3"), ""),
+        (("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
+          "--x", "1", "--monomial", "1.5"), ""),
+        (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
+          "--beta", "0.5", "--eta", "3000", "--x", "1", "--monomial", "1.5"), "sum_series"),
+        (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
+          "--beta", "0.5", "--eta", "3000.5", "--x", "1", "--monomial", "1.5"),
+         "kernel_split: a branch coefficient of 2F1(1.5, -3000.5; 1.0)"),
     ],
-    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-kernel"],
+    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-kernel",
+         "transform-log-kernel"],
 )
-def test_result_out_of_float_range_exits_2(capsys, argv):
+def test_result_out_of_float_range_exits_2(capsys, argv, names):
+    # one line, which names what overflowed where the library knows it
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("fracbessel: ") and err.count("\n") == 1
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "fault, x_points, notes",
+    [
+        # the k-Bessel integrand and the Fox-Wright terms leave the float
+        # range; the 4F5 twin stops at its term cap
+        (None, "10000", ("quadrature: OverflowError", "closed form: OverflowError: eval_wright",
+                         "closed form: series not converged at cap")),
+        (("saigo_left", ConvergenceError("stub")), "1", ("quadrature: ConvergenceError: stub",)),
+        (("evaluate_closed_form", DomainError("stub")), "1", ("closed form: DomainError: stub",)),
+    ],
+    ids=["float-range", "quadrature-error", "closed-form-error"],
+)
+def test_verify_point_failure_fails_its_record(capsys, monkeypatch, fault, x_points, notes):
+    # an exception at one x fails that record with a note; the suite still
+    # reports, and exits 3
+    if fault is not None:
+        name, exc = fault
+
+        def raises(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, name, raises)
+    code, out, err = run(
+        capsys, "verify", "--theorems", "2.1,3.1,cor2.2", "--n", "1", "--seed", "1",
+        "--x-points", x_points,
+    )
+    assert code == 3 and err == ""
+    assert "records=3 passed=0 failed=3" in out
+    assert all(note in out for note in notes)
 
 
 def test_verify_negative_seed_exits_2(capsys):
@@ -295,6 +358,9 @@ def test_verify_right_sided_small_points_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--theorems", "2.4", "--x-points", "0.2,1")
     assert code == 2
     assert ">= 0.5" in err
+    code, _, err = run(capsys, "verify", "--theorems", "2.4", "--x-points", "1,a")
+    assert code == 2
+    assert "expected comma-separated numbers" in err
 
 
 def test_verify_text_output_summarizes(capsys):
@@ -302,6 +368,10 @@ def test_verify_text_output_summarizes(capsys):
     assert code == 0
     assert "suite verify-" in out
     assert "2.1" in out
+    code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "1")
+    assert code == 0
+    assert "records=36 passed=36" in out
+    assert all(f"\n{tid} " in out for tid in fracbessel.THEOREM_IDS)
 
 
 def test_verify_failing_records_exit_3(capsys, monkeypatch):
@@ -331,6 +401,10 @@ def test_report_round_trip_renders_identical_json(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(src), "--output", "text")
     assert code == 0
     assert "suite verify-" in out
+    code, out, _ = run(capsys, "report", str(src), "--output", "csv")
+    assert code == 0
+    assert out == run(capsys, "verify", "--theorems", "2.1", "--n", "1", "--output", "csv")[1]
+    assert out.startswith("theorem_id,seed_index,x,") and out.count("\n") == 1 + 3
 
 
 def test_report_rebuilds_summary_from_config_and_records(capsys, tmp_path):
@@ -427,6 +501,9 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("this line has no equals sign\n")
     code, _, err = run(capsys, "verify", "--config", str(bad))
     assert code == 2 and "key=value" in err
+    bad.write_text("=1\n")
+    code, _, err = run(capsys, "verify", "--config", str(bad))
+    assert code == 2 and "bad.cfg:1: empty key" in err
 
 
 # ---------------------------------------------------------------- report dir

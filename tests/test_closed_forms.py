@@ -73,20 +73,19 @@ def test_left_validity_condition():
     # (lam+v)/k must exceed max(0, beta-eta)
     bad = TheoremParams(alpha=0.5, beta=1.5, eta=0.2, lam=0.4, v=0.3, c=1.0, k=1.0)
     assert bad.big_l == pytest.approx(0.7)  # <= beta - eta = 1.3
-    with pytest.raises(DomainError):
-        theorem21_spec(bad)
-    with pytest.raises(DomainError):
-        bad.require_left()
+    # the upper coefficient L + eta - beta is negative; the twin is refused too
+    for spec in (theorem21_spec, theorem31_spec):
+        with pytest.raises(DomainError, match="need positive coefficients"):
+            spec(bad)
 
 
 def test_right_validity_condition():
     # M + beta and M + eta must both be positive
     bad = TheoremParams(alpha=0.5, beta=-1.5, eta=0.2, lam=2.0, v=0.0, c=1.0, k=1.0)
     assert bad.big_m + bad.beta == pytest.approx(-2.5)
-    with pytest.raises(DomainError):
-        theorem24_spec(bad)
-    with pytest.raises(DomainError):
-        bad.require_right()
+    for spec in (theorem24_spec, theorem34_spec):
+        with pytest.raises(DomainError, match="need positive coefficients"):
+            spec(bad)
 
 
 # ---------------------------------------------------------------- frozen values

@@ -2,6 +2,7 @@
 family reductions, and parameter validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -536,12 +537,60 @@ def test_right_transform_divergent_tail_rejected():
     p = SaigoParams(alpha=0.8, beta=-0.5, eta=1.0)
     with pytest.raises(DomainError):
         saigo_right(monomial(0.9), p, 1.0, tol=1e-9)
+    # refused before any quadrature: on the upper half's nodes its weight
+    # u^(beta-lam) = u^-1999.8 would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            saigo_right(monomial(2000.0), SaigoParams(0.8, 0.2, 1.0), 1.0)
+
+
+# (operator orders, lam at the edge of the left window, at the edge of the
+# right window): the transform of t^(lam-1) converges on one side of each
+_DOMAIN_EDGES = {
+    "rl": (SaigoParams(0.8, family=Family.RIEMANN_LIOUVILLE), 0.0, 0.2),
+    "ek": (SaigoParams(0.8, eta=0.5, family=Family.ERDELYI_KOBER), -0.5, 1.5),
+    "saigo": (SaigoParams(0.8, 0.3, 0.9), 0.0, 1.3),
+    "saigo-beta-above-eta": (SaigoParams(0.7, 0.9, 0.2), 0.7, 1.2),
+    "saigo-beta-0": (SaigoParams(0.8, 0.0, 0.5), -0.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("family", list(_DOMAIN_EDGES))
+def test_transform_and_monomial_image_share_their_domain(family, side):
+    # the transform and its exact image accept exactly the same lam, and
+    # agree within the transform's estimate wherever they do
+    p, left_edge, right_edge = _DOMAIN_EDGES[family]
+    transform, image, edge, inward = {
+        "left": (saigo_left, saigo_left_monomial, left_edge, 1.0),
+        "right": (saigo_right, saigo_right_monomial, right_edge, -1.0),
+    }[side]
+    x = 1.3
+    for offset in (-0.3, -0.05, 0.05, 0.3):
+        lam = edge + inward * offset
+        if offset < 0:
+            with pytest.raises(DomainError):
+                transform(monomial(lam), p, x)
+            with pytest.raises(DomainError):
+                image(p, lam)
+            continue
+        r = transform(monomial(lam), p, x)
+        coeff, exponent = image(p, lam)
+        assert abs(r.value - coeff * x**exponent) <= r.error_estimate, lam
 
 
 def test_left_transform_nonintegrable_origin_rejected():
+    # at beta = 0 the kernel is (t/x)^eta: t^(lam-1) is integrable at 0 for
+    # lam > -eta, where the transform is the Erdelyi-Kober image
     p = SaigoParams(alpha=0.8, beta=0.0, eta=0.5)
-    with pytest.raises(DomainError):
-        saigo_left(monomial(-0.2), p, 1.0, tol=1e-9)
+    r = saigo_left(monomial(-0.2), p, 1.0, tol=1e-9)
+    coeff, _ = ek_left_monomial(0.8, 0.5, -0.2)
+    assert abs(r.value - coeff) <= r.error_estimate
+    with pytest.raises(DomainError, match="does not converge"):
+        saigo_left(monomial(-0.6), p, 1.0, tol=1e-9)
+    with pytest.raises(DomainError, match="must be positive"):
+        saigo_left_monomial(p, -0.6)
 
 
 @pytest.mark.parametrize("transform", [saigo_left, saigo_right])
@@ -562,19 +611,28 @@ def test_transform_refuses_an_integrand_without_its_sides_exponent():
 
 
 def test_ek_monomial_images_refuse_exponents_outside_their_range():
-    with pytest.raises(DomainError, match="lam > -eta"):
+    # lam + eta and eta - lam + 1 are the images' one numerator argument
+    with pytest.raises(DomainError, match="numerator gamma argument .* must be positive"):
         ek_left_monomial(0.5, 0.3, -0.5)
-    with pytest.raises(DomainError, match="lam < 1[+]eta"):
+    with pytest.raises(DomainError, match="numerator gamma argument .* must be positive"):
         ek_right_monomial(0.5, 0.3, 1.5)
+
+
+# what overflows at each eta: b = -3000 terminates the kernel and its
+# polynomial's terms overflow; at eta-beta = 3000 the log branch's coefficient
+_KERNEL_OVERFLOW = {
+    3000.0: "sum_series: the terms at z[*]",
+    3000.5: r"coefficient of 2F1\(1.5, -3000.5; 1.0\)",
+}
 
 
 @pytest.mark.parametrize("eta", [3000.0, 3000.5])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_kernel_out_of_float_range_raises_overflow_error(side, eta):
-    # the kernel's terms (and at integer eta-beta its log branch's
-    # coefficient) pass 1e308: OverflowError, not a NaN piece
+    # the kernel's terms or a branch coefficient pass 1e308: an
+    # OverflowError that names what overflowed, not a NaN piece
     transform, lam = (saigo_left, 1.5) if side == "left" else (saigo_right, 0.6)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=_KERNEL_OVERFLOW[eta]):
         transform(monomial(lam), SaigoParams(alpha=1.0, beta=0.5, eta=eta), 1.0)
 
 
