@@ -2,7 +2,8 @@
 
 The package evaluates the two-sided generalized (hypergeometric-kernel)
 fractional integrals and their Riemann-Liouville and Erdelyi-Kober
-reductions by adaptive Gauss-Jacobi quadrature, evaluates the matching
+reductions by adaptive quadrature on nested Fejér rules with the endpoint
+weights built in (from modified Chebyshev moments), evaluates the matching
 closed-form Fox-Wright / generalized-hypergeometric images of power-weighted
 k-Bessel integrands, and cross-certifies the two representations with a
 deterministic randomized verification suite.

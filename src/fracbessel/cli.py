@@ -19,11 +19,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .closed_forms import TheoremParams, evaluate_closed_form
+from .closed_forms import TheoremParams, evaluate_closed_form, theorem21_spec, theorem24_spec
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .gammafns import k_gamma
 from .harness import (
-    _VARIANTS,
     THEOREM_IDS,
     SuiteConfig,
     _csv_table,
@@ -139,17 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--x-points", default="0.5,1,2", help="comma-separated evaluation points")
     p_ver.add_argument("--margin", type=float, default=0.05,
                        help="constraint margin for parameter sampling")
-    _output_flags(p_ver, default="text")
+    _output_flags(p_ver)
 
     p_rep = sub.add_parser("report", help="re-render a saved JSON verification report")
     p_rep.add_argument("input", help="path to a JSON report produced by verify")
-    _output_flags(p_rep, default="text")
+    _output_flags(p_rep)
 
     return parser
 
 
-def _output_flags(p: argparse.ArgumentParser, default: str = "text") -> None:
-    p.add_argument("--output", choices=("json", "text", "csv"), default=default)
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", choices=("json", "text", "csv"), default="text")
     p.add_argument("--out", default=None, help="output file (bare names land in $" + REPORT_DIR_ENV + ")")
     p.add_argument("--config", default=None, help="flat key=value file of flag defaults")
 
@@ -191,12 +190,9 @@ def _resolve_input(name: str) -> str:
 def _emit(content: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(content)
-        if not content.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    path = _resolve_path(out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    else:
+        with open(_resolve_path(out), "w", encoding="utf-8") as fh:
+            fh.write(content)
 
 
 def _emit_payload(payload: dict, output: str, out: Optional[str]) -> None:
@@ -237,17 +233,15 @@ def cmd_eval(args) -> int:
 
 def _transform_closed_form(args, sp: SaigoParams) -> float:
     """Closed-form companion value: the exact monomial image, or the
-    Fox-Wright image of the k-Bessel integrand for the operator's side and
-    family."""
+    Fox-Wright image of the k-Bessel integrand for the operator's side, at
+    the family's beta."""
     if args.monomial is not None:
         image = saigo_left_monomial if args.side == "left" else saigo_right_monomial
         coeff, exponent = image(sp, args.monomial)
         return coeff * args.x**exponent
     v, c, k = args.kbessel
     p = TheoremParams(alpha=sp.alpha, beta=sp.beta, eta=sp.eta, lam=k, v=v, c=c, k=k)
-    builder = next(
-        b for side, fam, b in _VARIANTS.values() if (side, fam) == (args.side, sp.family)
-    )
+    builder = theorem21_spec if args.side == "left" else theorem24_spec
     return evaluate_closed_form(builder(p), args.x, args.tol / 100.0).value
 
 

@@ -12,25 +12,28 @@ duplication-reduced hypergeometric twins; cor2.x / cor3.x the
 Riemann-Liouville and Erdelyi-Kober specializations, where one gamma pair
 cancels between numerator and denominator.
 
-A form is built where every upper Fox-Wright coefficient of its theorem is
-positive, which is where the general transform converges: L and L+eta-beta
-for 2.1, M+beta and M+eta for 2.4.  _kbessel_image checks that once for
-every form; the corollaries and the hypergeometric twins inherit it, so an
-Erdelyi-Kober corollary keeps L > 0 though its transform converges for
-L > -eta.
+A corollary is its parent theorem at the family's beta (SaigoParams).  Each
+form first drops every upper Fox-Wright pair that equals a lower one, then is
+built where every upper coefficient left is positive, which is where its
+transform converges: L and L+eta-beta for 2.1, M+beta and M+eta for 2.4.
+_kbessel_image does both, once for every form, and the hypergeometric twins
+inherit it.  At beta = -alpha the eta-bearing pair cancels, leaving L > 0
+(left) and M > alpha (right); at beta = 0 the bare (L, 2) or (M, 2) pair
+cancels, leaving the Erdelyi-Kober windows L > -eta and M > -eta.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_ratio
+from .operators import Family, SaigoParams
 from .series import (
     HypergeomSpec,
+    KBesselParams,
     SeriesValue,
     WrightSpec,
     eval_pfq,
@@ -40,7 +43,8 @@ from .series import (
 
 @dataclass(frozen=True)
 class TheoremParams:
-    """Operator orders (alpha, beta, eta), power lam, k-Bessel (v, c, k)."""
+    """Operator orders (alpha, beta, eta), power lam, k-Bessel (v, c, k);
+    the orders and (v, c, k) are checked by the types that own their rules."""
 
     alpha: float
     beta: float
@@ -51,15 +55,9 @@ class TheoremParams:
     k: float
 
     def __post_init__(self):
-        require_finite(
-            "TheoremParams", self.alpha, self.beta, self.eta, self.lam, self.v, self.c, self.k
-        )
-        if not (self.alpha > 0):
-            raise DomainError(f"TheoremParams: alpha must be positive, got {self.alpha!r}")
-        if not (self.v > -1):
-            raise DomainError(f"TheoremParams: v must exceed -1, got {self.v!r}")
-        if not (self.k > 0):
-            raise DomainError(f"TheoremParams: k must be positive, got {self.k!r}")
+        SaigoParams(self.alpha, self.beta, self.eta)
+        KBesselParams(self.v, self.c, self.k)
+        require_finite("TheoremParams", self.lam)
 
     @property
     def big_l(self) -> float:
@@ -98,16 +96,36 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
     return sv.scaled(scale)
 
 
+def _cancel_common_pairs(w: WrightSpec) -> WrightSpec:
+    """Drop each upper pair that equals a lower pair: the same step, and the
+    coefficient within 1e-12 relative (the two sides may round the same sum
+    differently, e.g. (L+eta)+alpha against (L+alpha)+eta)."""
+    lower = list(w.lower)
+    upper = []
+    for a, A in w.upper:
+        match = next(
+            (i for i, (b, B) in enumerate(lower) if B == A and math.isclose(a, b, rel_tol=1e-12)),
+            None,
+        )
+        if match is None:
+            upper.append((a, A))
+        else:
+            del lower[match]
+    return WrightSpec(tuple(upper), tuple(lower))
+
+
 def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> ClosedForm:
     """The Fox-Wright image shape 2.1 and 2.4 share: prefactor (2k)^(-v/k),
     argument -c/(4k) * x^argument_power, and the k-Bessel pair (v/k + 1, 1)
-    closing the lower parameters.  The image holds where the transform
-    converges, which is where every upper coefficient is positive:
-    DomainError elsewhere."""
-    if not all(a > 0 for a, _ in upper):
-        raise DomainError(f"k-Bessel image: upper pairs {upper!r} need positive coefficients")
+    closing the lower parameters, with the pairs common to both sides
+    cancelled.  The image holds where the transform converges, which is
+    where every upper coefficient left is positive: DomainError elsewhere."""
     vk = p.v / p.k
-    series = WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),))
+    series = _cancel_common_pairs(WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),)))
+    if not all(a > 0 for a, _ in series.upper):
+        raise DomainError(
+            f"k-Bessel image: upper pairs {series.upper!r} need positive coefficients"
+        )
     scale = -p.c / (4.0 * p.k)
     return ClosedForm(-vk * math.log(2.0 * p.k), 1, power, series, scale, argument_power)
 
@@ -128,40 +146,23 @@ def theorem24_spec(p: TheoremParams) -> ClosedForm:
     return _kbessel_image(p, p.lam / p.k - p.v / p.k - p.beta - 1.0, upper, lower, -2.0)
 
 
-_COROLLARIES = ("rl_left", "ek_left", "rl_right", "ek_right")
-
-
-def _cancel_common_pairs(w: WrightSpec) -> WrightSpec:
-    """Drop each upper pair that equals a lower pair: the same step, and the
-    coefficient within 1e-12 relative (the two sides may round the same sum
-    differently, e.g. (L+eta)+alpha against (L+alpha)+eta)."""
-    lower = list(w.lower)
-    upper = []
-    for a, A in w.upper:
-        match = next(
-            (i for i, (b, B) in enumerate(lower) if B == A and math.isclose(a, b, rel_tol=1e-12)),
-            None,
-        )
-        if match is None:
-            upper.append((a, A))
-        else:
-            del lower[match]
-    return WrightSpec(tuple(upper), tuple(lower))
+# corollary variant -> the family whose beta it takes
+_COROLLARIES = {"rl_left": Family.RIEMANN_LIOUVILLE, "rl_right": Family.RIEMANN_LIOUVILLE,
+                "ek_left": Family.ERDELYI_KOBER, "ek_right": Family.ERDELYI_KOBER}
 
 
 def corollary_wright_spec(variant: str, p: TheoremParams) -> ClosedForm:
     """Fox-Wright corollaries: the parent theorem (2.1 left, 2.4 right) at
-    beta = -alpha (rl_*) or beta = 0 (ek_*), with the gamma pairs that cancel
-    there removed (1-Psi-2 forms)."""
+    the family's beta, -alpha (rl_*) or 0 (ek_*), where a gamma pair cancels
+    (1-Psi-2 forms)."""
     if variant not in _COROLLARIES:
         raise DomainError(
             f"unknown corollary variant {variant!r}; expected one of "
             f"{sorted(_COROLLARIES)}"
         )
-    beta = -p.alpha if variant.startswith("rl") else 0.0
+    beta = SaigoParams(p.alpha, family=_COROLLARIES[variant]).beta
     q = TheoremParams(p.alpha, beta, p.eta, p.lam, p.v, p.c, p.k)
-    parent = theorem21_spec(q) if variant.endswith("left") else theorem24_spec(q)
-    return dataclasses.replace(parent, series=_cancel_common_pairs(parent.series))
+    return theorem21_spec(q) if variant.endswith("left") else theorem24_spec(q)
 
 
 def duplication_reduce(w: WrightSpec) -> tuple[HypergeomSpec, float]:

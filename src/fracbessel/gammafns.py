@@ -135,7 +135,10 @@ def k_gamma(z: float, k: float) -> float:
         raise DomainError(f"k_gamma: k must be positive, got {k!r}")
     zk = z / k
     lg = log_gamma(zk)  # raises at poles of Gamma(z/k)
-    return lg.sign * math.exp((zk - 1.0) * math.log(k) + lg.log_abs)
+    try:
+        return lg.sign * math.exp((zk - 1.0) * math.log(k) + lg.log_abs)
+    except OverflowError:
+        raise OverflowError(f"k_gamma: Gamma_k({z!r}) at k={k!r} leaves the float range") from None
 
 
 def pochhammer(z: float, n: int) -> float:

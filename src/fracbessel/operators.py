@@ -248,6 +248,14 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
                 f"transform does not converge: kernel part {i} has u-power "
                 f"{exp0 + part.exponent!r} <= -1 at u = 0"
             )
+    # the prefactor too, so that one past the float range costs no quadrature
+    try:
+        pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
+    except OverflowError:
+        raise OverflowError(
+            f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "
+            "leaves the float range"
+        ) from None
     # smooth at each node set this transform reaches: the lower-half
     # branches of a connection kernel share theirs
     smooth_at = {}
@@ -273,7 +281,6 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
         else:
             args = (integrate_jacobi, g, 0.0, 0.5, e0, 0.0)
         parts.append((part.coef, _integrate_soft(*args, tol / 4)))
-    pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
     return _combine(parts, pref, tol)
 
 

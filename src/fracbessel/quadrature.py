@@ -143,7 +143,10 @@ def _moments(e: float) -> list:
     """M_k = int_-1^1 (1+x)^e T_k(x) dx for k < 31, by QMOMO's forward
     recurrence: within 4e-15 M_0 of the exact moments for every e sampled
     in (-1, 30], and within 1e-15 M_0 from e = -0.5 up."""
-    two = 2.0 ** (e + 1.0)
+    try:
+        two = 2.0 ** (e + 1.0)
+    except OverflowError:
+        raise OverflowError(f"_moments: the weight power {e!r} leaves the float range") from None
     m = [two / (e + 1.0)]
     m.append(m[0] * e / (e + 2.0))
     for k in range(2, 31):

@@ -10,20 +10,13 @@ arithmetic.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
 # Bernoulli numbers B_2 .. B_16
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+_BERNOULLI_FRACTIONS = ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510")
+_BERNOULLI = tuple(float(Fraction(b)) for b in _BERNOULLI_FRACTIONS)
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -41,6 +34,38 @@ def lgamma_oracle(x: float) -> float:
     for j, b2j in enumerate(_BERNOULLI, start=1):
         series += b2j / (2 * j * (2 * j - 1) * y ** (2 * j - 1))
     return (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + series - shift
+
+
+# half log(2 pi) to 50 digits
+_HALF_LOG_TWO_PI_DECIMAL = decimal.Decimal("0.91893853320467274178032973640561763986139747363778")
+
+
+def gamma_ratio_oracle(numerators, denominators) -> decimal.Decimal:
+    """prod Gamma(numerators) / prod Gamma(denominators) of exact decimal
+    arguments, in 40-digit decimal arithmetic; 0 when a denominator is a
+    nonpositive integer.  Each argument is shifted up to >= 40 by the
+    recurrence, where the Stirling series' first omitted term is below
+    1e-28.  Call it inside a context of at least 40 digits."""
+    log_abs, sign = decimal.Decimal(0), 1
+    for args, side in ((numerators, 1), (denominators, -1)):
+        for a in args:
+            if a <= 0 and a == a.to_integral_value():
+                if side < 0:
+                    return decimal.Decimal(0)
+                raise ValueError(f"gamma_ratio_oracle: numerator {a} is a gamma pole")
+            shift = decimal.Decimal(1)
+            while a < 40:
+                shift *= a
+                a += 1
+            series = sum(
+                decimal.Decimal(b2j.numerator)
+                / (decimal.Decimal(b2j.denominator) * 2 * j * (2 * j - 1) * a ** (2 * j - 1))
+                for j, b2j in enumerate(map(Fraction, _BERNOULLI_FRACTIONS), start=1)
+            )
+            lg = (a - decimal.Decimal("0.5")) * a.ln() - a + _HALF_LOG_TWO_PI_DECIMAL + series
+            log_abs += side * (lg - abs(shift).ln())
+            sign *= -1 if shift < 0 else 1
+    return sign * log_abs.exp()
 
 
 def bessel_j_oracle(v: float, z: float, n_terms: int = 30) -> float:

@@ -182,6 +182,17 @@ def test_transform_kbessel_left_matches_closed_form(capsys):
     assert d["rel_difference"] <= 1e-7
 
 
+def test_transform_kbessel_ek_closed_form_below_l_zero(capsys):
+    # L = (lam+v)/k = -0.6: the Erdelyi-Kober transform converges for
+    # L > -eta, and so does its corollary, once Gamma(L+2n) cancels
+    d = run_json(
+        capsys, "transform", "--family", "ek", "--side", "left",
+        "--alpha", "0.3", "--eta", "1.1", "--x", "1.3", "--kbessel", "-0.8", "1.0", "0.5",
+    )
+    assert d["closed_form"] is not None and d["note"] == ""
+    assert d["rel_difference"] <= 1e-9
+
+
 def test_transform_kbessel_side_picks_the_integrand(capsys):
     # --side right transforms W(1/t), whose image the closed form gives;
     # there is no flag to choose it
@@ -240,13 +251,14 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (("eval", "gamma_k", "--z", "200", "--k", "1"), ""),
+        (("eval", "gamma_k", "--z", "200", "--k", "1"), "k_gamma: Gamma_k(200.0) at k=1.0"),
         (("eval", "wright", "--upper", "1:1", "--lower", "1:1", "--z", "1000"),
          "eval_wright: term n=347 at z=1000.0"),
         (("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
-          "--x", "1e300", "--monomial", "3"), ""),
+          "--x", "1e300", "--monomial", "3"),
+         "transform prefactor x^2.5/Gamma(0.5) at x=1e+300"),
         (("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
-          "--x", "1", "--monomial", "1.5"), ""),
+          "--x", "1", "--monomial", "1.5"), "_moments: the weight power 1e+200"),
         (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
           "--beta", "0.5", "--eta", "3000", "--x", "1", "--monomial", "1.5"), "sum_series"),
         (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",

@@ -19,6 +19,7 @@ from fracbessel import (
     corollary_wright_spec,
     duplication_reduce,
     ek_left,
+    ek_right,
     evaluate_closed_form,
     eval_pfq,
     kbessel_integrand,
@@ -289,6 +290,33 @@ def test_ek_left_corollary_matches_quadrature():
     lhs = ek_left(f, P_EK.alpha, P_EK.eta, 0.8, tol=1e-10).value
     rhs = _evaluate(corollary_pfq_spec("ek_left", P_EK), 0.8)
     assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("index", [-0.85, -0.5, -0.1, 0.0])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_ek_corollaries_hold_where_their_transforms_converge(side, index, c):
+    # at beta = 0 the bare (L, 2) or (M, 2) pair cancels, so the corollaries
+    # hold for L > -eta (left) and M > -eta (right), as the transforms do;
+    # index is L or M
+    alpha, eta, v, k = 0.7, 0.9, 0.3, 1.2
+    kb = KBesselParams(v=v, c=c, k=k)
+    if side == "left":
+        lam = index * k - v
+        f = kbessel_integrand(kb, lam, series_tol=1e-13)
+        transform = lambda x: ek_left(f, alpha, eta, x, tol=1e-10)
+    else:
+        lam = k + v - index * k
+        f = kbessel_integrand(kb, lam, reciprocal=True, series_tol=1e-13)
+        transform = lambda x: ek_right(f, alpha, eta, x, tol=1e-10)
+    p = TheoremParams(alpha=alpha, beta=0.0, eta=eta, lam=lam, v=v, c=c, k=k)
+    assert (p.big_l if side == "left" else p.big_m) == pytest.approx(index, abs=1e-15)
+    variant = "ek_" + side
+    for x in (0.5, 1.0, 2.0):
+        qr = transform(x)
+        for build in (corollary_wright_spec, corollary_pfq_spec):
+            sv = evaluate_closed_form(build(variant, p), x, 1e-13)
+            assert abs(sv.value - qr.value) <= qr.error_estimate + sv.trunc_estimate
 
 
 # ---------------------------------------------------------------- reduction

@@ -188,6 +188,24 @@ def test_pochhammer_and_beta_reject_nonfinite_arguments(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: k_gamma(2.0, 0.0), "k must be positive"),
+        (lambda: k_gamma(2.0, -1.5), "k must be positive"),
+        (lambda: pochhammer(2.0, -1), "nonnegative integer"),
+        (lambda: pochhammer(2.0, 2.5), "nonnegative integer"),
+        (lambda: beta_fn(0.0, 1.0), "must be positive"),
+        (lambda: beta_fn(1.0, -0.5), "must be positive"),
+    ],
+    ids=["k-gamma-k-0", "k-gamma-k-negative", "pochhammer-n-negative",
+         "pochhammer-n-fraction", "beta-x-0", "beta-y-negative"],
+)
+def test_gamma_primitives_refuse_arguments_outside_their_domain(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_beta_fn_values_and_symmetry():
     assert beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
     assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
@@ -240,7 +258,8 @@ def test_digamma_recurrence_and_reflection():
         )
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, -6.0, math.nan, math.inf])
+# -24999999.75 is off the poles but would take 2.5e7 shifts up to 0.5
+@pytest.mark.parametrize("x", [0.0, -1.0, -6.0, math.nan, math.inf, -24999999.75])
 def test_digamma_rejects_poles_and_nonfinite(x):
     with pytest.raises(DomainError):
         digamma(x)

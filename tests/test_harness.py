@@ -1,5 +1,6 @@
 """Verification harness: sampling, identity checking, and reporting."""
 
+import hashlib
 import json
 import math
 
@@ -18,9 +19,10 @@ from fracbessel import (
     run_suite,
     sample_params,
 )
+from fracbessel.cli import main
 from fracbessel.errors import DomainError
 
-from _golden_verdicts import SEED_123_ONE_DRAW
+from _golden_verdicts import SEED_123_FIVE_DRAWS_JSON_SHA256, SEED_123_ONE_DRAW
 
 SMALL = SuiteConfig(theorems=("2.1", "2.4", "cor3.3"), n_draws=2, seed=3, tol=1e-5)
 
@@ -220,6 +222,14 @@ def test_run_suite_keeps_its_golden_verdicts():
     for r, (*_, lhs, rhs) in zip(report.records, SEED_123_ONE_DRAW):
         assert r.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
         assert r.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def test_golden_report_bytes_are_unchanged(capsys):
+    # five draws of every identity: each value and estimate bit for bit
+    assert main(["verify", "--theorems", "all", "--n", "5", "--seed", "123",
+                 "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEED_123_FIVE_DRAWS_JSON_SHA256
 
 
 def test_run_suite_counts_duplicate_ids_separately():

@@ -1,12 +1,13 @@
 """Fractional integral operators: quadrature vs exact monomial images,
 family reductions, and parameter validation."""
 
+import decimal
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracbessel import (
@@ -20,6 +21,7 @@ from fracbessel import (
     evaluate_closed_form,
     theorem21_spec,
 )
+from fracbessel import operators
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import gamma_ratio
 from fracbessel.integrands import Integrand, kbessel_integrand, monomial
@@ -40,6 +42,8 @@ from fracbessel.operators import (
     saigo_right,
     saigo_right_monomial,
 )
+
+from _oracles import gamma_ratio_oracle
 
 
 def _ratio(numerators, denominators):
@@ -331,6 +335,85 @@ def test_right_quadrature_matches_image_under_random_valid_draws(
     assert abs(value - expected) <= max(1e-7 * abs(expected), 10.0 * est, 1e-12)
 
 
+def _off_integer(v):
+    return abs(v - round(v))
+
+
+def _beta_near(alpha):
+    """beta within 1e-12 to 1e-6 of -alpha, 0 or +-1, on either side."""
+    return st.tuples(
+        st.sampled_from([-alpha, 0.0, 1.0, -1.0]),
+        st.floats(min_value=-12.0, max_value=-6.0),  # log10 of the hair
+        st.sampled_from([1.0, -1.0]),
+    ).map(lambda t: t[0] + t[2] * 10.0 ** t[1])
+
+
+def _decimal_image(side, alpha, beta, eta, lam, x):
+    """The Saigo image of t^(lam-1) at x, in 40 digits from the exact float
+    inputs: a double image misses it by up to 20 eps (an lgamma ulp, a
+    rounded exponent times log x), which is what a transform's estimate
+    may allow."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b, e, lam = map(decimal.Decimal, (alpha, beta, eta, lam))
+        if side == "left":
+            ratio = gamma_ratio_oracle([lam, lam + e - b], [lam - b, lam + a + e])
+        else:
+            ratio = gamma_ratio_oracle([e - lam + 1, b - lam + 1], [1 - lam, a + b + e - lam + 1])
+        return float(ratio * decimal.Decimal(x) ** (lam - b - 1))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@given(
+    data=st.data(),
+    alpha=st.floats(min_value=0.3, max_value=1.8),
+    eta=st.floats(min_value=0.0, max_value=2.0),
+    shift=st.floats(min_value=0.06, max_value=2.0),
+    log_x=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_saigo_monomial_error_within_estimate(side, data, alpha, eta, shift, log_x):
+    """Saigo transforms of t^(lam-1) at x log-uniform on [1e-3, 1e3], beta
+    free or a hair off a value where a kernel branch or a gamma pair
+    degenerates: the error against the exact image is within the estimate,
+    which is within tol wherever the transform returns.
+
+    A refusal must keep that promise too: its value is within its estimate.
+    At these ranges' edges tol, absolute where |value| < 1, can sit below
+    what a prefactor near 1e3 leaves of the parts' rounding, and the parts'
+    tol/4 split refuses some transforms it could certify
+    (test_transform_meets_tol_where_its_parts_outweigh_its_value).
+
+    eta-beta stays 1e-3 or more off the integers, and 3e-2 or more while
+    beta is within 5e-2 of 0 or 1.  That region is item 4's: nearer, a
+    connection coefficient's rounding next to its gamma pole, about eps
+    over the distance, exceeds the estimate.  Elsewhere the combination
+    allowance covers it, since the two connection branches then cancel at
+    that scale; with beta near 0 or 1, 1/Gamma(-beta) shrinks one branch
+    and nothing cancels.  The strict xfails of
+    test_near_integer_eta_minus_beta_error_within_estimate and
+    test_near_integer_eta_minus_beta_at_beta_near_zero_error_within_estimate
+    pin it.  The examples are derandomized, so every run sees the same ones.
+    """
+    beta = data.draw(st.one_of(st.floats(min_value=-1.0, max_value=1.0), _beta_near(alpha)))
+    gap = _off_integer(eta - beta)
+    assume(gap >= 1e-3)
+    assume(gap >= 3e-2 or round(beta) < 0 or _off_integer(beta) >= 5e-2)
+    p = SaigoParams(alpha=alpha, beta=beta, eta=eta)
+    x = 10.0**log_x
+    transform, lam = {
+        "left": (saigo_left, max(0.0, beta - eta) + shift),
+        "right": (saigo_right, 1.0 + min(beta, eta) - shift),
+    }[side]
+    try:
+        r = transform(monomial(lam), p, x, tol=1e-10)
+        value, est = r.value, r.error_estimate
+        assert est <= 1e-10 * max(1.0, abs(value))
+    except AccuracyError as exc:
+        value, est = exc.value, exc.error_estimate
+    assert abs(value - _decimal_image(side, alpha, beta, eta, lam, x)) <= est
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("beta", [1e-9, -1e-9, 5e-10, 1e-10])
 @pytest.mark.parametrize("eta", [2.0**-8, 0.3])
@@ -382,6 +465,41 @@ def test_near_integer_eta_minus_beta_error_within_estimate(lam, eta):
     r = saigo_left(monomial(lam), p, 0.7, tol=1e-10)
     coeff, exponent = saigo_left_monomial(p, lam)
     assert abs(r.value - coeff * 0.7**exponent) <= r.error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="eta-beta 1e-3 off an integer with beta 1e-6 off 0: the rounding of "
+    "the surviving connection coefficient, next to the pole of Gamma(beta-eta), "
+    "is not in the estimate",
+)
+@pytest.mark.parametrize("side, lam", [("left", 0.7), ("right", 0.3)])
+def test_near_integer_eta_minus_beta_at_beta_near_zero_error_within_estimate(side, lam):
+    # about 5.9 times the estimate off the image on both sides; the image
+    # itself is within 4 eps of a 40-digit one
+    p = SaigoParams(alpha=1.0, beta=1e-6, eta=1.001)
+    transform, image = {
+        "left": (saigo_left, saigo_left_monomial),
+        "right": (saigo_right, saigo_right_monomial),
+    }[side]
+    r = transform(monomial(lam), p, 0.7, tol=1e-10)
+    coeff, exponent = image(p, lam)
+    assert abs(r.value - coeff * 0.7**exponent) <= r.error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AccuracyError,
+    reason="each part is integrated to tol/4 of its own size, so where the "
+    "prefactor makes the parts outweigh the value the combined estimate "
+    "exceeds tol, and the transform refuses without bisecting",
+)
+def test_transform_meets_tol_where_its_parts_outweigh_its_value():
+    # lam = beta: the image is exactly 0, and the prefactor x^(lam-beta-1) is
+    # 1e3; the refusal's estimate is 1.6e-10 after 93 evaluations, while the
+    # rounding that bisection cannot shrink comes to about 2e-11
+    r = saigo_left(monomial(0.5), SaigoParams(alpha=1.0, beta=0.5, eta=0.65), 1e-3, tol=1e-10)
+    assert abs(r.value) <= r.error_estimate <= 1e-10
 
 
 def test_refused_transform_and_soft_pieces_report_their_evaluations():
@@ -634,6 +752,23 @@ def test_kernel_out_of_float_range_raises_overflow_error(side, eta):
     transform, lam = (saigo_left, 1.5) if side == "left" else (saigo_right, 0.6)
     with pytest.raises(OverflowError, match=_KERNEL_OVERFLOW[eta]):
         transform(monomial(lam), SaigoParams(alpha=1.0, beta=0.5, eta=eta), 1.0)
+
+
+@pytest.mark.parametrize(
+    "transform, lam, x",
+    [(rl_left, 3.0, 1e300), (rl_right, -1.0, 1e-300)],
+    ids=["left", "right"],
+)
+def test_prefactor_out_of_float_range_refused_before_quadrature(monkeypatch, transform, lam, x):
+    # x^(x_power - beta) passes 1e308: an OverflowError that names the
+    # prefactor, raised before any part is integrated
+    def integrate(*args):
+        raise AssertionError("a part was integrated")
+
+    monkeypatch.setattr(operators, "integrate_jacobi", integrate)
+    monkeypatch.setattr(operators, "integrate_log_jacobi", integrate)
+    with pytest.raises(OverflowError, match=r"transform prefactor x\^.*/Gamma\(0\.5\)"):
+        transform(monomial(lam), 0.5, x)
 
 
 def test_transform_requires_positive_x():

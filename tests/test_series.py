@@ -14,6 +14,7 @@ from fracbessel.series import (
     MAX_TERMS,
     HypergeomSpec,
     KBesselParams,
+    SeriesValue,
     WrightSpec,
     eval_k_bessel,
     eval_pfq,
@@ -54,6 +55,22 @@ def test_pfq_at_zero_is_one():
     assert sv.converged
 
 
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        # p > q+1 diverges only off z = 0
+        ((0.7, 1.9, 3.0), ()),
+        # the first term ratio overflows to inf, and inf * 0 is NaN: summed
+        # as a series, this 1 would come out NaN after MAX_TERMS terms
+        ((1e200, 1e200), (1.0,)),
+    ],
+    ids=["3F0", "ratio-overflow"],
+)
+def test_pfq_at_zero_is_one_without_summing(upper, lower):
+    sv = eval_pfq(HypergeomSpec(upper=upper, lower=lower), 0.0, 1e-14)
+    assert sv == SeriesValue(1.0, 1, 0.0, True)
+
+
 def test_pfq_terminating_matches_brute_sum():
     spec = HypergeomSpec(upper=(-3.0, 2.0), lower=(4.0,))
     sv = eval_pfq(spec, 0.3, 1e-14)
@@ -89,6 +106,12 @@ def test_pfq_gauss_route_at_unit_argument():
     sv = eval_pfq(spec, 1.0, 1e-12)
     assert sv.value == pytest.approx(1.2732395447351626862, rel=1e-13)
     assert gauss_2f1_at_1(0.5, 0.5, 2.0) == pytest.approx(1.2732395447351626862, rel=1e-13)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 1.0), (1.0, 1.5, 2.0)], ids=["zero", "negative"])
+def test_gauss_2f1_at_1_needs_positive_c_minus_a_minus_b(a, b, c):
+    with pytest.raises(DomainError, match="needs c-a-b > 0"):
+        gauss_2f1_at_1(a, b, c)
 
 
 def test_pfq_lower_parameter_pole_rejected_at_construction():
