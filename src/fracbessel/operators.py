@@ -31,14 +31,25 @@ half, a u-power weight on a lower-half branch, times log(u) on a log
 branch).  The combined value is the coefficient-weighted sum of the parts
 times the prefactor x^(x_power-beta)/Gamma(alpha).
 
-Whether a transform converges is decided by its parts, in one place
-(_transform_core), before any part is integrated: the upper half lies on
-[1/2, 1], and each lower-half part must leave a u-power above -1 at u = 0.
-kernel_split omits a branch whose coefficient is exactly 0, so at beta = 0,
-where Gamma(c-a) = Gamma(0), only the u^eta branch counts.  A monomial image
-states its window the same way, through its own gamma arguments
-(_monomial_image); the Riemann-Liouville and Erdelyi-Kober images are the
-Saigo image at their family's beta.
+Whether a transform converges is decided by its parts, in one place (the
+loop of _transform_core that builds them), before any part is integrated:
+the upper half lies on [1/2, 1], and each lower-half part must leave a
+u-power above -1 at u = 0.  kernel_split omits a branch whose coefficient
+is exactly 0, so at beta = 0, where Gamma(c-a) = Gamma(0), only the u^eta
+branch counts.  A monomial image states its window the same way, through
+its own gamma arguments (_monomial_image); the Riemann-Liouville and
+Erdelyi-Kober images are the Saigo image at their family's beta.
+
+Whether a transform meets its tolerance is decided in one place too
+(_combine), on the combined estimate.  Each part is integrated first to
+tol/4 of its own size, which certifies nearly every transform.  Where the
+prefactor, or cancellation between parts, makes the parts outweigh the
+value, the parts whose weighted estimates exceed an equal share of tol are
+integrated again to that share: a part's pieces do not depend on its tol,
+so that second pass replays the first's pieces, whose integrand values
+the memos below mostly still hold, and bisects further.  A part whose
+integrator gives up still contributes its value and estimate; only the
+transform raises AccuracyError.
 
 Each factor of a transform is computed once, at the narrowest scope it
 depends on, and reused bit for bit:
@@ -136,16 +147,6 @@ class SaigoParams:
         return (a, -self.eta, self.alpha, self.eta - self.beta, -self.beta, self.alpha + self.eta)
 
 
-def _integrate_soft(integrate, *args) -> QuadratureResult:
-    """integrate(*args) that degrades to its best estimate instead of raising,
-    so a struggling sub-integral still contributes its value and (honest)
-    error to the combined transform, which makes the final accuracy call."""
-    try:
-        return integrate(*args)
-    except AccuracyError as exc:
-        return QuadratureResult(exc.value, exc.error_estimate, exc.evaluations)
-
-
 # rounding allowance per combined piece: a few ulps of coefficient error
 # (gamma-ratio construction) plus summation rounding.  Each piece's estimate
 # already bounds the rounding of its own weighted sum; this is the other
@@ -154,23 +155,58 @@ _COMBINE_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _combine(parts, pref: float, tol: float) -> QuadratureResult:
-    # each piece's own estimate, plus the rounding floor of the coefficient
-    # combination: near-degenerate kernels (c-a-b within ~1e-5 of an
-    # integer) carry branch coefficients of order 1/|c-a-b - m| whose own
-    # rounding costs eps * sum|coef * piece|, which no piece estimate sees
-    total = claimed = rounding = 0.0
-    evals = 0
-    for coef, r in parts:
-        term = coef * r.value
-        total += term
-        claimed += abs(coef) * r.error_estimate
-        rounding += abs(term)
-        evals += r.evaluations
-    value = pref * total
-    err = abs(pref) * claimed
-    err += abs(pref) * _COMBINE_EPS * rounding
-    # written so that a NaN or infinite value or estimate fails it
-    if not (math.isfinite(value) and err <= tol * max(1.0, abs(value))):
+    """pref * sum(coef * part) for parts of (coef, integrator, args):
+    the one place that decides whether a transform meets tol, absolute or
+    relative (module docstring).
+
+    The first pass integrates every part at tol/4 of its own size.  If the
+    sum misses tol, a second pass integrates again each part whose
+    |pref * coef| * estimate exceeds an equal share of what tol leaves
+    beside the rounding allowance, to that share; its result, evaluations
+    included, replaces the first's, whose pieces it replays.  A part that
+    raises AccuracyError still contributes its value, its (honest) estimate
+    and its evaluations, and is not run again.
+
+    The estimate is the parts', plus the rounding allowance of the
+    coefficient combination: near-degenerate kernels (c-a-b within ~1e-5 of
+    an integer) carry branch coefficients of order 1/|c-a-b - m| whose own
+    rounding costs eps * sum|coef * part|, which no part's estimate sees.
+    """
+    results = [None] * len(parts)
+    todo = enumerate([tol / 4] * len(parts))  # (part, its tol) to integrate
+    spent = []  # parts that gave up: at any smaller tol they give up the same way
+    for second_pass in (False, True):
+        for i, part_tol in todo:
+            _, integrate, args = parts[i]
+            try:
+                results[i] = integrate(*args, part_tol)
+            except AccuracyError as exc:
+                results[i] = QuadratureResult(exc.value, exc.error_estimate, exc.evaluations)
+                spent.append(i)
+        total = claimed = rounding = 0.0
+        evals = 0
+        for (coef, _, _), r in zip(parts, results):
+            term = coef * r.value
+            total += term
+            claimed += abs(coef) * r.error_estimate
+            rounding += abs(term)
+            evals += r.evaluations
+        value = pref * total
+        allowance = abs(pref) * _COMBINE_EPS * rounding
+        err = abs(pref) * claimed + allowance
+        budget = tol * max(1.0, abs(value))
+        # a value that is not finite ends here; a NaN estimate passes no
+        # part's share test below
+        if second_pass or err <= budget or not math.isfinite(value):
+            break
+        # no part takes a share when the rounding leaves no room (share <= 0)
+        share = (budget - allowance) / len(parts)
+        todo = [
+            (i, share / (abs(pref * coef) * max(1.0, abs(r.value))))
+            for i, ((coef, _, _), r) in enumerate(zip(parts, results))
+            if abs(pref * coef) * r.error_estimate > share > 0.0 and i not in spent
+        ]
+    if not (math.isfinite(value) and err <= budget):
         raise AccuracyError(
             f"transform error estimate {err!r} exceeds tol {tol!r}"
             if math.isfinite(value)
@@ -239,29 +275,18 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
     """
     al = p.alpha
     kernel = p.kernel
-    split = _split(*kernel)
-    # only the lower half's parts reach u = 0, where the integral may
-    # diverge; all are checked before any is integrated
-    for i, part in enumerate(split[1:], 1):
-        if not (exp0 + part.exponent > -1.0):
-            raise DomainError(
-                f"transform does not converge: kernel part {i} has u-power "
-                f"{exp0 + part.exponent!r} <= -1 at u = 0"
-            )
-    # the prefactor too, so that one past the float range costs no quadrature
-    try:
-        pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
-    except OverflowError:
-        raise OverflowError(
-            f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "
-            "leaves the float range"
-        ) from None
     # smooth at each node set this transform reaches: the lower-half
     # branches of a connection kernel share theirs
     smooth_at = {}
     parts = []
-    for i, part in enumerate(split):
+    for i, part in enumerate(_split(*kernel)):
         e0 = exp0 + part.exponent
+        # only the lower half's parts reach u = 0, where the integral may
+        # diverge; all are checked before any is integrated
+        if i and not (e0 > -1.0):
+            raise DomainError(
+                f"transform does not converge: kernel part {i} has u-power {e0!r} <= -1 at u = 0"
+            )
         # the weight power the rule leaves to g: u^exp0 on the upper half,
         # (1-u)^(alpha-1) on the lower half
         power = (al - 1.0, True) if i else (exp0, False)
@@ -275,12 +300,20 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
             return k * v * _draw_factor(*power, nodes)
 
         if not i:
-            args = (integrate_jacobi, g, 0.5, 1.0, 0.0, al - 1.0)
+            integrate, args = integrate_jacobi, (g, 0.5, 1.0, 0.0, al - 1.0)
         elif part.log_factor:
-            args = (integrate_log_jacobi, g, 0.5, e0)
+            integrate, args = integrate_log_jacobi, (g, 0.5, e0)
         else:
-            args = (integrate_jacobi, g, 0.0, 0.5, e0, 0.0)
-        parts.append((part.coef, _integrate_soft(*args, tol / 4)))
+            integrate, args = integrate_jacobi, (g, 0.0, 0.5, e0, 0.0)
+        parts.append((part.coef, integrate, args))
+    # the prefactor too, so that one past the float range costs no quadrature
+    try:
+        pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
+    except OverflowError:
+        raise OverflowError(
+            f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "
+            "leaves the float range"
+        ) from None
     return _combine(parts, pref, tol)
 
 

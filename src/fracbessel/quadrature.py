@@ -51,16 +51,19 @@ kernel part of that cost is paid once per kernel and node set, not per
 call: operators memoizes the kernel's values by node bytes, so another x
 of the same draw pays only for the integrand's own smooth part.
 
-What a call costs beyond g: its one or two start pieces, each one rule
-lookup, the piece's nodes (mapped once per piece geometry and cached, read
-only), one 2 x 31 product for both rules and one 31-term sum for the
-rounding bound, then one stop test.  Neither benchmark workload ever
-bisects, so a call that meets tolerance on its start pieces returns there,
-and only one that misses it builds the QUADPACK-style heap of pieces,
-seeded with the pieces it already has.  A piece whose value or estimate is
-not finite raises DomainError where it is evaluated: bisection cannot
-repair it, and a NaN estimate fails every stop test, so bisection would
-run such a piece down to float resolution.
+A call is one loop over one QUADPACK-style heap of pieces, under one stop
+test: it evaluates the pieces it has (first the one or two start pieces),
+tests the running sums, and otherwise bisects the piece of largest
+estimate.  What a piece costs beyond g: one rule lookup, its nodes (mapped
+once per piece geometry and cached, read only), one 2 x 31 product for
+both rules, one 31-term sum for the rounding bound and one heap push.
+Which pieces are bisected, and in what order, does not depend on tol, so
+a call at a smaller tol replays a larger one's pieces before it goes on:
+operators relies on that when a transform integrates a part again to a
+tighter share of its tolerance.  A piece whose value or estimate is not
+finite raises DomainError where it is evaluated: bisection cannot repair
+it, and a NaN estimate fails every stop test, so bisection would run such
+a piece down to float resolution.
 """
 
 from __future__ import annotations
@@ -143,14 +146,14 @@ def _moments(e: float) -> list:
     """M_k = int_-1^1 (1+x)^e T_k(x) dx for k < 31, by QMOMO's forward
     recurrence: within 4e-15 M_0 of the exact moments for every e sampled
     in (-1, 30], and within 1e-15 M_0 from e = -0.5 up."""
-    try:
-        two = 2.0 ** (e + 1.0)
-    except OverflowError:
-        raise OverflowError(f"_moments: the weight power {e!r} leaves the float range") from None
+    two = 2.0 ** (e + 1.0) if e < 1023.0 else math.inf  # ** raises past 2^1024
     m = [two / (e + 1.0)]
     m.append(m[0] * e / (e + 2.0))
     for k in range(2, 31):
         m.append(-(two + k * (k - e - 2.0) * m[-1]) / ((k - 1.0) * (k + e + 1.0)))
+    # from e near 1019 the terms overflow; an inf or NaN carries to the last
+    if not math.isfinite(m[-1]):
+        raise OverflowError(f"_moments: the weight power {e!r} leaves the float range")
     return m
 
 
@@ -261,13 +264,6 @@ def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, log_lo):
     return fine, err, wabs, u.size
 
 
-def _meets(total: float, total_wabs: float, total_err: float, tol: float) -> bool:
-    """integrate_jacobi's stop test: the summed estimate meets tol, absolute
-    or relative, or sits on the rounding floor of the pieces' weighted sums,
-    which covers the rounding bounds inside the estimate."""
-    return total_err <= max(tol, tol * abs(total), _NOISE * total_wabs)
-
-
 def integrate_jacobi(
     g,
     lo: float,
@@ -284,15 +280,16 @@ def integrate_jacobi(
     tol is absolute-or-relative, whichever is larger at the result's scale.
     Each piece calls g once, on the 31 nodes of its fine rule, so evaluations
     is 31 per piece.  With weights at both ends the interval starts as two
-    pieces, split at its midpoint; it must be wide enough to split.  A piece
-    at float resolution is no longer bisected but keeps its estimate in the
-    total.  When the start pieces meet tolerance, as every piece of both
-    benchmark workloads does, the call returns without building the
-    bisection heap; otherwise the heap starts from those pieces.  Raises
-    AccuracyError (carrying the best estimate) if the interval budget is
-    exhausted before the estimate meets tolerance, or if the estimate left
-    over sits on pieces already at float resolution, and DomainError at the
-    first piece whose value or estimate is not finite.
+    pieces, split at its midpoint; it must be wide enough to split.  One
+    loop evaluates the pieces it has, applies the stop test to the running
+    sums, and otherwise bisects the piece of largest estimate.  The pieces
+    it bisects, and their order, do not depend on tol: a call at a smaller
+    tol replays a larger tol's pieces before it goes on.  A piece at float
+    resolution is no longer bisected but keeps its estimate in the total.
+    Raises AccuracyError (carrying the best estimate) if the interval budget
+    is exhausted before the estimate meets tolerance, or if the estimate
+    left over sits on pieces already at float resolution, and DomainError
+    at the first piece whose value or estimate is not finite.
     """
     require_finite("integrate_jacobi", lo, hi)
     if not (hi > lo):
@@ -303,7 +300,7 @@ def integrate_jacobi(
             "must exceed -1 for integrability"
         )
     require_positive_finite("integrate_jacobi", "tol", tol)
-    starts = [(lo, hi)]
+    fresh = [(lo, hi)]
     if (exp_lo != 0.0 or log_lo) and exp_hi != 0.0:  # a rule carries one endpoint weight
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -311,64 +308,44 @@ def integrate_jacobi(
                 f"integrate_jacobi: [{lo!r}, {hi!r}] is too narrow to split "
                 "between its two endpoint weights"
             )
-        starts = [(lo, mid), (mid, hi)]
+        fresh = [(lo, mid), (mid, hi)]
 
-    spec = (lo, hi, exp_lo, exp_hi, log_lo)
-    pieces = []
+    # a heap of (-estimate, order, lo, hi, value, estimate, weighted
+    # absolute sum), where order is evals after the piece, rising with each
+    # piece, so ties pop oldest first; a piece at float resolution goes back
+    # at +inf
+    heap = []
     total = total_wabs = total_err = 0.0
     evals = 0
-    for plo, phi in starts:
-        val, err, wabs, nodes = _eval_pair(g, plo, phi, *spec)
-        pieces.append((plo, phi, val, err, wabs))
-        evals += nodes
-        total += val
-        total_wabs += wabs
-        total_err += err
-    if _meets(total, total_wabs, total_err, tol):
-        return QuadratureResult(total, total_err, evals)
-    return _bisect(g, spec, tol, pieces, (total, total_wabs, total_err, evals))
-
-
-def _bisect(g, spec, tol, pieces, sums) -> QuadratureResult:
-    """integrate_jacobi past its start pieces, which missed tol: bisect the
-    piece of largest estimate until the sums meet the stop test.
-
-    spec is the call's (lo, hi, exp_lo, exp_hi, log_lo); pieces are the
-    start pieces (plo, phi, value, estimate, weighted absolute sum), in
-    order; sums are their running total, weighted absolute sum, estimate
-    and evaluations, so no piece is evaluated twice.  A piece at float
-    resolution is kept, with its estimate, and never popped again.
-    """
-    total, total_wabs, total_err, evals = sums
-    heap = [(-piece[3], i, *piece) for i, piece in enumerate(pieces)]
-    heapq.heapify(heap)
-    counter = len(heap)
     while True:
+        for qlo, qhi in fresh:
+            v, e, wabs, nodes = _eval_pair(g, qlo, qhi, lo, hi, exp_lo, exp_hi, log_lo)
+            evals += nodes
+            heapq.heappush(heap, (-e, evals, qlo, qhi, v, e, wabs))
+            total += v
+            total_wabs += wabs
+            total_err += e
+        # the summed estimate meets tol, absolute or relative, or sits on the
+        # rounding floor of the pieces' weighted sums, which covers the
+        # rounding bounds inside the estimate
+        if total_err <= max(tol, tol * abs(total), _NOISE * total_wabs):
+            return QuadratureResult(total, total_err, evals)
         if len(heap) >= MAX_INTERVALS:
             reason = f"{MAX_INTERVALS} intervals"
             break
-        priority, _, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
+        priority, order, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
         if priority >= 0.0:  # only kept or zero-estimate pieces left: bisection cannot help
             reason = "pieces at float resolution"
             break
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:  # at float resolution: keep it, and its estimate
-            heapq.heappush(heap, (math.inf, counter, plo, phi, pval, perr, pwabs))
-            counter += 1
+            heapq.heappush(heap, (math.inf, order, plo, phi, pval, perr, pwabs))
+            fresh = ()
             continue
         total -= pval
         total_wabs -= pwabs
         total_err -= perr
-        for qlo, qhi in ((plo, mid), (mid, phi)):
-            v, e, wabs, nodes = _eval_pair(g, qlo, qhi, *spec)
-            evals += nodes
-            heapq.heappush(heap, (-e, counter, qlo, qhi, v, e, wabs))
-            counter += 1
-            total += v
-            total_wabs += wabs
-            total_err += e
-        if _meets(total, total_wabs, total_err, tol):
-            return QuadratureResult(total, total_err, evals)
+        fresh = ((plo, mid), (mid, phi))
     raise AccuracyError(
         f"integrate_jacobi: {reason} without reaching tol={tol!r} "
         f"(estimate {float(total_err)!r})",

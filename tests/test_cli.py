@@ -260,13 +260,16 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
         (("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
           "--x", "1", "--monomial", "1.5"), "_moments: the weight power 1e+200"),
         (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
+          "--beta", "0.2", "--eta", "1.5", "--x", "1", "--monomial", "1020"),
+         "_moments: the weight power 1020.3 leaves the float range"),
+        (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
           "--beta", "0.5", "--eta", "3000", "--x", "1", "--monomial", "1.5"), "sum_series"),
         (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
           "--beta", "0.5", "--eta", "3000.5", "--x", "1", "--monomial", "1.5"),
          "kernel_split: a branch coefficient of 2F1(1.5, -3000.5; 1.0)"),
     ],
-    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-kernel",
-         "transform-log-kernel"],
+    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-moments",
+         "transform-kernel", "transform-log-kernel"],
 )
 def test_result_out_of_float_range_exits_2(capsys, argv, names):
     # one line, which names what overflowed where the library knows it

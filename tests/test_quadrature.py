@@ -3,6 +3,7 @@ from Chebyshev moments, the log weight's rule among them."""
 
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,14 @@ def test_moments_match_exact_oracle(b):
     want = np.array(chebyshev_moments_oracle(b))
     # the recurrence loses up to ~16 ulps of M_0 as b -> -1
     assert np.all(np.abs(got - want) <= 4e-15 * want[0])
+
+
+@pytest.mark.parametrize("e", [1020.3, 1022.5, 1023.0, 1e200])
+def test_moments_past_the_float_range_raise_a_named_overflow(e):
+    # from e near 1019 the recurrence's terms overflow before 2^(e+1) does;
+    # either way the error names the weight power, never a NaN rule
+    with pytest.raises(OverflowError, match=re.escape(f"_moments: the weight power {e!r} leaves")):
+        quadrature._moments(e)
 
 
 @pytest.mark.parametrize("side", ["lo", "hi"])
