@@ -41,14 +41,6 @@ from .integrands import Integrand, kbessel_integrand, monomial
 from .operators import (
     Family,
     SaigoParams,
-    ek_left,
-    ek_left_monomial,
-    ek_right,
-    ek_right_monomial,
-    rl_left,
-    rl_left_monomial,
-    rl_right,
-    rl_right_monomial,
     saigo_left,
     saigo_left_monomial,
     saigo_right,
@@ -93,10 +85,6 @@ __all__ = [
     "corollary_pfq_spec",
     "corollary_wright_spec",
     "duplication_reduce",
-    "ek_left",
-    "ek_left_monomial",
-    "ek_right",
-    "ek_right_monomial",
     "eval_k_bessel",
     "eval_pfq",
     "eval_wright",
@@ -114,10 +102,6 @@ __all__ = [
     "render_csv",
     "render_text",
     "report_from_json",
-    "rl_left",
-    "rl_left_monomial",
-    "rl_right",
-    "rl_right_monomial",
     "run_suite",
     "saigo_left",
     "saigo_left_monomial",

@@ -1,16 +1,18 @@
-"""Gauss hypergeometric 2F1 on [0, 1), vectorized, tuned for operator kernels.
+"""Gauss hypergeometric 2F1 for the fractional-integral kernels, vectorized.
 
-The fractional-integral kernels need 2F1(a, b; c; w) with w running over
-quadrature nodes that approach 1 arbitrarily closely.  The direct series
-needs O(1/(1-w)) terms there, so for w > 1/2 the evaluation switches to
-an expansion in powers of u = 1-w.  Three regimes cover every input:
+A transform's kernel is 2F1(a, b; c; 1-u) over quadrature nodes u in (0, 1).
+On the upper half, u >= 1/2, the argument w = 1-u is at most 1/2 and the
+direct series converges fast: hyp2f1_kernel sums it there, and only there.
+On the lower half the direct series would need O(1/u) terms, so
+``kernel_split`` expands the kernel about w = 1 instead, in powers of u; it
+is the only such expansion.  Three regimes cover every kernel:
 
 * terminating (a or b a nonpositive integer to rounding): exact
-  polynomial for any w;
+  polynomial, as a single analytic term;
 * c-a-b not an integer: the two-branch connection formula
 
-      2F1(a,b;c;w) = A * 2F1(a, b; a+b-c+1; u)
-                   + B * u^(c-a-b) * 2F1(c-a, c-b; c-a-b+1; u)
+      2F1(a,b;c;1-u) = A * 2F1(a, b; a+b-c+1; u)
+                     + B * u^(c-a-b) * 2F1(c-a, c-b; c-a-b+1; u)
 
   with gamma-ratio coefficients A, B;
 * c-a-b an integer m (the two branches above degenerate): the logarithmic
@@ -19,7 +21,7 @@ an expansion in powers of u = 1-w.  Three regimes cover every input:
 
 Every series here, polynomials included, is summed by series.sum_series.
 
-``kernel_split`` exposes the decomposition itself (coefficient, power of u,
+``kernel_split`` returns the decomposition itself (coefficient, power of u,
 optional log(u) factor, analytic series per branch) so quadrature can absorb
 each u-power into an exact endpoint weight instead of sampling a singular
 integrand.  Inputs within 2e-9 of an integer c-a-b use the integer branch:
@@ -137,12 +139,7 @@ def log_connection_parts(a: float, b: float, c: float, m: int) -> list[KernelTer
 
 
 def kernel_split(
-    a: float,
-    b: float,
-    c: float,
-    gamma: float | None = None,
-    c_minus_a: float | None = None,
-    c_minus_b: float | None = None,
+    a: float, b: float, c: float, gamma: float, c_minus_a: float, c_minus_b: float
 ) -> list[KernelTerm]:
     """Branches of 2F1(a,b;c;1-u) around u = 0, valid for u in (0, ~0.6).
 
@@ -153,69 +150,47 @@ def kernel_split(
     coefficient past the float range raises an OverflowError that names the
     kernel.
 
-    gamma, c_minus_a and c_minus_b default to the obvious differences;
-    callers that know the parameters as sums of primitives (the operator
-    kernel has a = alpha+beta, b = -eta, c = alpha, so c-a-b = eta-beta and
-    c-a = -beta exactly) should pass those directly -- near a gamma pole the
-    coefficients amplify one rounding of a composite by 1/|pole distance|.
+    gamma, c_minus_a and c_minus_b are c-a-b, c-a and c-b, passed exactly
+    rather than recomputed from the rounded a, b, c (the operator kernel has
+    a = alpha+beta, b = -eta, c = alpha, so c-a-b = eta-beta and c-a = -beta
+    exactly): near a gamma pole the coefficients amplify one rounding of a
+    composite by 1/|pole distance|.
     """
-    g = c - a - b if gamma is None else gamma
-    if c_minus_a is None:
-        c_minus_a = c - a
-    if c_minus_b is None:
-        c_minus_b = c - b
-    require_finite("kernel_split", a, b, c, g, c_minus_a, c_minus_b)
+    require_finite("kernel_split", a, b, c, gamma, c_minus_a, c_minus_b)
     poly = _terminating_polynomial(a, b, c)
     if poly is not None:
-        return [KernelTerm(1.0, 0.0, False, lambda u: poly(1.0 - np.asarray(u, dtype=float)))]
-    r = round(g)
+        return [KernelTerm(1.0, 0.0, False, lambda u: poly(1.0 - u))]
+    r = round(gamma)
     try:
-        if abs(g - r) <= _INT_TOL:
+        if abs(gamma - r) <= _INT_TOL:
             return log_connection_parts(a, b, c, int(r))
-        coef_a = gamma_ratio([c, g], [c_minus_a, c_minus_b]).value
-        coef_b = gamma_ratio([c, -g], [a, b]).value
+        coef_a = gamma_ratio([c, gamma], [c_minus_a, c_minus_b]).value
+        coef_b = gamma_ratio([c, -gamma], [a, b]).value
     except OverflowError as exc:
         raise OverflowError(
             f"kernel_split: a branch coefficient of 2F1({a!r}, {b!r}; {c!r}) leaves the float range"
         ) from exc
     terms = []
     if coef_a:
-        terms.append(KernelTerm(coef_a, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - g, u)))
+        terms.append(KernelTerm(coef_a, 0.0, False, lambda u: _series_2f1(a, b, 1.0 - gamma, u)))
     if coef_b:
-        terms.append(
-            KernelTerm(coef_b, g, False, lambda u: _series_2f1(c_minus_a, c_minus_b, g + 1.0, u))
-        )
+        terms.append(KernelTerm(
+            coef_b, gamma, False, lambda u: _series_2f1(c_minus_a, c_minus_b, gamma + 1.0, u)
+        ))
     return terms
 
 
 def hyp2f1_kernel(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """2F1(a, b; c; w) for array w in [0, 1)."""
+    """2F1(a, b; c; w) for array w in [0, 1/2], by its direct series (or its
+    exact polynomial); a w outside [0, 1/2] raises DomainError."""
     w = np.asarray(w, dtype=float)
     require_finite("hyp2f1_kernel", a, b, c)
     # written so that a NaN node fails the check
-    if w.size and not (float(np.min(w)) >= 0.0 and float(np.max(w)) < 1.0):
-        raise DomainError("hyp2f1_kernel: arguments must lie in [0, 1)")
-
+    if w.size and not (float(np.min(w)) >= 0.0 and float(np.max(w)) <= 0.5):
+        raise DomainError("hyp2f1_kernel: arguments must lie in [0, 1/2]")
     poly = _terminating_polynomial(a, b, c)
     if poly is not None:
         return poly(w)
     if is_pole(c):
         raise DomainError(f"2F1 series: lower parameter {c!r} is a nonpositive integer")
-
-    out = np.empty_like(w)
-    near = w <= 0.5
-    if np.any(near):
-        out[near] = _series_2f1(a, b, c, w[near])
-    far = ~near
-    if np.any(far):
-        u = 1.0 - w[far]
-        vals = np.zeros_like(u)
-        for t in kernel_split(a, b, c):
-            v = t.coef * t.series(u)
-            if t.exponent != 0.0:
-                v = v * np.power(u, t.exponent)
-            if t.log_factor:
-                v = v * np.log(u)
-            vals = vals + v
-        out[far] = vals
-    return out
+    return _series_2f1(a, b, c, w)

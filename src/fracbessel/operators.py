@@ -91,7 +91,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, DomainError, require_finite, require_positive_finite
-from .gammafns import gamma_ratio, log_gamma
+from .gammafns import gamma_ratio, log_gamma, pochhammer
 from .hyp2f1 import KernelTerm, hyp2f1_kernel, kernel_split
 from .integrands import Integrand
 from .quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
@@ -338,27 +338,6 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
     return _transform_core(p, p.beta - 1.0 - qi, qi, lambda u: f.reduced_at_infinity(x / u), x, tol)
 
 
-def rl_left(f: Integrand, alpha: float, x: float, tol: float = 1e-9) -> QuadratureResult:
-    """Classical left Riemann-Liouville fractional integral (kernel = 1)."""
-    return saigo_left(f, SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), x, tol)
-
-
-def rl_right(f: Integrand, alpha: float, x: float, tol: float = 1e-9) -> QuadratureResult:
-    """Classical right Riemann-Liouville (Weyl) fractional integral."""
-    return saigo_right(f, SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), x, tol)
-
-
-def ek_left(f: Integrand, alpha: float, eta: float, x: float, tol: float = 1e-9) -> QuadratureResult:
-    """Left Erdelyi-Kober transform: x^(-alpha-eta)/Gamma(alpha) *
-    int_0^x (x-t)^(alpha-1) t^eta f(t) dt."""
-    return saigo_left(f, SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), x, tol)
-
-
-def ek_right(f: Integrand, alpha: float, eta: float, x: float, tol: float = 1e-9) -> QuadratureResult:
-    """Right Erdelyi-Kober transform."""
-    return saigo_right(f, SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), x, tol)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form monomial images
 # ---------------------------------------------------------------------------
@@ -367,18 +346,27 @@ def ek_right(f: Integrand, alpha: float, eta: float, x: float, tol: float = 1e-9
 def _monomial_image(numerators, denominators, exponent: float) -> tuple[float, float]:
     """(prod Gamma(numerators) / prod Gamma(denominators), exponent) of a
     monomial image, after dropping each numerator/denominator pair that is
-    exactly equal.  The transform of t^(lam-1) converges where every
+    exactly equal, and replacing each pair of a numerator a <= 0 and a
+    denominator d with a - d exactly a positive integer n by its continued
+    ratio (d)_n.  The transform of t^(lam-1) converges where every
     remaining numerator argument is positive: DomainError elsewhere."""
     denominators = list(denominators)
-    kept = []
+    kept, scale = [], 1.0
     for a in numerators:
         if a in denominators:
             denominators.remove(a)
         elif a > 0:
             kept.append(a)
         else:
-            raise DomainError(f"monomial image: numerator gamma argument {a!r} must be positive")
-    return gamma_ratio(kept, denominators).value, exponent
+            # exact integer differences only, as kernel_split omits only exact poles
+            d = next((d for d in denominators if a - d >= 1 and a - d == round(a - d)), None)
+            if d is None:
+                raise DomainError(
+                    f"monomial image: numerator gamma argument {a!r} must be positive"
+                )
+            denominators.remove(d)
+            scale *= pochhammer(d, round(a - d))
+    return scale * gamma_ratio(kept, denominators).value, exponent
 
 
 def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
@@ -399,26 +387,3 @@ def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
         [1.0 - lam, p.alpha + p.beta + p.eta - lam + 1.0],
         lam - p.beta - 1.0,
     )
-
-
-def ek_left_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
-    """Left Erdelyi-Kober image of t^(lam-1), the Saigo image at beta = 0:
-    Gamma(lam+eta)/Gamma(lam+alpha+eta) * x^(lam-1)."""
-    return saigo_left_monomial(SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), lam)
-
-
-def ek_right_monomial(alpha: float, eta: float, lam: float) -> tuple[float, float]:
-    """Right Erdelyi-Kober image of t^(lam-1), the Saigo image at beta = 0."""
-    return saigo_right_monomial(SaigoParams(alpha, eta=eta, family=Family.ERDELYI_KOBER), lam)
-
-
-def rl_left_monomial(alpha: float, lam: float) -> tuple[float, float]:
-    """Left Riemann-Liouville image of t^(lam-1), the Saigo image at
-    beta = -alpha: Gamma(lam)/Gamma(lam+alpha) * x^(lam+alpha-1)."""
-    return saigo_left_monomial(SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), lam)
-
-
-def rl_right_monomial(alpha: float, lam: float) -> tuple[float, float]:
-    """Right Riemann-Liouville image of t^(lam-1), the Saigo image at
-    beta = -alpha."""
-    return saigo_right_monomial(SaigoParams(alpha, family=Family.RIEMANN_LIOUVILLE), lam)

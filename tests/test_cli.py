@@ -130,17 +130,26 @@ def test_transform_monomial_left_matches_image(capsys):
     assert d["closed_form"] is not None
     assert d["rel_difference"] <= 1e-8
     assert d["value"] == pytest.approx(d["closed_form"], rel=1e-8)
-    # at integer beta the transform converges for lam > beta - eta, below the
-    # image's window lam > 0: a value, and a note in place of the image
+    # at integer beta the transform converges for lam > beta - eta, below
+    # lam = 0: Gamma(lam)/Gamma(lam-1) = lam-1 continues the image across it
     d = run_json(
         capsys, "transform", "--family", "saigo", "--side", "left",
         "--alpha", "0.7", "--beta", "1", "--eta", "1.5",
         "--x", "1", "--monomial", "-0.2",
     )
+    assert d["closed_form"] == pytest.approx(-1.2 * math.gamma(0.3), rel=1e-9)
+    assert d["value"] == pytest.approx(d["closed_form"], rel=1e-9)
+    # where the numerator and denominator arguments differ by an integer only
+    # up to rounding (0.2+1-3 against 0.2-3), the image is refused: a value,
+    # and a note in place of the image
+    d = run_json(
+        capsys, "transform", "--family", "saigo", "--side", "left",
+        "--alpha", "0.7", "--beta", "3", "--eta", "1",
+        "--x", "1", "--monomial", "0.2",
+    )
     assert d["closed_form"] is None and d["rel_difference"] is None
     assert d["note"].startswith("closed form not applicable: monomial image")
-    # Gamma(lam)/Gamma(lam-1) = lam-1 continues the image across lam = 0
-    assert d["value"] == pytest.approx(-1.2 * math.gamma(0.3), rel=1e-9)
+    assert math.isfinite(d["value"])
 
 
 def test_transform_monomial_right_matches_image(capsys):

@@ -18,8 +18,6 @@ from fracbessel import (
     corollary_pfq_spec,
     corollary_wright_spec,
     duplication_reduce,
-    ek_left,
-    ek_right,
     evaluate_closed_form,
     eval_pfq,
     kbessel_integrand,
@@ -287,7 +285,8 @@ def test_right_form_matches_quadrature():
 def test_ek_left_corollary_matches_quadrature():
     kb = KBesselParams(v=P_EK.v, c=P_EK.c, k=P_EK.k)
     f = kbessel_integrand(kb, P_EK.lam, series_tol=1e-12)
-    lhs = ek_left(f, P_EK.alpha, P_EK.eta, 0.8, tol=1e-10).value
+    sp = SaigoParams(alpha=P_EK.alpha, eta=P_EK.eta, family="erdelyi_kober")
+    lhs = saigo_left(f, sp, 0.8, tol=1e-10).value
     rhs = _evaluate(corollary_pfq_spec("ek_left", P_EK), 0.8)
     assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
 
@@ -301,14 +300,15 @@ def test_ek_corollaries_hold_where_their_transforms_converge(side, index, c):
     # index is L or M
     alpha, eta, v, k = 0.7, 0.9, 0.3, 1.2
     kb = KBesselParams(v=v, c=c, k=k)
+    sp = SaigoParams(alpha, eta=eta, family="erdelyi_kober")
     if side == "left":
         lam = index * k - v
         f = kbessel_integrand(kb, lam, series_tol=1e-13)
-        transform = lambda x: ek_left(f, alpha, eta, x, tol=1e-10)
+        transform = lambda x: saigo_left(f, sp, x, tol=1e-10)
     else:
         lam = k + v - index * k
         f = kbessel_integrand(kb, lam, reciprocal=True, series_tol=1e-13)
-        transform = lambda x: ek_right(f, alpha, eta, x, tol=1e-10)
+        transform = lambda x: saigo_right(f, sp, x, tol=1e-10)
     p = TheoremParams(alpha=alpha, beta=0.0, eta=eta, lam=lam, v=v, c=c, k=k)
     assert (p.big_l if side == "left" else p.big_m) == pytest.approx(index, abs=1e-15)
     variant = "ek_" + side

@@ -28,14 +28,6 @@ from fracbessel.integrands import Integrand, kbessel_integrand, monomial
 from fracbessel.operators import (
     Family,
     SaigoParams,
-    ek_left,
-    ek_left_monomial,
-    ek_right,
-    ek_right_monomial,
-    rl_left,
-    rl_left_monomial,
-    rl_right,
-    rl_right_monomial,
     saigo_left,
     saigo_left_monomial,
     saigo_right,
@@ -43,6 +35,9 @@ from fracbessel.operators import (
 )
 
 from _oracles import gamma_ratio_oracle
+
+
+_RL, _EK = Family.RIEMANN_LIOUVILLE, Family.ERDELYI_KOBER
 
 
 def _ratio(numerators, denominators):
@@ -105,8 +100,8 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
         lambda: eval_wright(WrightSpec(upper=(), lower=((3.0, 1.0),)), math.nan),
         lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.nan),
         lambda: eval_k_bessel(KBesselParams(v=0.5, c=1.0, k=1.0), math.inf),
-        lambda: ek_left_monomial(math.nan, 0.5, 1.0),
-        lambda: ek_right_monomial(math.inf, 0.5, 0.2),
+        lambda: saigo_left_monomial(SaigoParams(math.nan, eta=0.5, family=_EK), 1.0),
+        lambda: saigo_right_monomial(SaigoParams(math.inf, eta=0.5, family=_EK), 0.2),
     ],
     ids=[
         "saigo-beta-nan", "saigo-eta-inf", "saigo-alpha-inf", "kbessel-c-nan",
@@ -121,15 +116,6 @@ _T_FINITE = dict(alpha=0.8, beta=0.2, eta=1.0, lam=1.4, v=0.5, c=1.0, k=1.0)
 def test_non_finite_input_raises_domain_error(build):
     with pytest.raises(DomainError):
         build()
-
-
-def test_ek_monomial_images_check_the_operator_orders():
-    # the images refuse exactly the orders their operators refuse
-    for image, op, lam in ((ek_left_monomial, ek_left, 1.5), (ek_right_monomial, ek_right, 0.2)):
-        with pytest.raises(DomainError, match="alpha must be positive"):
-            op(monomial(lam), -1.0, 0.5, 1.0)
-        with pytest.raises(DomainError, match="alpha must be positive"):
-            image(-1.0, 0.5, lam)
 
 
 _WRIGHT_1 = WrightSpec(upper=((1.0, 1.0),), lower=((2.0, 1.0),))
@@ -205,59 +191,48 @@ def test_right_transform_of_inverse_power_special_case():
 def test_riemann_liouville_left_power_rule():
     # with order alpha, t^(lam-1) maps to G(lam)/G(lam+alpha) x^(lam+alpha-1)
     alpha, lam, x = 0.6, 1.7, 1.9
-    coeff, exponent = rl_left_monomial(alpha, lam)
+    p = SaigoParams(alpha, family=_RL)
+    coeff, exponent = saigo_left_monomial(p, lam)
     assert coeff == pytest.approx(_ratio([lam], [lam + alpha]), rel=1e-13)
     assert exponent == pytest.approx(lam + alpha - 1.0)
-    r = rl_left(monomial(lam), alpha, x, tol=1e-11)
+    r = saigo_left(monomial(lam), p, x, tol=1e-11)
     assert r.value == pytest.approx(coeff * x**exponent, rel=1e-11)
 
 
 def test_riemann_liouville_integer_order_is_iterated_integral():
     # alpha=2 applied to 1: double integral of 1 is x^2/2
-    r = rl_left(monomial(1.0), 2.0, 2.0, tol=1e-12)
+    r = saigo_left(monomial(1.0), SaigoParams(2.0, family=_RL), 2.0, tol=1e-12)
     assert r.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_riemann_liouville_right_power_rule():
     alpha, lam, x = 0.9, -0.8, 1.4
-    coeff, exponent = rl_right_monomial(alpha, lam)
+    p = SaigoParams(alpha, family=_RL)
+    coeff, exponent = saigo_right_monomial(p, lam)
     assert coeff == pytest.approx(_ratio([1.0 - lam - alpha], [1.0 - lam]), rel=1e-12)
-    r = rl_right(monomial(lam), alpha, x, tol=1e-11)
+    r = saigo_right(monomial(lam), p, x, tol=1e-11)
     assert r.value == pytest.approx(coeff * x**exponent, rel=1e-11)
 
 
 def test_erdelyi_kober_left_power_rule():
     alpha, eta, lam, x = 0.8, 1.2, 1.5, 0.7
-    coeff, exponent = ek_left_monomial(alpha, eta, lam)
+    p = SaigoParams(alpha, eta=eta, family=_EK)
+    coeff, exponent = saigo_left_monomial(p, lam)
     assert coeff == pytest.approx(_ratio([lam + eta], [lam + alpha + eta]), rel=1e-13)
     assert exponent == pytest.approx(lam - 1.0)
-    r = ek_left(monomial(lam), alpha, eta, x, tol=1e-11)
+    r = saigo_left(monomial(lam), p, x, tol=1e-11)
     assert r.value == pytest.approx(coeff * x**exponent, rel=1e-11)
 
 
 def test_erdelyi_kober_right_power_rule():
     alpha, eta, lam, x = 0.5, 0.9, 0.4, 1.6
-    coeff, exponent = ek_right_monomial(alpha, eta, lam)
+    p = SaigoParams(alpha, eta=eta, family=_EK)
+    coeff, exponent = saigo_right_monomial(p, lam)
     assert coeff == pytest.approx(
         _ratio([eta - lam + 1.0], [alpha + eta - lam + 1.0]), rel=1e-13
     )
-    r = ek_right(monomial(lam), alpha, eta, x, tol=1e-11)
+    r = saigo_right(monomial(lam), p, x, tol=1e-11)
     assert r.value == pytest.approx(coeff * x**exponent, rel=1e-11)
-
-
-def test_general_family_collapses_to_reductions():
-    # beta=-alpha reproduces Riemann-Liouville; beta=0 reproduces
-    # Erdelyi-Kober (up to its power normalization), checked numerically
-    alpha, eta, lam, x = 0.7, 1.3, 1.2, 1.1
-    rl_params = SaigoParams(alpha=alpha, family=Family.RIEMANN_LIOUVILLE)
-    direct = rl_left(monomial(lam), alpha, x, tol=1e-11)
-    via_general = saigo_left(monomial(lam), rl_params, x, tol=1e-11)
-    assert via_general.value == pytest.approx(direct.value, rel=1e-12)
-
-    ek_params = SaigoParams(alpha=alpha, eta=eta, family=Family.ERDELYI_KOBER)
-    direct = ek_left(monomial(lam), alpha, eta, x, tol=1e-11)
-    via_general = saigo_left(monomial(lam), ek_params, x, tol=1e-11)
-    assert via_general.value == pytest.approx(direct.value, rel=1e-12)
 
 
 # ------------------------------------------------------- property sweeps
@@ -710,12 +685,58 @@ def test_transform_and_monomial_image_share_their_domain(family, side):
         assert abs(r.value - coeff * x**exponent) <= r.error_estimate, lam
 
 
+# operator orders at integer beta and eta, where a kernel branch vanishes
+# without an equal gamma pair, and lam on a 0.1 grid without Gamma(lam)'s poles
+_INTEGER_ORDER_GRID = [
+    SaigoParams(alpha, beta, eta)
+    for beta in (1.0, 2.0, 3.0, -1.0, 0.5)
+    for alpha in (0.3, 0.7, 1.6, 2.0)
+    for eta in (0.0, 0.2, 1.0, 1.5, 2.7, 3.4)
+]
+_GRID_LAMS = [k / 10 for k in range(-34, 40) if k > 0 or k % 10]
+
+
+def test_monomial_images_cover_integer_order_transforms():
+    # an image is never accepted where its transform diverges, and agrees
+    # with the transform wherever both are accepted
+    x, tol = 1.3, 1e-10
+    refused = underruns = 0
+    for p in _INTEGER_ORDER_GRID:
+        for lam in _GRID_LAMS:
+            for transform, image in (
+                (saigo_left, saigo_left_monomial), (saigo_right, saigo_right_monomial)
+            ):
+                try:
+                    r = transform(monomial(lam), p, x, tol=tol)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        image(p, lam)
+                    continue
+                try:
+                    coeff, exponent = image(p, lam)
+                except DomainError:
+                    refused += 1
+                    continue
+                v = coeff * x**exponent
+                assert abs(r.value - v) <= r.error_estimate + 1e-13 * abs(v), (p, lam)
+                underruns += abs(r.value - v) > r.error_estimate + 1e-15 * abs(v)
+    # an image is refused for a converging transform only where a numerator
+    # and a denominator argument differ by an integer up to rounding (as
+    # 0.2+1-3 against 0.2-3): 104 of the grid's 16,800, where pairing only
+    # exactly equal arguments refused 732
+    assert refused <= 104
+    # where the two differ by more than the estimate, the image is the one
+    # off: its log-gamma sum carries 5e-15 to 8e-15 of relative rounding
+    # against 40-digit values, the transform at most 1e-15
+    assert underruns <= 7
+
+
 def test_left_transform_nonintegrable_origin_rejected():
     # at beta = 0 the kernel is (t/x)^eta: t^(lam-1) is integrable at 0 for
     # lam > -eta, where the transform is the Erdelyi-Kober image
     p = SaigoParams(alpha=0.8, beta=0.0, eta=0.5)
     r = saigo_left(monomial(-0.2), p, 1.0, tol=1e-9)
-    coeff, _ = ek_left_monomial(0.8, 0.5, -0.2)
+    coeff, _ = saigo_left_monomial(SaigoParams(0.8, eta=0.5, family=_EK), -0.2)
     assert abs(r.value - coeff) <= r.error_estimate
     with pytest.raises(DomainError, match="does not converge"):
         saigo_left(monomial(-0.6), p, 1.0, tol=1e-9)
@@ -743,9 +764,9 @@ def test_transform_refuses_an_integrand_without_its_sides_exponent():
 def test_ek_monomial_images_refuse_exponents_outside_their_range():
     # lam + eta and eta - lam + 1 are the images' one numerator argument
     with pytest.raises(DomainError, match="numerator gamma argument .* must be positive"):
-        ek_left_monomial(0.5, 0.3, -0.5)
+        saigo_left_monomial(SaigoParams(0.5, eta=0.3, family=_EK), -0.5)
     with pytest.raises(DomainError, match="numerator gamma argument .* must be positive"):
-        ek_right_monomial(0.5, 0.3, 1.5)
+        saigo_right_monomial(SaigoParams(0.5, eta=0.3, family=_EK), 1.5)
 
 
 # what overflows at each eta: b = -3000 terminates the kernel and its
@@ -768,7 +789,7 @@ def test_kernel_out_of_float_range_raises_overflow_error(side, eta):
 
 @pytest.mark.parametrize(
     "transform, lam, x",
-    [(rl_left, 3.0, 1e300), (rl_right, -1.0, 1e-300)],
+    [(saigo_left, 3.0, 1e300), (saigo_right, -1.0, 1e-300)],
     ids=["left", "right"],
 )
 def test_prefactor_out_of_float_range_refused_before_quadrature(monkeypatch, transform, lam, x):
@@ -780,7 +801,7 @@ def test_prefactor_out_of_float_range_refused_before_quadrature(monkeypatch, tra
     monkeypatch.setattr(operators, "integrate_jacobi", integrate)
     monkeypatch.setattr(operators, "integrate_log_jacobi", integrate)
     with pytest.raises(OverflowError, match=r"transform prefactor x\^.*/Gamma\(0\.5\)"):
-        transform(monomial(lam), 0.5, x)
+        transform(monomial(lam), SaigoParams(0.5, family=_RL), x)
 
 
 def test_transform_requires_positive_x():
