@@ -46,7 +46,7 @@ from .operators import (
     saigo_right,
     saigo_right_monomial,
 )
-from .quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
+from .quadrature import JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi
 from .series import (
     HypergeomSpec,
     KBesselParams,
@@ -68,6 +68,7 @@ __all__ = [
     "Family",
     "HypergeomSpec",
     "Integrand",
+    "JacobiPart",
     "KBesselParams",
     "KernelTerm",
     "ParameterDraw",

@@ -23,13 +23,15 @@ Special cases: beta = -alpha collapses the kernel to 1 (classical
 Riemann-Liouville); beta = 0 collapses it to (t/x)^eta (Erdelyi-Kober,
 with overall prefactor x^(-alpha-eta)).
 
-A transform is a loop over its kernel's parts: part 0 is the upper half
-u in [1/2, 1], where the kernel is its direct 2F1 series, and the parts
-after it are the lower half's branches.  Each part is one integral, and
-only the rule differs between them (a (1-u)^(alpha-1) weight on the upper
-half, a u-power weight on a lower-half branch, times log(u) on a log
-branch).  The combined value is the coefficient-weighted sum of the parts
-times the prefactor x^(x_power-beta)/Gamma(alpha).
+A transform is one quadrature call over its kernel's parts: part 0 is the
+upper half u in [1/2, 1], where the kernel is its direct 2F1 series, and the
+parts after it are the lower half's branches.  Each part is one
+quadrature.JacobiPart, and only the rule differs between them (a
+(1-u)^(alpha-1) weight on the upper half, a u-power weight on a lower-half
+branch, times log(u) on a log branch).  The combined value is the
+coefficient-weighted sum of the parts times the prefactor
+x^(x_power-beta)/Gamma(alpha); integrate_jacobi forms it, with one heap of
+pieces for all parts, bisecting wherever the error of that sum is largest.
 
 Whether a transform converges is decided by its parts, in one place (the
 loop of _transform_core that builds them), before any part is integrated:
@@ -40,16 +42,10 @@ branch counts.  A monomial image states its window the same way, through
 its own gamma arguments (_monomial_image); the Riemann-Liouville and
 Erdelyi-Kober images are the Saigo image at their family's beta.
 
-Whether a transform meets its tolerance is decided in one place too
-(_combine), on the combined estimate.  Each part is integrated first to
-tol/4 of its own size, which certifies nearly every transform.  Where the
-prefactor, or cancellation between parts, makes the parts outweigh the
-value, the parts whose weighted estimates exceed an equal share of tol are
-integrated again to that share: a part's pieces do not depend on its tol,
-so that second pass replays the first's pieces, whose integrand values
-the memos below mostly still hold, and bisects further.  A part whose
-integrator gives up still contributes its value and estimate; only the
-transform raises AccuracyError.
+Whether a transform meets its tolerance is decided in one place too, on
+the combined estimate, after that one call: integrate_jacobi returns at its
+rounding floor even above tol, and the transform refuses such a result with
+AccuracyError.
 
 Each factor of a transform is computed once, at the narrowest scope it
 depends on, and reused bit for bit:
@@ -76,7 +72,7 @@ side, except on a piece none of them reached (a bisected piece).  A hit
 returns the array a miss computed, multiplied in the same order (kernel,
 smooth part, weight power), so results are bit-identical whether the memos
 are warm or cold; an exception is never cached.  A miss calls kernel_split,
-hyp2f1_kernel and log_gamma, and a transform its integrators, through this
+hyp2f1_kernel and log_gamma, and a transform its integrator, through this
 module's globals, so a wrapper placed there sees every such call.
 """
 
@@ -94,7 +90,10 @@ from .errors import AccuracyError, DomainError, require_finite, require_positive
 from .gammafns import gamma_ratio, log_gamma, pochhammer
 from .hyp2f1 import KernelTerm, hyp2f1_kernel, kernel_split
 from .integrands import Integrand
-from .quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
+# integrate_log_jacobi is not called here: the benchmark's tracing wraps it by
+# this module's name until the trace collector and its removal land (ROADMAP
+# items 3 and 7)
+from .quadrature import JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi
 
 
 class Family(str, enum.Enum):
@@ -147,77 +146,6 @@ class SaigoParams:
         return (a, -self.eta, self.alpha, self.eta - self.beta, -self.beta, self.alpha + self.eta)
 
 
-# rounding allowance per combined piece: a few ulps of coefficient error
-# (gamma-ratio construction) plus summation rounding.  Each piece's estimate
-# already bounds the rounding of its own weighted sum; this is the other
-# source, the coefficients and the sum of the parts.
-_COMBINE_EPS = 4.0 * float(np.finfo(float).eps)
-
-
-def _combine(parts, pref: float, tol: float) -> QuadratureResult:
-    """pref * sum(coef * part) for parts of (coef, integrator, args):
-    the one place that decides whether a transform meets tol, absolute or
-    relative (module docstring).
-
-    The first pass integrates every part at tol/4 of its own size.  If the
-    sum misses tol, a second pass integrates again each part whose
-    |pref * coef| * estimate exceeds an equal share of what tol leaves
-    beside the rounding allowance, to that share; its result, evaluations
-    included, replaces the first's, whose pieces it replays.  A part that
-    raises AccuracyError still contributes its value, its (honest) estimate
-    and its evaluations, and is not run again.
-
-    The estimate is the parts', plus the rounding allowance of the
-    coefficient combination: near-degenerate kernels (c-a-b within ~1e-5 of
-    an integer) carry branch coefficients of order 1/|c-a-b - m| whose own
-    rounding costs eps * sum|coef * part|, which no part's estimate sees.
-    """
-    results = [None] * len(parts)
-    todo = enumerate([tol / 4] * len(parts))  # (part, its tol) to integrate
-    spent = []  # parts that gave up: at any smaller tol they give up the same way
-    for second_pass in (False, True):
-        for i, part_tol in todo:
-            _, integrate, args = parts[i]
-            try:
-                results[i] = integrate(*args, part_tol)
-            except AccuracyError as exc:
-                results[i] = QuadratureResult(exc.value, exc.error_estimate, exc.evaluations)
-                spent.append(i)
-        total = claimed = rounding = 0.0
-        evals = 0
-        for (coef, _, _), r in zip(parts, results):
-            term = coef * r.value
-            total += term
-            claimed += abs(coef) * r.error_estimate
-            rounding += abs(term)
-            evals += r.evaluations
-        value = pref * total
-        allowance = abs(pref) * _COMBINE_EPS * rounding
-        err = abs(pref) * claimed + allowance
-        budget = tol * max(1.0, abs(value))
-        # a value that is not finite ends here; a NaN estimate passes no
-        # part's share test below
-        if second_pass or err <= budget or not math.isfinite(value):
-            break
-        # no part takes a share when the rounding leaves no room (share <= 0)
-        share = (budget - allowance) / len(parts)
-        todo = [
-            (i, share / (abs(pref * coef) * max(1.0, abs(r.value))))
-            for i, ((coef, _, _), r) in enumerate(zip(parts, results))
-            if abs(pref * coef) * r.error_estimate > share > 0.0 and i not in spent
-        ]
-    if not (math.isfinite(value) and err <= budget):
-        raise AccuracyError(
-            f"transform error estimate {err!r} exceeds tol {tol!r}"
-            if math.isfinite(value)
-            else f"transform value {value!r} is not finite",
-            value=value,
-            error_estimate=err,
-            evaluations=evals,
-        )
-    return QuadratureResult(value, err, evals)
-
-
 # Bounds of the per-draw memos (module docstring).  A draw transformed at
 # several x on both sides keeps one split and 3 or so kernel node arrays live
 # (one per part, shared by both sides), and 3 or so weight powers (u^exp0 per
@@ -268,10 +196,11 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
     """Shared left/right transform: quadrature over u in (0,1), then prefactor.
 
     Computes x^(x_power-beta)/Gamma(alpha) * int_0^1 (1-u)^(alpha-1) u^exp0
-    K(1-u) smooth(u) du, one integral per part of the kernel (_split): the
-    upper half u in [1/2, 1] under the (1-u)^(alpha-1) weight, then each
-    lower-half branch under its u-power weight, times log(u) for a branch
-    carrying one.  smooth must be analytic on [0, 1].
+    K(1-u) smooth(u) du, one JacobiPart per part of the kernel (_split), all
+    in one integrate_jacobi call: the upper half u in [1/2, 1] under the
+    (1-u)^(alpha-1) weight, then each lower-half branch under its u-power
+    weight, times log(u) for a branch carrying one.  smooth must be analytic
+    on [0, 1].  Raises AccuracyError when the call's estimate misses tol.
     """
     al = p.alpha
     kernel = p.kernel
@@ -299,13 +228,10 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
                 v = smooth_at[nodes] = smooth(u)
             return k * v * _draw_factor(*power, nodes)
 
-        if not i:
-            integrate, args = integrate_jacobi, (g, 0.5, 1.0, 0.0, al - 1.0)
-        elif part.log_factor:
-            integrate, args = integrate_log_jacobi, (g, 0.5, e0)
+        if i:
+            parts.append(JacobiPart(g, 0.0, 0.5, e0, 0.0, part.log_factor, part.coef))
         else:
-            integrate, args = integrate_jacobi, (g, 0.0, 0.5, e0, 0.0)
-        parts.append((part.coef, integrate, args))
+            parts.append(JacobiPart(g, 0.5, 1.0, 0.0, al - 1.0, coef=part.coef))
     # the prefactor too, so that one past the float range costs no quadrature
     try:
         pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
@@ -314,7 +240,15 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
             f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "
             "leaves the float range"
         ) from None
-    return _combine(parts, pref, tol)
+    r = integrate_jacobi(parts, tol, pref)
+    if not r.error_estimate <= tol * max(1.0, abs(r.value)):
+        raise AccuracyError(
+            f"transform error estimate {r.error_estimate!r} exceeds tol {tol!r}",
+            value=r.value,
+            error_estimate=r.error_estimate,
+            evaluations=r.evaluations,
+        )
+    return r
 
 
 def saigo_left(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> QuadratureResult:

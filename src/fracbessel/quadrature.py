@@ -51,19 +51,18 @@ kernel part of that cost is paid once per kernel and node set, not per
 call: operators memoizes the kernel's values by node bytes, so another x
 of the same draw pays only for the integrand's own smooth part.
 
-A call is one loop over one QUADPACK-style heap of pieces, under one stop
-test: it evaluates the pieces it has (first the one or two start pieces),
-tests the running sums, and otherwise bisects the piece of largest
-estimate.  What a piece costs beyond g: one rule lookup, its nodes (mapped
-once per piece geometry and cached, read only), one 2 x 31 product for
-both rules, one 31-term sum for the rounding bound and one heap push.
-Which pieces are bisected, and in what order, does not depend on tol, so
-a call at a smaller tol replays a larger one's pieces before it goes on:
-operators relies on that when a transform integrates a part again to a
-tighter share of its tolerance.  A piece whose value or estimate is not
-finite raises DomainError where it is evaluated: bisection cannot repair
-it, and a NaN estimate fails every stop test, so bisection would run such
-a piece down to float resolution.
+A call integrates a list of weighted parts, coef * int_lo^hi ..., and
+returns scale times their sum: a transform's kernel parts are one call.  It
+is one loop over one QUADPACK-style heap of pieces, shared by all parts,
+under one stop test on the sum actually formed: it evaluates the pieces it
+has (first each part's one or two start pieces), tests the weighted running
+sums, and otherwise bisects the piece of largest |coef| times estimate.
+What a piece costs beyond g: one rule lookup, its nodes (mapped once per
+piece geometry and cached, read only), one 2 x 31 product for both rules,
+one 31-term sum for the rounding bound and one heap push.  A piece whose
+value or estimate is not finite raises DomainError where it is evaluated:
+bisection cannot repair it, and a NaN estimate fails every stop test, so
+bisection would run such a piece down to float resolution.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,13 @@ _ROUNDING = 16.0 * _EPS
 # the stop test's floor, per unit of the pieces' summed sum |w_i g_i|: it
 # covers their rounding bounds with room for the rule difference's own noise
 _NOISE = 100.0 * _EPS
+# the rounding allowance of a sum of parts, per unit of its sum |coef *
+# part|: a few ulps of coefficient error (a transform's gamma-ratio
+# construction) plus the summation's own.  Each piece's estimate bounds the
+# rounding of its own weighted sum; this is the other source, which no
+# piece sees: near-degenerate kernels (c-a-b within ~1e-5 of an integer)
+# carry branch coefficients of order 1/|c-a-b - m|.
+_COMBINE_EPS = 4.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,19 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
+
+
+class JacobiPart(NamedTuple):
+    """One part of a sum: coef times the integral of (hi-u)^exp_hi
+    (u-lo)^exp_lo g(u) over (lo, hi), times log(u-lo) when log_lo."""
+
+    g: Callable
+    lo: float
+    hi: float
+    exp_lo: float = 0.0
+    exp_hi: float = 0.0
+    log_lo: bool = False
+    coef: float = 1.0
 
 
 def _sin_pi(p: np.ndarray, n: int) -> np.ndarray:
@@ -264,34 +284,12 @@ def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, log_lo):
     return fine, err, wabs, u.size
 
 
-def integrate_jacobi(
-    g,
-    lo: float,
-    hi: float,
-    exp_lo: float = 0.0,
-    exp_hi: float = 0.0,
-    tol: float = 1e-9,
-    *,
-    log_lo: bool = False,
-) -> QuadratureResult:
-    """Adaptive integral of (hi-u)^exp_hi (u-lo)^exp_lo g(u) over (lo, hi),
-    times log(u-lo) when log_lo.
-
-    tol is absolute-or-relative, whichever is larger at the result's scale.
-    Each piece calls g once, on the 31 nodes of its fine rule, so evaluations
-    is 31 per piece.  With weights at both ends the interval starts as two
-    pieces, split at its midpoint; it must be wide enough to split.  One
-    loop evaluates the pieces it has, applies the stop test to the running
-    sums, and otherwise bisects the piece of largest estimate.  The pieces
-    it bisects, and their order, do not depend on tol: a call at a smaller
-    tol replays a larger tol's pieces before it goes on.  A piece at float
-    resolution is no longer bisected but keeps its estimate in the total.
-    Raises AccuracyError (carrying the best estimate) if the interval budget
-    is exhausted before the estimate meets tolerance, or if the estimate
-    left over sits on pieces already at float resolution, and DomainError
-    at the first piece whose value or estimate is not finite.
-    """
-    require_finite("integrate_jacobi", lo, hi)
+def _start_pieces(i: int, part: JacobiPart) -> list:
+    """Part i's start pieces, (i, lo, hi): its whole interval, or with
+    weights at both ends its two halves.  Raises DomainError for a part no
+    rule can integrate."""
+    g, lo, hi, exp_lo, exp_hi, log_lo, coef = part
+    require_finite("integrate_jacobi", lo, hi, coef)
     if not (hi > lo):
         raise DomainError(f"integrate_jacobi: empty interval [{lo!r}, {hi!r}]")
     if not (exp_lo > -1.0 and exp_hi > -1.0):
@@ -299,64 +297,105 @@ def integrate_jacobi(
             f"integrate_jacobi: endpoint exponents ({exp_lo!r}, {exp_hi!r}) "
             "must exceed -1 for integrability"
         )
-    require_positive_finite("integrate_jacobi", "tol", tol)
-    fresh = [(lo, hi)]
-    if (exp_lo != 0.0 or log_lo) and exp_hi != 0.0:  # a rule carries one endpoint weight
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            raise DomainError(
-                f"integrate_jacobi: [{lo!r}, {hi!r}] is too narrow to split "
-                "between its two endpoint weights"
-            )
-        fresh = [(lo, mid), (mid, hi)]
+    if not ((exp_lo != 0.0 or log_lo) and exp_hi != 0.0):
+        return [(i, lo, hi)]
+    mid = 0.5 * (lo + hi)  # a rule carries one endpoint weight
+    if not (lo < mid < hi):
+        raise DomainError(
+            f"integrate_jacobi: [{lo!r}, {hi!r}] is too narrow to split "
+            "between its two endpoint weights"
+        )
+    return [(i, lo, mid), (i, mid, hi)]
 
-    # a heap of (-estimate, order, lo, hi, value, estimate, weighted
-    # absolute sum), where order is evals after the piece, rising with each
-    # piece, so ties pop oldest first; a piece at float resolution goes back
-    # at +inf
+
+def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0) -> QuadratureResult:
+    """Adaptive integral of scale * sum(coef * part) over the JacobiParts
+    parts, summed in their order.
+
+    tol is absolute-or-relative, whichever is larger at the result's scale.
+    Each piece calls its part's g once, on the 31 nodes of its fine rule, so
+    evaluations is 31 per piece.  One loop evaluates the pieces it has,
+    applies the stop test to the weighted running sums, and otherwise
+    bisects the piece of largest |coef| times estimate, whichever part it
+    belongs to; all parts share MAX_INTERVALS.  The estimate is |scale|
+    times the parts' |coef|-weighted estimates, plus, on a sum of more than
+    one part, the rounding allowance of the combination (_COMBINE_EPS).  It
+    returns once that meets tol or sits on the rounding floor of the pieces'
+    weighted sums, which covers the rounding bounds inside the estimate and
+    may lie above tol.  A piece at float resolution is no longer bisected
+    but keeps its estimate in the total.  Raises AccuracyError (carrying the
+    best estimate) if the interval budget is exhausted before the estimate
+    meets tolerance, or if the estimate left over sits on pieces already at
+    float resolution; DomainError at the first piece whose value or
+    estimate is not finite; and OverflowError if the weighted sum leaves
+    the float range.
+    """
+    require_positive_finite("integrate_jacobi", "tol", tol)
+    require_finite("integrate_jacobi", scale)
+    fresh = [piece for i, part in enumerate(parts) for piece in _start_pieces(i, part)]
+    # each part's running sums of its pieces' values, estimates and
+    # weighted absolute sums
+    totals, errs, wabss = ([0.0] * len(parts) for _ in range(3))
+    # a heap of (-|coef| * estimate, order, part, lo, hi, value, estimate,
+    # weighted absolute sum), where order is evals after the piece, rising
+    # with each piece, so ties pop oldest first; a piece at float resolution
+    # goes back at +inf
     heap = []
-    total = total_wabs = total_err = 0.0
     evals = 0
     while True:
-        for qlo, qhi in fresh:
+        for i, qlo, qhi in fresh:
+            g, lo, hi, exp_lo, exp_hi, log_lo, coef = parts[i]
             v, e, wabs, nodes = _eval_pair(g, qlo, qhi, lo, hi, exp_lo, exp_hi, log_lo)
             evals += nodes
-            heapq.heappush(heap, (-e, evals, qlo, qhi, v, e, wabs))
-            total += v
-            total_wabs += wabs
-            total_err += e
+            heapq.heappush(heap, (-abs(coef) * e, evals, i, qlo, qhi, v, e, wabs))
+            totals[i] += v
+            wabss[i] += wabs
+            errs[i] += e
+        total = claimed = rounding = floor = 0.0
+        for part, t, e, wabs in zip(parts, totals, errs, wabss):
+            term = part.coef * t
+            total += term
+            claimed += abs(part.coef) * e
+            rounding += abs(term)
+            floor += abs(part.coef) * wabs
+        value = scale * total
+        if not math.isfinite(value):  # bisection cannot bring it back
+            raise OverflowError(
+                f"integrate_jacobi: the weighted sum of the parts, {value!r}, "
+                "leaves the float range"
+            )
+        err = abs(scale) * claimed
+        if len(parts) > 1:
+            err += abs(scale) * _COMBINE_EPS * rounding
         # the summed estimate meets tol, absolute or relative, or sits on the
-        # rounding floor of the pieces' weighted sums, which covers the
-        # rounding bounds inside the estimate
-        if total_err <= max(tol, tol * abs(total), _NOISE * total_wabs):
-            return QuadratureResult(total, total_err, evals)
+        # rounding floor of the pieces' weighted sums
+        if err <= max(tol * max(1.0, abs(value)), _NOISE * abs(scale) * floor):
+            return QuadratureResult(value, err, evals)
         if len(heap) >= MAX_INTERVALS:
             reason = f"{MAX_INTERVALS} intervals"
             break
-        priority, order, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
+        priority, order, i, plo, phi, pval, perr, pwabs = heapq.heappop(heap)
         if priority >= 0.0:  # only kept or zero-estimate pieces left: bisection cannot help
             reason = "pieces at float resolution"
             break
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:  # at float resolution: keep it, and its estimate
-            heapq.heappush(heap, (math.inf, order, plo, phi, pval, perr, pwabs))
+            heapq.heappush(heap, (math.inf, order, i, plo, phi, pval, perr, pwabs))
             fresh = ()
             continue
-        total -= pval
-        total_wabs -= pwabs
-        total_err -= perr
-        fresh = ((plo, mid), (mid, phi))
+        totals[i] -= pval
+        wabss[i] -= pwabs
+        errs[i] -= perr
+        fresh = ((i, plo, mid), (i, mid, phi))
     raise AccuracyError(
-        f"integrate_jacobi: {reason} without reaching tol={tol!r} "
-        f"(estimate {float(total_err)!r})",
-        value=float(total),
-        error_estimate=float(total_err),
+        f"integrate_jacobi: {reason} without reaching tol={tol!r} (estimate {err!r})",
+        value=value,
+        error_estimate=err,
         evaluations=evals,
     )
 
 
 def integrate_log_jacobi(g, h: float, exp_lo: float, tol: float = 1e-9) -> QuadratureResult:
     """Integral of u**exp_lo * log(u) * g(u) over (0, h) for g analytic on
-    [0, h]: integrate_jacobi with the log weight, the entry point of the
-    kernel's log branches."""
-    return integrate_jacobi(g, 0.0, h, exp_lo, 0.0, tol, log_lo=True)
+    [0, h]: integrate_jacobi's one part with the log weight."""
+    return integrate_jacobi([JacobiPart(g, 0.0, h, exp_lo, log_lo=True)], tol)

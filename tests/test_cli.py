@@ -266,6 +266,8 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
         (("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
           "--x", "1e300", "--monomial", "3"),
          "transform prefactor x^2.5/Gamma(0.5) at x=1e+300"),
+        (("transform", "--family", "rl", "--side", "left", "--alpha", "0.1",
+          "--x", "1e147", "--monomial", "3"), "integrate_jacobi: the weighted sum of the parts, inf"),
         (("transform", "--family", "rl", "--side", "left", "--alpha", "1e200",
           "--x", "1", "--monomial", "1.5"), "_moments: the weight power 1e+200"),
         (("transform", "--family", "saigo", "--side", "left", "--alpha", "1",
@@ -277,8 +279,8 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
           "--beta", "0.5", "--eta", "3000.5", "--x", "1", "--monomial", "1.5"),
          "kernel_split: a branch coefficient of 2F1(1.5, -3000.5; 1.0)"),
     ],
-    ids=["gamma-k", "wright", "transform-x", "transform-alpha", "transform-moments",
-         "transform-kernel", "transform-log-kernel"],
+    ids=["gamma-k", "wright", "transform-x", "transform-value", "transform-alpha",
+         "transform-moments", "transform-kernel", "transform-log-kernel"],
 )
 def test_result_out_of_float_range_exits_2(capsys, argv, names):
     # one line, which names what overflowed where the library knows it

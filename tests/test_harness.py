@@ -278,9 +278,9 @@ def test_margin_widening_keeps_suite_green():
 
 def test_suite_certifies_a_transform_whose_parts_outweigh_its_value():
     # theorem 3.4 at x = 0.5 (eta-beta = 1.0000233): the two lower-half
-    # parts contribute -1,522 and +1,534 to a value of about 10.4, so each
-    # part's tol/4 of its own size leaves the transform over tol; a second
-    # pass to each part's share of tol certifies it
+    # parts contribute -1,522 and +1,534 to a value of about 10.4, so their
+    # estimates, weighted by their coefficients, outweigh tol at the value's
+    # size; the one heap bisects their pieces until the sum meets tol
     assert run_suite(SuiteConfig(theorems=("3.4",), n_draws=1, seed=588723812)).all_passed
 
 
@@ -291,6 +291,29 @@ def test_suite_certifies_a_transform_whose_parts_outweigh_its_value():
 )
 def test_suite_certifies_a_transform_next_to_integer_eta_minus_beta():
     assert run_suite(SuiteConfig(theorems=("2.1",), n_draws=1, seed=511149287)).all_passed
+
+
+def test_transform_on_its_rounding_floor_is_integrated_once(monkeypatch):
+    # the same draw: at x = 0.5 both lower-half parts sit on the stop test's
+    # rounding floor, which no tighter tol moves, so each transform is one
+    # integrator call, 3 for the draw's three x, and the record at x = 0.5
+    # fails on an estimate no bisection can shrink
+    from fracbessel import operators
+
+    calls = []
+
+    def counted(*args, integrate=operators.integrate_jacobi):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(operators, "integrate_jacobi", counted)
+    report = run_suite(SuiteConfig(theorems=("2.1",), n_draws=1, seed=511149287))
+    assert len(calls) == 3
+    assert [(r.x, r.lhs, r.lhs_error_estimate, r.evaluations, r.passed) for r in report.records] == [
+        (0.5, 0.004708467597155241, 1.2103705944478942e-07, 93, False),
+        (1.0, 0.01593077584802698, 6.426398913116075e-08, 93, True),
+        (2.0, 0.03685106856527742, 4.0593445264489186e-08, 93, True),
+    ]
 
 
 # ---------------------------------------------------------------- rendering

@@ -459,57 +459,38 @@ def test_near_integer_eta_minus_beta_at_beta_near_zero_error_within_estimate(sid
 
 def test_transform_meets_tol_where_its_parts_outweigh_its_value():
     # lam = beta: the image is exactly 0, and the prefactor x^(lam-beta-1) is
-    # 1e3; the parts at tol/4 of their own size leave an estimate of 1.6e-10
-    # after 93 evaluations, and the second pass integrates them to their
-    # share of tol, above the 2e-11 or so of rounding bisection cannot shrink
+    # 1e3, so the parts' weighted estimates outweigh the value; the one heap
+    # bisects the pieces whose weighted estimates are largest until the sum
+    # meets tol, above the 2e-11 or so of rounding bisection cannot shrink
     r = saigo_left(monomial(0.5), SaigoParams(alpha=1.0, beta=0.5, eta=0.65), 1e-3, tol=1e-10)
     assert abs(r.value) <= r.error_estimate <= 1e-10
 
 
-def test_refused_transform_and_soft_pieces_report_their_evaluations(monkeypatch):
+def test_refused_transform_reports_its_evaluations(monkeypatch):
     # relative targets of 1e-17 and 1e-15 are below every piece's rounding
-    # bound, 16 eps of its weighted sum, so neither can be certified; 1e-15
-    # leaves room beside the combination's rounding allowance, so a second
-    # pass runs, and it replays the first pass's pieces, whose smooth values
-    # the transform already holds.  Either refusal counts every node the
-    # integrand was sampled at once (kernel 1: one lower-half branch, so no
-    # node set is shared between branches)
+    # bound, 16 eps of its weighted sum, so neither can be certified.  Either
+    # refusal counts every node the integrand was sampled at once (kernel 1:
+    # one lower-half branch, so no node set is shared between branches), and
+    # the transform makes one integrator call for all its parts
     seen, calls = [], []
 
     def ones(t):
         seen.append(t.size)
         return np.ones_like(t)
 
-    def counted(*args, integrate=operators.integrate_jacobi):
-        calls.append(args[-1])
-        return integrate(*args)
+    def counted(parts, *args, integrate=operators.integrate_jacobi):
+        calls.append(len(parts))
+        return integrate(parts, *args)
 
     monkeypatch.setattr(operators, "integrate_jacobi", counted)
     f = Integrand(fn=lambda t: np.power(t, -0.75), exponent_at_zero=-0.75, smooth_at_zero=ones)
-    for tol, passes in ((1e-17, 1), (1e-15, 2)):
+    for tol in (1e-17, 1e-15):
         seen.clear()
         calls.clear()
         with pytest.raises(AccuracyError) as info:
             saigo_left(f, SaigoParams(alpha=1.0, family=Family.RIEMANN_LIOUVILLE), 0.5, tol=tol)
         assert info.value.evaluations == sum(seen) > 0
-        assert len(calls) == 2 * passes
-
-    # a part whose integrator raises AccuracyError still contributes its
-    # value, its estimate and its evaluations, and is not run again though
-    # it misses its share of tol: it would give up the same way
-    def refuse(*args):
-        calls.append(args[-1])
-        raise AccuracyError("budget spent", value=1.0, error_estimate=0.5, evaluations=42)
-
-    monkeypatch.setattr(operators, "integrate_jacobi", refuse)
-    calls.clear()
-    # kernel 1 and t^0 at x = 0.5: two parts of coefficient 1, prefactor 0.5
-    with pytest.raises(AccuracyError) as info:
-        saigo_left(monomial(1.0), SaigoParams(alpha=1.0, family=Family.RIEMANN_LIOUVILLE), 0.5)
-    assert (info.value.value, info.value.evaluations) == (1.0, 84)
-    # the estimate adds the combination's rounding allowance, 4 eps per unit
-    assert 0.5 < info.value.error_estimate <= 0.5 + 8 * 2.0**-52
-    assert calls == [1e-9 / 4] * 2
+        assert calls == [2]
 
 
 # ------------------------------------------- integer eta-beta: the log branch
@@ -802,6 +783,15 @@ def test_prefactor_out_of_float_range_refused_before_quadrature(monkeypatch, tra
     monkeypatch.setattr(operators, "integrate_log_jacobi", integrate)
     with pytest.raises(OverflowError, match=r"transform prefactor x\^.*/Gamma\(0\.5\)"):
         transform(monomial(lam), SaigoParams(0.5, family=_RL), x)
+
+
+def test_value_out_of_float_range_raises_overflow_error():
+    # the prefactor, x^2.1/Gamma(0.1) = 5.4e307, is finite, and the integral
+    # B(0.1, 3) = 9.3 takes the value past 1e308: an OverflowError that
+    # names the weighted sum, never a value of inf certified by
+    # tol * max(1, |inf|)
+    with pytest.raises(OverflowError, match=r"weighted sum of the parts, inf, leaves the float"):
+        saigo_left(monomial(3.0), SaigoParams(0.1, family=_RL), 1e147)
 
 
 def test_transform_requires_positive_x():

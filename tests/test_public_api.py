@@ -5,7 +5,7 @@ import fracbessel
 
 PUBLIC = [
     "AccuracyError", "ClosedForm", "ConvergenceError", "DomainError", "Family",
-    "HypergeomSpec", "Integrand", "KBesselParams", "KernelTerm", "ParameterDraw",
+    "HypergeomSpec", "Integrand", "JacobiPart", "KBesselParams", "KernelTerm", "ParameterDraw",
     "QuadratureResult", "Report", "SaigoParams", "SeriesValue", "SuiteConfig",
     "THEOREM_IDS", "TheoremParams", "VerificationRecord", "WrightSpec", "beta_fn",
     "check_identity", "corollary_pfq_spec", "corollary_wright_spec", "duplication_reduce",

@@ -11,7 +11,9 @@ import pytest
 from fracbessel import quadrature
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.gammafns import beta_fn
-from fracbessel.quadrature import QuadratureResult, integrate_jacobi, integrate_log_jacobi
+from fracbessel.quadrature import (
+    JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi,
+)
 
 from _oracles import JACOBI_POLY_INTEGRALS, chebyshev_moments_oracle
 
@@ -21,27 +23,27 @@ ROUNDING = 16.0 * EPS  # a piece's rounding bound per unit of sum |w_i g_i|
 
 
 def test_plain_polynomial():
-    r = integrate_jacobi(lambda u: u**2, 0.0, 1.0, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda u: u**2, 0.0, 1.0)], tol=1e-12)
     assert r.value == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_both_endpoints_singular_arcsine_weight():
     # integral of u^(-1/2) (1-u)^(-1/2) du over (0,1) = pi
-    r = integrate_jacobi(lambda u: np.ones_like(u), 0.0, 1.0,
-                         exp_lo=-0.5, exp_hi=-0.5, tol=1e-13)
+    r = integrate_jacobi([JacobiPart(lambda u: np.ones_like(u), 0.0, 1.0,
+                                     exp_lo=-0.5, exp_hi=-0.5)], tol=1e-13)
     assert r.value == pytest.approx(math.pi, rel=1e-13)
     assert r.error_estimate <= 1e-10
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 0.7), (1.5, 0.2), (0.05, 2.4)])
 def test_beta_integral_with_general_weights(a, b):
-    r = integrate_jacobi(lambda u: np.ones_like(u), 0.0, 1.0,
-                         exp_lo=a - 1.0, exp_hi=b - 1.0, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda u: np.ones_like(u), 0.0, 1.0,
+                                     exp_lo=a - 1.0, exp_hi=b - 1.0)], tol=1e-12)
     assert r.value == pytest.approx(beta_fn(a, b), rel=1e-12)
 
 
 def test_oscillatory_smooth_factor_needs_refinement():
-    r = integrate_jacobi(lambda u: np.cos(40.0 * u), 0.0, 1.0, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda u: np.cos(40.0 * u), 0.0, 1.0)], tol=1e-12)
     assert r.value == pytest.approx(math.sin(40.0) / 40.0, rel=1e-9, abs=1e-12)
     assert r.evaluations > FINE  # adaptive bisection had to split
 
@@ -50,13 +52,14 @@ def test_singular_weight_with_smooth_factor():
     # integral of u^(-0.4) cos(u) du on (0,1); reference from series
     # integral u^(-0.4) u^(2n) / (2n)! -> sum (-1)^n / ((2n)! (2n + 0.6))
     ref = sum((-1) ** n / (math.factorial(2 * n) * (2 * n + 0.6)) for n in range(12))
-    r = integrate_jacobi(lambda u: np.cos(u), 0.0, 1.0, exp_lo=-0.4, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda u: np.cos(u), 0.0, 1.0, exp_lo=-0.4)], tol=1e-12)
     assert r.value == pytest.approx(ref, rel=1e-12)
 
 
 def test_general_interval_and_shifted_weights():
     # integral of (t-2)^0.5 dt on (2, 5) = (2/3) 3^1.5
-    r = integrate_jacobi(lambda t: np.ones_like(t), 2.0, 5.0, exp_lo=0.5, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda t: np.ones_like(t), 2.0, 5.0, exp_lo=0.5)],
+                         tol=1e-12)
     assert r.value == pytest.approx((2.0 / 3.0) * 3.0**1.5, rel=1e-13)
 
 
@@ -67,15 +70,15 @@ def test_error_estimate_is_honest():
         (lambda u: np.cos(40.0 * u), 0.0, 1.0, 0.0, 0.0, math.sin(40.0) / 40.0),
     ]
     for g, lo, hi, el, eh, truth in cases:
-        r = integrate_jacobi(g, lo, hi, exp_lo=el, exp_hi=eh, tol=1e-11)
+        r = integrate_jacobi([JacobiPart(g, lo, hi, exp_lo=el, exp_hi=eh)], tol=1e-11)
         assert abs(r.value - truth) <= max(10.0 * r.error_estimate, 1e-12)
 
 
 def test_nonintegrable_exponent_rejected():
     with pytest.raises(DomainError):
-        integrate_jacobi(lambda u: np.ones_like(u), 0.0, 1.0, exp_lo=-1.0)
+        integrate_jacobi([JacobiPart(lambda u: np.ones_like(u), 0.0, 1.0, exp_lo=-1.0)])
     with pytest.raises(DomainError):
-        integrate_jacobi(lambda u: np.ones_like(u), 0.0, 1.0, exp_hi=-1.2)
+        integrate_jacobi([JacobiPart(lambda u: np.ones_like(u), 0.0, 1.0, exp_hi=-1.2)])
 
 
 def test_budget_exhaustion_raises_with_partial_value(monkeypatch):
@@ -87,7 +90,7 @@ def test_budget_exhaustion_raises_with_partial_value(monkeypatch):
 
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 3)
     with pytest.raises(AccuracyError) as info:
-        integrate_jacobi(g, 0.0, 1.0, tol=1e-14)
+        integrate_jacobi([JacobiPart(g, 0.0, 1.0)], tol=1e-14)
     err = info.value
     assert err.value is not None
     assert err.error_estimate is not None and err.error_estimate > 0
@@ -109,7 +112,7 @@ def test_non_finite_bound_rejected():
     # an infinite bound used to bisect the same float-resolution piece forever
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
         with pytest.raises(DomainError):
-            integrate_jacobi(np.cos, lo, hi)
+            integrate_jacobi([JacobiPart(np.cos, lo, hi)])
 
 
 def test_estimate_left_on_float_resolution_piece_raises():
@@ -122,7 +125,7 @@ def test_estimate_left_on_float_resolution_piece_raises():
         return np.full_like(u, math.nan)
 
     with pytest.raises(DomainError, match="not finite"):
-        integrate_jacobi(g, 1.0, math.nextafter(1.0, 2.0))
+        integrate_jacobi([JacobiPart(g, 1.0, math.nextafter(1.0, 2.0))])
     assert nodes == [FINE]
 
 
@@ -137,7 +140,7 @@ def test_float_resolution_piece_keeps_its_estimate():
     _, piece_err, _, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0, False)
     assert piece_err > 1e-10
     with pytest.raises(AccuracyError, match="float resolution") as info:
-        integrate_jacobi(g, lo, hi, exp_lo=-0.5, tol=1e-14)
+        integrate_jacobi([JacobiPart(g, lo, hi, exp_lo=-0.5)], tol=1e-14)
     assert info.value.error_estimate == piece_err
 
 
@@ -146,7 +149,7 @@ def test_non_finite_integrand_raises_at_its_first_piece(bad):
     # both bisected to float resolution and returned NaN value and estimate
     counted, seen = _counting(lambda u: np.where(u > 0.9, bad, np.cos(u)))
     with pytest.raises(DomainError, match="not finite"):
-        integrate_jacobi(counted, 0.0, 1.0, exp_lo=-0.5)
+        integrate_jacobi([JacobiPart(counted, 0.0, 1.0, exp_lo=-0.5)])
     assert seen == [FINE]
 
     # the log weight's first piece is [0, 1/2], whose lowest node is 1.2e-3
@@ -170,9 +173,9 @@ def test_non_finite_values_past_the_stopping_piece_are_discarded():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.inf),
-        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=math.nan),
-        lambda: integrate_jacobi(np.cos, 0.0, 1.0, tol=-0.25),
+        lambda: integrate_jacobi([JacobiPart(np.cos, 0.0, 1.0)], tol=math.inf),
+        lambda: integrate_jacobi([JacobiPart(np.cos, 0.0, 1.0)], tol=math.nan),
+        lambda: integrate_jacobi([JacobiPart(np.cos, 0.0, 1.0)], tol=-0.25),
         lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, tol=math.inf),
         lambda: integrate_log_jacobi(np.cos, 0.5, 0.0, tol=math.nan),
     ],
@@ -186,7 +189,7 @@ def test_control_arguments_validated(call):
 
 
 def test_result_is_immutable_record():
-    r = integrate_jacobi(lambda u: u, 0.0, 1.0, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(lambda u: u, 0.0, 1.0)], tol=1e-12)
     assert isinstance(r, QuadratureResult)
     with pytest.raises(AttributeError):
         r.value = 0.0
@@ -225,7 +228,8 @@ def test_log_weight_estimate_is_honest_near_slow_exponent():
 def test_log_weight_with_a_weight_at_the_other_end():
     # the log counts as the lower end's weight, so the call splits first:
     # int_0^1 (1-u)^(-1/2) log(u) du = B(1, 1/2) (psi(1) - psi(3/2)) = 4 log 2 - 4
-    r = integrate_jacobi(np.ones_like, 0.0, 1.0, 0.0, -0.5, tol=1e-14, log_lo=True)
+    r = integrate_jacobi([JacobiPart(np.ones_like, 0.0, 1.0, 0.0, -0.5, log_lo=True)],
+                         tol=1e-14)
     assert r.evaluations % (2 * FINE) == 0  # two start pieces, then two per bisection
     assert abs(r.value - (4.0 * math.log(2.0) - 4.0)) <= r.error_estimate <= 1e-14
 
@@ -371,7 +375,7 @@ def test_fused_pair_matches_one_rule_per_call(g, lo, hi, exp_lo, exp_hi, tol, bi
         nodes.append(u.tobytes())
         return g(u)
 
-    r = integrate_jacobi(counted, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=tol)
+    r = integrate_jacobi([JacobiPart(counted, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi)], tol=tol)
     value, estimate, pieces = _jacobi_reference(g, lo, hi, exp_lo, exp_hi, tol)
     assert (r.value, r.error_estimate, r.evaluations) == (value, estimate, FINE * pieces)
     # one start piece, or two with both weights, then two per bisection:
@@ -520,7 +524,7 @@ def test_rule_matches_frozen_references(n, a, b):
     def p(x):
         return sum((0.9 * x) ** j for j in range(2 * n))
 
-    r = integrate_jacobi(p, -1.0, 1.0, exp_lo=b, exp_hi=a, tol=1e-14)
+    r = integrate_jacobi([JacobiPart(p, -1.0, 1.0, exp_lo=b, exp_hi=a)], tol=1e-14)
     assert r.value == pytest.approx(JACOBI_POLY_INTEGRALS[(n, a, b)], rel=1e-14)
 
 
@@ -537,7 +541,7 @@ def test_rule_agrees_with_scipy_at_max_order(a, b):
     def g(u):
         return np.cos(3.0 * u) / (2.5 - u)
 
-    r = integrate_jacobi(g, -1.0, 1.0, exp_lo=b, exp_hi=a, tol=1e-14)
+    r = integrate_jacobi([JacobiPart(g, -1.0, 1.0, exp_lo=b, exp_hi=a)], tol=1e-14)
     # scipy's own weights are off by up to 1.5e-10 relative here
     assert r.value == pytest.approx(float(np.dot(w, g(x))), rel=1e-9)
 
@@ -545,9 +549,9 @@ def test_rule_agrees_with_scipy_at_max_order(a, b):
 def test_two_weights_need_an_interval_wide_enough_to_split():
     lo, hi = 1.0, math.nextafter(1.0, 2.0)
     with pytest.raises(DomainError, match="too narrow"):
-        integrate_jacobi(np.cos, lo, hi, exp_lo=-0.5, exp_hi=0.5)
+        integrate_jacobi([JacobiPart(np.cos, lo, hi, exp_lo=-0.5, exp_hi=0.5)])
     # one weight needs no split
-    r = integrate_jacobi(np.cos, lo, hi, exp_lo=-0.5)
+    r = integrate_jacobi([JacobiPart(np.cos, lo, hi, exp_lo=-0.5)])
     assert r.value == pytest.approx(2.0 * math.sqrt(hi - lo) * math.cos(1.0), rel=1e-12)
 
 
@@ -562,5 +566,58 @@ def test_no_rule_evaluates_g_at_an_endpoint(lo, hi, exp_lo, exp_hi):
             raise AssertionError(f"g evaluated outside ({lo}, {hi})")
         return np.cos(u)
 
-    r = integrate_jacobi(g, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi, tol=1e-12)
+    r = integrate_jacobi([JacobiPart(g, lo, hi, exp_lo=exp_lo, exp_hi=exp_hi)], tol=1e-12)
     assert math.isfinite(r.value) and r.evaluations % FINE == 0
+
+
+# ------------------------------------------- a weighted sum of parts, one heap
+
+
+def test_unbisected_parts_sum_their_single_part_results():
+    # each part stops on its start piece, so the sum is formed from the
+    # single-part results in part order, and its estimate adds the
+    # combination's rounding allowance, 4 eps of sum |coef * part|
+    parts = [JacobiPart(np.cos, 0.0, 1.0, coef=2.0), JacobiPart(np.exp, 0.0, 0.5, -0.3, coef=-0.5)]
+    (v1, e1), (v2, e2) = [
+        (r.value, r.error_estimate) for r in (integrate_jacobi([p._replace(coef=1.0)]) for p in parts)
+    ]
+    r = integrate_jacobi(parts, tol=1e-9, scale=3.0)
+    assert r.evaluations == 2 * FINE
+    assert r.value == 3.0 * (2.0 * v1 + -0.5 * v2)
+    assert r.error_estimate == 3.0 * (2.0 * e1 + 0.5 * e2) + 3.0 * (4 * EPS) * (
+        abs(2.0 * v1) + abs(-0.5 * v2)
+    )
+
+
+def test_heap_bisects_the_part_of_largest_weighted_estimate():
+    # two parts with the same integrand and estimates: only the one weighted
+    # by 1e6 is bisected, though its start piece is the younger one
+    light, light_seen = _counting(lambda u: np.cos(40.0 * u))
+    heavy, heavy_seen = _counting(lambda u: np.cos(40.0 * u))
+    r = integrate_jacobi([JacobiPart(light, 0.0, 1.0), JacobiPart(heavy, 0.0, 1.0, coef=1e6)],
+                         tol=1e-6)
+    assert light_seen == [FINE] and len(heavy_seen) > 1
+    assert r.evaluations == FINE * (len(light_seen) + len(heavy_seen))
+    assert abs(r.value - (1.0 + 1e6) * math.sin(40.0) / 40.0) <= r.error_estimate
+
+
+def test_parts_share_the_piece_budget(monkeypatch):
+    # MAX_INTERVALS bounds the heap of all parts together: two start pieces,
+    # then two per bisection until the heap holds 5, so 8 pieces in all,
+    # where a budget per part would allow 9 each
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 5)
+    first, first_seen = _counting(lambda u: np.cos(300.0 * u))
+    second, second_seen = _counting(lambda u: np.sin(300.0 * u))
+    with pytest.raises(AccuracyError, match="5 intervals") as info:
+        integrate_jacobi([JacobiPart(first, 0.0, 1.0), JacobiPart(second, 0.0, 1.0)], tol=1e-14)
+    assert len(first_seen) + len(second_seen) == 8
+    assert first_seen and second_seen
+    assert info.value.evaluations == 8 * FINE
+
+
+def test_sum_past_the_float_range_raises_overflow_error():
+    # every piece is finite, but their weighted sum is not: tol * max(1, |inf|)
+    # would pass any estimate, so the call refuses instead of returning inf
+    parts = [JacobiPart(np.ones_like, 0.0, 1.0, coef=1e308)] * 2
+    with pytest.raises(OverflowError, match="weighted sum of the parts, inf, leaves"):
+        integrate_jacobi(parts)
