@@ -50,17 +50,13 @@ AccuracyError.
 Each factor of a transform is computed once, at the narrowest scope it
 depends on, and reused bit for bit:
 
-* per draw (the operator orders, the integrand's power and the node set,
-  not x): a kernel's parts (_split, keyed by the six exact kernel
-  parameters, SaigoParams.kernel, at most _SPLITS kernels); the
-  prefactor's log Gamma(alpha) (_log_gamma_abs, at most _SPLITS orders: a
-  log_gamma call is about 3% of a warm transform); a part's series
-  at a call's nodes (_kernel_at, keyed by those parameters, the part and
-  the nodes' bytes); the weight power a part's rule leaves to its
-  integrand, u^exp0 on the upper half and (1-u)^(alpha-1) on the lower
-  half, at a call's nodes (_draw_factor).  These are bounded, typed LRU
-  caches; _kernel_at and _draw_factor hold at most _NODE_VALUES entries
-  each, their arrays read-only;
+* per draw (the kernel, SaigoParams.kernel, not x): one record (_draw, a
+  bounded, typed LRU cache of at most _DRAWS kernels) holds the kernel's
+  parts, the prefactor's log|Gamma(alpha)|, and a bounded store (at most
+  _ARRAYS read-only arrays) of the node arrays the draw's transforms
+  compute, keyed by which array and the nodes' bytes: a part's series, and
+  the weight power a part's rule leaves to its integrand, u^exp0 on the
+  upper half and (1-u)^(alpha-1) on the lower half;
 * per transform (one x): the integrand's smooth part at each node set, so
   the lower-half branches of a kernel, log branch included, which integrate
   over the same nodes, evaluate it once between them;
@@ -82,7 +78,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -146,69 +142,72 @@ class SaigoParams:
         return (a, -self.eta, self.alpha, self.eta - self.beta, -self.beta, self.alpha + self.eta)
 
 
-# Bounds of the per-draw memos (module docstring).  A draw transformed at
-# several x on both sides keeps one split and 3 or so kernel node arrays live
-# (one per part, shared by both sides), and 3 or so weight powers (u^exp0 per
-# side, the lower half's (1-u)^(alpha-1)): on 1,000 benchmark
-# monomial transforms the node-value hit share is 0.83 from 16 arrays up to
-# 512 and the split hit share 0.90 from 1 split up.  The bounds leave room
-# for about a dozen interleaved draws, at most ~0.1 MB each.  The caches are
-# typed, so an int order never shares an entry with a float.
-_SPLITS = 16
-_NODE_VALUES = 64
+# Bounds of the per-draw memo (module docstring).  A draw's record holds one
+# array per part and node set (a part reaches one half's nodes unless a piece
+# is bisected) and one per weight power (u^exp0 per side, the lower half's
+# (1-u)^(alpha-1)): at seed 3 every record held 4 to 7 arrays, over 6,000
+# monomial-sweep ops and 408 verify-suite ones, so _ARRAYS leaves room for a
+# few bisected pieces.  On benchmark monomial transforms the kernel hit
+# share is 0.90 from 1 kernel up; _DRAWS leaves room for about a dozen
+# interleaved draws, a full record about 12 KB.  The caches are typed, so an int
+# order never shares an entry with a float.
+_DRAWS = 16
+_ARRAYS = 16
 
 
-@lru_cache(maxsize=_SPLITS, typed=True)
-def _split(a, b, c, gamma, c_minus_a, c_minus_b) -> tuple:
-    """A kernel's parts, shared by every x and side: first the upper half's
-    direct 2F1(a, b; c; 1-u), as an analytic term of coefficient 1, then
-    kernel_split's lower-half branches."""
+class _Draw(NamedTuple):
+    """A draw's x-independent state, shared by every x and side."""
+
+    parts: tuple
+    log_gamma_abs: float
+    at: Callable[[object, bytes], np.ndarray]
+
+
+@lru_cache(maxsize=_DRAWS, typed=True)
+def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
+    """The record of the draw with kernel 2F1(a, b; c; .) (SaigoParams.kernel).
+
+    parts: the kernel's parts, first the upper half's direct 2F1(a, b; c;
+    1-u), as an analytic term of coefficient 1, then kernel_split's
+    lower-half branches.  log_gamma_abs: log|Gamma(alpha)| of the
+    prefactor, alpha = c.  at(which, nodes): an array at the float64 nodes
+    u packed in nodes, read-only: for an int which, that part's series; for
+    which = (e, reflect), the weight power u^e, or (1-u)^e when reflect.
+    """
     upper = KernelTerm(1.0, 0.0, False, lambda u: hyp2f1_kernel(a, b, c, 1.0 - u))
-    return (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
+    parts = (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
 
+    @lru_cache(maxsize=_ARRAYS, typed=True)
+    def at(which, nodes: bytes) -> np.ndarray:
+        u = np.frombuffer(nodes)
+        if isinstance(which, int):
+            v = parts[which].series(u)
+        else:
+            e, reflect = which
+            v = np.power(1.0 - u if reflect else u, e)
+        v.flags.writeable = False
+        return v
 
-@lru_cache(maxsize=_NODE_VALUES, typed=True)
-def _kernel_at(a, b, c, gamma, c_minus_a, c_minus_b, part: int, nodes: bytes) -> np.ndarray:
-    """The series of _split's part at the float64 nodes u packed in nodes,
-    read-only."""
-    v = _split(a, b, c, gamma, c_minus_a, c_minus_b)[part].series(np.frombuffer(nodes))
-    v.flags.writeable = False
-    return v
-
-
-@lru_cache(maxsize=_SPLITS, typed=True)
-def _log_gamma_abs(alpha: float) -> float:
-    """log|Gamma(alpha)| of a draw's prefactor, shared by every x and side."""
-    return log_gamma(alpha).log_abs
-
-
-@lru_cache(maxsize=_NODE_VALUES, typed=True)
-def _draw_factor(e, reflect: bool, nodes: bytes) -> np.ndarray:
-    """The weight power u^e, or (1-u)^e when reflect, at the float64 nodes u
-    packed in nodes, read-only: shared by every x and side of a draw."""
-    u = np.frombuffer(nodes)
-    v = np.power(1.0 - u if reflect else u, e)
-    v.flags.writeable = False
-    return v
+    return _Draw(parts, log_gamma(c).log_abs, at)
 
 
 def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: float, tol: float):
     """Shared left/right transform: quadrature over u in (0,1), then prefactor.
 
     Computes x^(x_power-beta)/Gamma(alpha) * int_0^1 (1-u)^(alpha-1) u^exp0
-    K(1-u) smooth(u) du, one JacobiPart per part of the kernel (_split), all
+    K(1-u) smooth(u) du, one JacobiPart per part of the draw's kernel, all
     in one integrate_jacobi call: the upper half u in [1/2, 1] under the
     (1-u)^(alpha-1) weight, then each lower-half branch under its u-power
     weight, times log(u) for a branch carrying one.  smooth must be analytic
     on [0, 1].  Raises AccuracyError when the call's estimate misses tol.
     """
     al = p.alpha
-    kernel = p.kernel
+    draw = _draw(*p.kernel)
     # smooth at each node set this transform reaches: the lower-half
     # branches of a connection kernel share theirs
     smooth_at = {}
     parts = []
-    for i, part in enumerate(_split(*kernel)):
+    for i, part in enumerate(draw.parts):
         e0 = exp0 + part.exponent
         # only the lower half's parts reach u = 0, where the integral may
         # diverge; all are checked before any is integrated
@@ -222,19 +221,17 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
 
         def g(u, i=i, power=power):
             nodes = u.tobytes()
-            k = _kernel_at(*kernel, i, nodes)
+            k = draw.at(i, nodes)
             v = smooth_at.get(nodes)
             if v is None:
                 v = smooth_at[nodes] = smooth(u)
-            return k * v * _draw_factor(*power, nodes)
+            return k * v * draw.at(power, nodes)
 
-        if i:
-            parts.append(JacobiPart(g, 0.0, 0.5, e0, 0.0, part.log_factor, part.coef))
-        else:
-            parts.append(JacobiPart(g, 0.5, 1.0, 0.0, al - 1.0, coef=part.coef))
+        lo, hi, exp_lo, exp_hi = (0.0, 0.5, e0, 0.0) if i else (0.5, 1.0, 0.0, al - 1.0)
+        parts.append(JacobiPart(g, lo, hi, exp_lo, exp_hi, part.log_factor, part.coef))
     # the prefactor too, so that one past the float range costs no quadrature
     try:
-        pref = math.exp((x_power - p.beta) * math.log(x) - _log_gamma_abs(al))
+        pref = math.exp((x_power - p.beta) * math.log(x) - draw.log_gamma_abs)
     except OverflowError:
         raise OverflowError(
             f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "

@@ -1,18 +1,26 @@
-"""The library's module-level memos, for tests that need them empty."""
+"""The library's module-level memos, found by scanning the package, for
+tests that need them empty."""
 
-from fracbessel import harness, operators, quadrature
+import functools
+import importlib
+import pkgutil
 
-MEMOS = (
-    harness._fields,
-    operators._split,
-    operators._kernel_at,
-    operators._draw_factor,
-    operators._log_gamma_abs,
-    quadrature._rule,
-    quadrature._nodes_on,
-)
+import fracbessel
+
+
+@functools.cache
+def memos() -> tuple:
+    """Every module-level cache of the package (anything with cache_clear),
+    found once per session, before any test patches a module."""
+    found = {}
+    for info in pkgutil.iter_modules(fracbessel.__path__):
+        module = importlib.import_module(f"fracbessel.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                found[id(obj)] = obj
+    return tuple(found.values())
 
 
 def clear_memos():
-    for memo in MEMOS:
+    for memo in memos():
         memo.cache_clear()

@@ -42,10 +42,9 @@ def test_tracing_hooks_wrap_every_entry_point_and_undo_restores_them():
             assert read() is not old, slot
 
         # one identity check reaches every layer through the wrappers; the
-        # kernel memo is emptied first, since a kernel an earlier test left
+        # draw memo is emptied first, since a kernel an earlier test left
         # in it would reach no hyp2f1 wrapper
-        tracing.operators._split.cache_clear()
-        tracing.operators._kernel_at.cache_clear()
+        tracing.operators._draw.cache_clear()
         harness = tracing.harness
         draw = harness.sample_params("2.1", 1, seed=0)[0]
         (record,) = harness.check_identity(draw, [1.0])
@@ -74,8 +73,7 @@ def test_traced_check_counts_rule_cache_misses():
     tracing = _load_tracing()
     rule = tracing.quadrature._rule
     rule.cache_clear()
-    tracing.operators._split.cache_clear()
-    tracing.operators._kernel_at.cache_clear()
+    tracing.operators._draw.cache_clear()
     log = tracing.SpanLog()
     before = rule.cache_info()
     patches = tracing.install(log)

@@ -1,7 +1,7 @@
-"""The transforms' memos of x-independent factors: they sit where the
-benchmark's hooks see their misses, they stay within their bounds, each
-factor is computed once at its scope, and no value, estimate, evaluation
-count or exception shows whether they were warm."""
+"""The transforms' per-draw memo of x-independent factors: it sits where the
+benchmark's hooks see its misses, it stays within its bounds, each factor
+is computed once at its scope, and no value, estimate, evaluation count or
+exception shows whether it was warm."""
 
 import dataclasses
 import random
@@ -9,12 +9,12 @@ import random
 import numpy as np
 import pytest
 
-from fracbessel import harness, operators
+from fracbessel import harness, operators, quadrature
 from fracbessel.errors import AccuracyError, DomainError
 from fracbessel.integrands import Integrand, monomial
 from fracbessel.operators import Family, SaigoParams, saigo_left, saigo_right
 
-from _memos import clear_memos
+from _memos import clear_memos, memos
 
 X_POINTS = (0.5, 1.0, 2.0)
 
@@ -104,7 +104,7 @@ def test_warm_memo_changes_no_value_estimate_count_or_exception():
 
 
 def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
-    calls = {"kernel_split": 0, "hyp2f1_kernel": 0}
+    calls = {"kernel_split": 0, "hyp2f1_kernel": 0, "log_gamma": 0}
 
     def counting(name):
         fn = getattr(operators, name)
@@ -121,17 +121,21 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
     for x in X_POINTS:
         saigo_left(monomial(1.3), p, x)
         saigo_right(monomial(0.6), p, x)
-    assert calls == {"kernel_split": 1, "hyp2f1_kernel": 1}
+    assert calls == {"kernel_split": 1, "hyp2f1_kernel": 1, "log_gamma": 1}
 
     # the upper half and two lower-half branches
-    assert len(operators._split(*p.kernel)) == 3
+    draw = operators._draw(*p.kernel)
+    assert len(draw.parts) == 3
     nodes = np.linspace(0.5, 1.0, 5).tobytes()
-    assert not any(operators._kernel_at(*p.kernel, i, nodes).flags.writeable for i in range(3))
+    assert not any(draw.at(i, nodes).flags.writeable for i in range(3))
 
-    for i in range(24):  # distinct kernels, more than either memo holds
+    # distinct kernels, more than the memo holds, and one kernel at more
+    # node sets than its record holds
+    for i in range(24):
         saigo_left(monomial(1.3), SaigoParams(0.8, 0.2, 1.1 + i / 64), 1.0)
-    for memo in (operators._split, operators._kernel_at):
-        info = memo.cache_info()
+    for i in range(24):
+        draw.at(0, np.linspace(0.5, 1.0, 5 + i).tobytes())
+    for info in (operators._draw.cache_info(), draw.at.cache_info()):
         assert info.maxsize is not None
         assert info.currsize == info.maxsize, info
 
@@ -139,8 +143,8 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
 def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
     # one connection-kernel draw at three x on both sides: the smooth part
     # once per node set and transform (the upper half's, and the lower
-    # half's, which both branches share), the weight powers and
-    # log Gamma(alpha) once per draw
+    # half's, which both branches share), the kernel's parts, the weight
+    # powers and log Gamma(alpha) once per draw
     smooth_nodes = []
 
     def ones(t):
@@ -163,16 +167,24 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
             before = len(smooth_nodes)
             transform(f, p, x)
             assert smooth_nodes[before:] == [31, 31]
-    assert len(operators._split(*p.kernel)) == 3  # the upper half, two branches
+    draw = operators._draw(*p.kernel)
+    assert len(draw.parts) == 3  # the upper half, two branches
     assert log_gamma_args == [p.alpha]
-    # u^exp0 on each side, and the lower half's (1-u)^(alpha-1): three
-    # powers, each built by the first transform that needs it and found by
-    # every later one, at one lookup per part, three a transform
-    info = operators._draw_factor.cache_info()
-    assert (info.misses, info.hits) == (3, 6 * 3 - 3)
+    # three kernel arrays (one per part, shared by both sides) and three
+    # weight powers (u^exp0 on each side, the lower half's (1-u)^(alpha-1)),
+    # each built by the first transform that needs it and found by every
+    # later one, at two lookups per part, six a transform
+    info = draw.at.cache_info()
+    assert (info.misses, info.hits) == (3 + 3, 6 * 6 - 6)
     assert info.maxsize is not None and info.maxsize <= 64
     nodes = np.linspace(0.0, 0.5, 5).tobytes()
-    assert not operators._draw_factor(0.3, False, nodes).flags.writeable
+    assert not draw.at((0.3, False), nodes).flags.writeable
+
+
+def test_the_memo_scan_finds_the_rule_cache_and_the_draw_record():
+    # the autouse fixture empties what tests/_memos.py finds, so a memo the
+    # scan missed would leak between tests
+    assert {quadrature._rule, operators._draw} <= set(memos())
 
 
 def test_log_branch_shares_the_lower_half_nodes():
@@ -187,11 +199,12 @@ def test_log_branch_shares_the_lower_half_nodes():
 
     f = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
     p = SaigoParams(1.3, 0.25, 1.25)
-    assert any(t.log_factor for t in operators._split(*p.kernel))
+    draw = operators._draw(*p.kernel)
+    assert any(t.log_factor for t in draw.parts)
     for x in X_POINTS:
         before = len(smooth_nodes)
         saigo_left(f, p, x)
         assert smooth_nodes[before:] == [31, 31]
-    # one array per part: the upper half's kernel and each lower-half branch
-    info = operators._kernel_at.cache_info()
-    assert info.misses == len(operators._split(*p.kernel))
+    # one array per part (the upper half's kernel and each lower-half
+    # branch), and the two weight powers
+    assert draw.at.cache_info().misses == len(draw.parts) + 2
