@@ -274,30 +274,33 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
 # ---------------------------------------------------------------------------
 
 
-def _monomial_image(numerators, denominators, exponent: float) -> tuple[float, float]:
+def _monomial_image(numerators, denominators, differences, exponent: float) -> tuple[float, float]:
     """(prod Gamma(numerators) / prod Gamma(denominators), exponent) of a
-    monomial image, after dropping each numerator/denominator pair that is
-    exactly equal, and replacing each pair of a numerator a <= 0 and a
-    denominator d with a - d exactly a positive integer n by its continued
-    ratio (d)_n.  The transform of t^(lam-1) converges where every
-    remaining numerator argument is positive: DomainError elsewhere."""
-    denominators = list(denominators)
+    monomial image, differences[i][j] being numerators[i] - denominators[j]
+    as formed from the operator orders.  Each numerator/denominator pair
+    that is exactly equal is dropped, and each pair of a numerator a <= 0
+    and a denominator d whose difference is a positive integer n is
+    replaced by its continued ratio (d)_n.  The transform of t^(lam-1)
+    converges where every remaining numerator argument is positive:
+    DomainError elsewhere."""
+    rest = dict(enumerate(denominators))
     kept, scale = [], 1.0
-    for a in numerators:
-        if a in denominators:
-            denominators.remove(a)
-        elif a > 0:
-            kept.append(a)
-        else:
-            # exact integer differences only, as kernel_split omits only exact poles
-            d = next((d for d in denominators if a - d >= 1 and a - d == round(a - d)), None)
-            if d is None:
+    for a, diff in zip(numerators, differences):
+        j = next((j for j, d in rest.items() if d == a), None)
+        if j is None and not a > 0:
+            # the difference from the orders, exact where the arguments'
+            # own difference may miss an integer by rounding
+            j = next((j for j in rest if diff[j] >= 1 and diff[j] == round(diff[j])), None)
+            if j is None:
                 raise DomainError(
                     f"monomial image: numerator gamma argument {a!r} must be positive"
                 )
-            denominators.remove(d)
-            scale *= pochhammer(d, round(a - d))
-    return scale * gamma_ratio(kept, denominators).value, exponent
+            scale *= pochhammer(rest[j], round(diff[j]))
+        if j is None:
+            kept.append(a)
+        else:
+            del rest[j]
+    return scale * gamma_ratio(kept, list(rest.values())).value, exponent
 
 
 def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
@@ -305,7 +308,10 @@ def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
     coefficient * x^exponent: Gamma(lam) Gamma(lam+eta-beta) /
     (Gamma(lam-beta) Gamma(lam+alpha+eta)) * x^(lam-beta-1)."""
     return _monomial_image(
-        [lam, lam + p.eta - p.beta], [lam - p.beta, lam + p.alpha + p.eta], lam - p.beta - 1.0
+        [lam, lam + p.eta - p.beta],
+        [lam - p.beta, lam + p.alpha + p.eta],
+        [[p.beta, -(p.alpha + p.eta)], [p.eta, -(p.alpha + p.beta)]],
+        lam - p.beta - 1.0,
     )
 
 
@@ -316,5 +322,6 @@ def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
     return _monomial_image(
         [p.eta - lam + 1.0, p.beta - lam + 1.0],
         [1.0 - lam, p.alpha + p.beta + p.eta - lam + 1.0],
+        [[p.eta, -(p.alpha + p.beta)], [p.beta, -(p.alpha + p.eta)]],
         lam - p.beta - 1.0,
     )

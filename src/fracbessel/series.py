@@ -112,7 +112,9 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
     (z/z*)^n (T_0 alone when z* = 0).  |T_n| is the max norm of term n over
     the nodes and |S(z*)| at most that of the partial sum, so an array sum
     stops no earlier than the max norms would have it stop, and its tail
-    estimate covers every node.  An array sum whose partial sum at z* is
+    estimate covers every node.
+
+    A sum whose partial sum (at z*, for an array; z* is z for a float) is
     not finite raises OverflowError.
     """
     nodes = z if isinstance(z, np.ndarray) else None
@@ -150,10 +152,11 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
         else:
             run = 0
         last = size
+    # a float sum would come back inf or NaN, and an array's rescale would
+    # meet inf * 0 and hand on a NaN that hides the cause
+    if not math.isfinite(total):
+        raise OverflowError(f"sum_series: the terms at z* = {z!r} leave the float range")
     if nodes is not None:
-        # the rescale would meet inf * 0 and hand on a NaN that hides the cause
-        if not math.isfinite(total):
-            raise OverflowError(f"sum_series: the terms at z* = {z!r} leave the float range")
         x = nodes / z if z else nodes
         total = np.power.outer(x, np.arange(len(parts))) @ parts
     return SeriesValue(total, *stop)

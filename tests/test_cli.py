@@ -139,17 +139,25 @@ def test_transform_monomial_left_matches_image(capsys):
     )
     assert d["closed_form"] == pytest.approx(-1.2 * math.gamma(0.3), rel=1e-9)
     assert d["value"] == pytest.approx(d["closed_form"], rel=1e-9)
-    # where the numerator and denominator arguments differ by an integer only
-    # up to rounding (0.2+1-3 against 0.2-3), the image is refused: a value,
-    # and a note in place of the image
+    # the pairing takes the difference from the orders (here eta = 1), so
+    # arguments that differ by an integer only up to rounding (0.2+1-3
+    # against 0.2-3) still pair
     d = run_json(
         capsys, "transform", "--family", "saigo", "--side", "left",
         "--alpha", "0.7", "--beta", "3", "--eta", "1",
         "--x", "1", "--monomial", "0.2",
     )
+    assert d["value"] == pytest.approx(d["closed_form"], rel=1e-9)
+    # at lam+eta-beta = 0 the image's numerator argument is exactly 0 and it
+    # is refused, while the transform's rounded u-power sits just above -1
+    # and it returns a value: a note in place of the image
+    d = run_json(
+        capsys, "transform", "--family", "saigo", "--side", "left",
+        "--alpha", "0.7", "--beta", "2", "--eta", "2.7",
+        "--x", "1", "--monomial", "-0.7",
+    )
     assert d["closed_form"] is None and d["rel_difference"] is None
     assert d["note"].startswith("closed form not applicable: monomial image")
-    assert math.isfinite(d["value"])
 
 
 def test_transform_monomial_right_matches_image(capsys):
@@ -263,6 +271,9 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
         (("eval", "gamma_k", "--z", "200", "--k", "1"), "k_gamma: Gamma_k(200.0) at k=1.0"),
         (("eval", "wright", "--upper", "1:1", "--lower", "1:1", "--z", "1000"),
          "eval_wright: term n=347 at z=1000.0"),
+        (("eval", "kbessel", "--z", "2000"), "sum_series: the terms at z* = -1000000.0"),
+        (("eval", "pfq", "--upper", "", "--lower", "1", "--z=1e6"),
+         "sum_series: the terms at z* = 1000000.0"),
         (("transform", "--family", "rl", "--side", "left", "--alpha", "0.5",
           "--x", "1e300", "--monomial", "3"),
          "transform prefactor x^2.5/Gamma(0.5) at x=1e+300"),
@@ -279,7 +290,7 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
           "--beta", "0.5", "--eta", "3000.5", "--x", "1", "--monomial", "1.5"),
          "kernel_split: a branch coefficient of 2F1(1.5, -3000.5; 1.0)"),
     ],
-    ids=["gamma-k", "wright", "transform-x", "transform-value", "transform-alpha",
+    ids=["gamma-k", "wright", "kbessel", "pfq", "transform-x", "transform-value", "transform-alpha",
          "transform-moments", "transform-kernel", "transform-log-kernel"],
 )
 def test_result_out_of_float_range_exits_2(capsys, argv, names):
@@ -294,10 +305,10 @@ def test_result_out_of_float_range_exits_2(capsys, argv, names):
 @pytest.mark.parametrize(
     "fault, x_points, notes",
     [
-        # the k-Bessel integrand and the Fox-Wright terms leave the float
-        # range; the 4F5 twin stops at its term cap
+        # the k-Bessel integrand, the Fox-Wright terms and the 4F5 twin's
+        # sum (inf after 78 terms) leave the float range
         (None, "10000", ("quadrature: OverflowError", "closed form: OverflowError: eval_wright",
-                         "closed form: series not converged at cap")),
+                         "closed form: OverflowError: sum_series")),
         (("saigo_left", ConvergenceError("stub")), "1", ("quadrature: ConvergenceError: stub",)),
         (("evaluate_closed_form", DomainError("stub")), "1", ("closed form: DomainError: stub",)),
     ],

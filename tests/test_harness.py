@@ -285,7 +285,7 @@ def test_suite_certifies_a_transform_whose_parts_outweigh_its_value():
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 4: eta-beta = 1.26e-7 gives connection coefficients of "
+    reason="ROADMAP item 2: eta-beta = 1.26e-7 gives connection coefficients of "
     "-/+2.27e6, and each part's estimate already sits on the stop test's rounding "
     "floor, so the transform stays over tol (1.21e-7 against 1e-7)",
 )

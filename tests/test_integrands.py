@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracbessel.errors import DomainError
 from fracbessel.integrands import Integrand, kbessel_integrand, monomial
 from fracbessel.series import KBesselParams, eval_k_bessel
 
@@ -76,3 +77,16 @@ def test_generic_integrand_numeric_reduction_fallback():
     )
     t = np.array([0.25, 0.8])
     np.testing.assert_allclose(f.reduced_at_zero(t), np.exp(-t), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "declared, reduce, side",
+    [
+        ({"exponent_at_infinity": -1.5}, Integrand.reduced_at_zero, "t->0"),
+        ({"exponent_at_zero": 0.5}, Integrand.reduced_at_infinity, "t->inf"),
+    ],
+)
+def test_reduction_without_its_exponent_names_the_integrand(declared, reduce, side):
+    f = Integrand(fn=lambda t: t, label="only one side", **declared)
+    with pytest.raises(DomainError, match=f"integrand 'only one side' has no declared {side} exponent"):
+        reduce(f, np.array([0.5]))
