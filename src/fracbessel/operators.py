@@ -149,8 +149,8 @@ class SaigoParams:
 # monomial-sweep ops and 408 verify-suite ones, so _ARRAYS leaves room for a
 # few bisected pieces.  On benchmark monomial transforms the kernel hit
 # share is 0.90 from 1 kernel up; _DRAWS leaves room for about a dozen
-# interleaved draws, a full record about 12 KB.  The caches are typed, so an int
-# order never shares an entry with a float.
+# interleaved draws, each about 16 KB with a full store of 31-node arrays.
+# The caches are typed, so an int order never shares an entry with a float.
 _DRAWS = 16
 _ARRAYS = 16
 

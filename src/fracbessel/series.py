@@ -147,7 +147,7 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
                 q = size / last
                 tail = size / (1.0 - q) if q < 0.9 else math.inf
                 if tail <= bound:
-                    stop = (n + 1, tail, bool(s < math.inf))
+                    stop = (n + 1, tail, True)
                     break
         else:
             run = 0

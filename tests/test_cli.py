@@ -290,8 +290,8 @@ def test_transform_non_finite_order_exits_2(capsys, beta, eta):
           "--beta", "0.5", "--eta", "3000.5", "--x", "1", "--monomial", "1.5"),
          "kernel_split: a branch coefficient of 2F1(1.5, -3000.5; 1.0)"),
     ],
-    ids=["gamma-k", "wright", "kbessel", "pfq", "transform-x", "transform-value", "transform-alpha",
-         "transform-moments", "transform-kernel", "transform-log-kernel"],
+    ids=["gamma-k", "wright", "kbessel", "pfq", "transform-x", "transform-value",
+         "transform-alpha", "transform-moments", "transform-kernel", "transform-log-kernel"],
 )
 def test_result_out_of_float_range_exits_2(capsys, argv, names):
     # one line, which names what overflowed where the library knows it

@@ -88,5 +88,6 @@ def test_generic_integrand_numeric_reduction_fallback():
 )
 def test_reduction_without_its_exponent_names_the_integrand(declared, reduce, side):
     f = Integrand(fn=lambda t: t, label="only one side", **declared)
-    with pytest.raises(DomainError, match=f"integrand 'only one side' has no declared {side} exponent"):
+    message = f"integrand 'only one side' has no declared {side} exponent"
+    with pytest.raises(DomainError, match=message):
         reduce(f, np.array([0.5]))
