@@ -12,14 +12,18 @@ duplication-reduced hypergeometric twins; cor2.x / cor3.x the
 Riemann-Liouville and Erdelyi-Kober specializations, where one gamma pair
 cancels between numerator and denominator.
 
-A corollary is its parent theorem at the family's beta (SaigoParams).  Each
-form first drops every upper Fox-Wright pair that equals a lower one, then is
-built where every upper coefficient left is positive, which is where its
-transform converges: L and L+eta-beta for 2.1, M+beta and M+eta for 2.4.
-_kbessel_image does both, once for every form, and the hypergeometric twins
-inherit it.  At beta = -alpha the eta-bearing pair cancels, leaving L > 0
-(left) and M > alpha (right); at beta = 0 the bare (L, 2) or (M, 2) pair
-cancels, leaving the Erdelyi-Kober windows L > -eta and M > -eta.
+A corollary is its parent theorem at the family's beta (SaigoParams).  Term
+n of W's series is a power of index s + 2n, s = L for 2.1 and s = M for
+2.4, so a form takes its gamma arguments from the image of a power
+(operators._power_image), which drops each pair whose difference, formed
+from the orders, is exactly 0.  The form is built where every upper
+coefficient left is positive, which is where its transform converges: L and
+L+eta-beta for 2.1, M+beta and M+eta for 2.4.  _kbessel_image does both,
+once for every form, and the hypergeometric twins inherit it.  At
+beta = -alpha the eta-bearing pair cancels (difference -(alpha+beta)),
+leaving L > 0 (left) and M > alpha (right); at beta = 0 the bare (L, 2) or
+(M, 2) pair cancels (difference beta), leaving the Erdelyi-Kober windows
+L > -eta and M > -eta.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Union
 
 from .errors import DomainError, require_finite, require_positive_finite
 from .gammafns import gamma_ratio
-from .operators import Family, SaigoParams
+from .operators import Family, SaigoParams, _power_image
 from .series import (
     HypergeomSpec,
     KBesselParams,
@@ -96,33 +100,21 @@ def evaluate_closed_form(cf: ClosedForm, x: float, tol: float = 1e-12) -> Series
     return sv.scaled(scale)
 
 
-def _cancel_common_pairs(w: WrightSpec) -> WrightSpec:
-    """Drop each upper pair that equals a lower pair: the same step, and the
-    coefficient within 1e-12 relative (the two sides may round the same sum
-    differently, e.g. (L+eta)+alpha against (L+alpha)+eta)."""
-    lower = list(w.lower)
-    upper = []
-    for a, A in w.upper:
-        match = next(
-            (i for i, (b, B) in enumerate(lower) if B == A and math.isclose(a, b, rel_tol=1e-12)),
-            None,
-        )
-        if match is None:
-            upper.append((a, A))
-        else:
-            del lower[match]
-    return WrightSpec(tuple(upper), tuple(lower))
-
-
-def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> ClosedForm:
-    """The Fox-Wright image shape 2.1 and 2.4 share: prefactor (2k)^(-v/k),
-    argument -c/(4k) * x^argument_power, and the k-Bessel pair (v/k + 1, 1)
-    closing the lower parameters, with the pairs common to both sides
-    cancelled.  The image holds where the transform converges, which is
-    where every upper coefficient left is positive: DomainError elsewhere."""
+def _kbessel_image(p: TheoremParams, s: float, right: bool, power, argument_power) -> ClosedForm:
+    """The Fox-Wright image 2.1 and 2.4 share: term n of W's series is a
+    power of index s + 2n, so the image of a power at s
+    (operators._power_image, its equal pairs dropped) gives the upper and
+    lower pairs at step 2, and the k-Bessel pair (v/k + 1, 1) closes the
+    lower ones; prefactor (2k)^(-v/k), argument -c/(4k) * x^argument_power.
+    The image holds where the transform converges, which is where every
+    upper coefficient is positive: DomainError elsewhere."""
     vk = p.v / p.k
-    series = _cancel_common_pairs(WrightSpec(upper=upper, lower=lower + ((vk + 1.0, 1.0),)))
-    if not all(a > 0 for a, _ in series.upper):
+    numerators, denominators, _ = _power_image(p, s, right)
+    series = WrightSpec(
+        upper=tuple((a, 2.0) for a in numerators),
+        lower=tuple((b, 2.0) for b in denominators) + ((vk + 1.0, 1.0),),
+    )
+    if not all(a > 0 for a in numerators):
         raise DomainError(
             f"k-Bessel image: upper pairs {series.upper!r} need positive coefficients"
         )
@@ -132,18 +124,12 @@ def _kbessel_image(p: TheoremParams, power, upper, lower, argument_power) -> Clo
 
 def theorem21_spec(p: TheoremParams) -> ClosedForm:
     """Left transform of t^(lam/k-1) W(t) as a 2-Psi-3 Fox-Wright form."""
-    big_l = p.big_l
-    upper = ((big_l, 2.0), (big_l + p.eta - p.beta, 2.0))
-    lower = ((big_l - p.beta, 2.0), (big_l + p.alpha + p.eta, 2.0))
-    return _kbessel_image(p, big_l - p.beta - 1.0, upper, lower, 2.0)
+    return _kbessel_image(p, p.big_l, False, p.big_l - p.beta - 1.0, 2.0)
 
 
 def theorem24_spec(p: TheoremParams) -> ClosedForm:
     """Right transform of t^(lam/k-1) W(1/t) as a 2-Psi-3 Fox-Wright form."""
-    m = p.big_m
-    upper = ((m + p.beta, 2.0), (m + p.eta, 2.0))
-    lower = ((m, 2.0), (m + p.alpha + p.beta + p.eta, 2.0))
-    return _kbessel_image(p, p.lam / p.k - p.v / p.k - p.beta - 1.0, upper, lower, -2.0)
+    return _kbessel_image(p, p.big_m, True, p.lam / p.k - p.v / p.k - p.beta - 1.0, -2.0)
 
 
 # corollary variant -> the family whose beta it takes

@@ -39,7 +39,10 @@ the upper half lies on [1/2, 1], and each lower-half part must leave a
 u-power above -1 at u = 0.  kernel_split omits a branch whose coefficient
 is exactly 0, so at beta = 0, where Gamma(c-a) = Gamma(0), only the u^eta
 branch counts.  A monomial image states its window the same way, through
-its own gamma arguments (_monomial_image); the Riemann-Liouville and
+its own gamma arguments.  Those are written once, for both sides, as the
+image of a power (_power_image), which drops each gamma pair whose
+difference, formed from the orders, is exactly 0; the monomial images and
+closed_forms' k-Bessel images derive from it.  The Riemann-Liouville and
 Erdelyi-Kober images are the Saigo image at their family's beta.
 
 Whether a transform meets its tolerance is decided in one place too, on
@@ -274,54 +277,74 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
 # ---------------------------------------------------------------------------
 
 
-def _monomial_image(numerators, denominators, differences, exponent: float) -> tuple[float, float]:
-    """(prod Gamma(numerators) / prod Gamma(denominators), exponent) of a
-    monomial image, differences[i][j] being numerators[i] - denominators[j]
-    as formed from the operator orders.  Each numerator/denominator pair
-    that is exactly equal is dropped, and each pair of a numerator a <= 0
-    and a denominator d whose difference is a positive integer n is
-    replaced by its continued ratio (d)_n.  The transform of t^(lam-1)
-    converges where every remaining numerator argument is positive:
-    DomainError elsewhere."""
+def _power_image(p, s: float, right: bool) -> tuple[list, list, list]:
+    """The gamma arguments of the Saigo image of a power at index s (Saigo,
+    Math. Rep. Kyushu Univ. 11 (1978) 135), for the orders of p (a
+    SaigoParams, or any object with alpha, beta and eta):
+
+        left, of t^(s-1):  Gamma(s) Gamma(s+eta-beta) / (Gamma(s-beta) Gamma(s+alpha+eta))
+                           * x^(s-beta-1)
+        right, of t^(-s):  Gamma(s+beta) Gamma(s+eta) / (Gamma(s) Gamma(s+alpha+beta+eta))
+                           * x^(-s-beta)
+
+    Returns (numerators, denominators, differences), differences[i][j]
+    being numerators[i] - denominators[j] as formed from the orders; on both
+    sides the full matrix is [[beta, -(alpha+eta)], [eta, -(alpha+beta)]].
+    Each pair whose difference is exactly 0 is dropped, where rounding may
+    leave its two arguments apart: the first pair at beta = 0, the second
+    at beta = -alpha."""
+    al, be, et = p.alpha, p.beta, p.eta
+    if right:
+        numerators, denominators = [s + be, s + et], [s, s + al + be + et]
+    else:
+        numerators, denominators = [s, s + et - be], [s - be, s + al + et]
+    differences = [[be, -(al + et)], [et, -(al + be)]]
+    kept, rest = [], [0, 1]
+    for i, diff in enumerate(differences):
+        j = next((j for j in rest if diff[j] == 0.0), None)
+        if j is None:
+            kept.append(i)
+        else:
+            rest.remove(j)
+    return (
+        [numerators[i] for i in kept],
+        [denominators[j] for j in rest],
+        [[differences[i][j] for j in rest] for i in kept],
+    )
+
+
+def _monomial_coefficient(p: SaigoParams, s: float, right: bool) -> float:
+    """The coefficient of the image of a power at index s (_power_image).
+    Each pair of a numerator a <= 0 and a denominator d whose difference,
+    from the orders, is a positive integer n is replaced by its continued
+    ratio (d)_n.  The transform converges where every remaining numerator
+    argument is positive: DomainError elsewhere."""
+    numerators, denominators, differences = _power_image(p, s, right)
     rest = dict(enumerate(denominators))
     kept, scale = [], 1.0
     for a, diff in zip(numerators, differences):
-        j = next((j for j, d in rest.items() if d == a), None)
-        if j is None and not a > 0:
-            # the difference from the orders, exact where the arguments'
-            # own difference may miss an integer by rounding
-            j = next((j for j in rest if diff[j] >= 1 and diff[j] == round(diff[j])), None)
-            if j is None:
-                raise DomainError(
-                    f"monomial image: numerator gamma argument {a!r} must be positive"
-                )
-            scale *= pochhammer(rest[j], round(diff[j]))
-        if j is None:
+        if a > 0:
             kept.append(a)
-        else:
-            del rest[j]
-    return scale * gamma_ratio(kept, list(rest.values())).value, exponent
+            continue
+        # the difference from the orders, exact where the arguments' own
+        # difference may miss an integer by rounding
+        j = next((j for j in rest if diff[j] >= 1 and diff[j] == round(diff[j])), None)
+        if j is None:
+            raise DomainError(f"monomial image: numerator gamma argument {a!r} must be positive")
+        scale *= pochhammer(rest.pop(j), round(diff[j]))
+    return scale * gamma_ratio(kept, list(rest.values())).value
 
 
 def saigo_left_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
     """(coefficient, exponent) with left-transform of t^(lam-1) equal to
-    coefficient * x^exponent: Gamma(lam) Gamma(lam+eta-beta) /
-    (Gamma(lam-beta) Gamma(lam+alpha+eta)) * x^(lam-beta-1)."""
-    return _monomial_image(
-        [lam, lam + p.eta - p.beta],
-        [lam - p.beta, lam + p.alpha + p.eta],
-        [[p.beta, -(p.alpha + p.eta)], [p.eta, -(p.alpha + p.beta)]],
-        lam - p.beta - 1.0,
-    )
+    coefficient * x^exponent: the image of a power at s = lam,
+    Gamma(lam) Gamma(lam+eta-beta) / (Gamma(lam-beta) Gamma(lam+alpha+eta))
+    * x^(lam-beta-1)."""
+    return _monomial_coefficient(p, lam, False), lam - p.beta - 1.0
 
 
 def saigo_right_monomial(p: SaigoParams, lam: float) -> tuple[float, float]:
-    """(coefficient, exponent) for the right transform of t^(lam-1):
-    Gamma(eta-lam+1) Gamma(beta-lam+1) / (Gamma(1-lam) Gamma(alpha+beta+eta-lam+1))
-    * x^(lam-beta-1)."""
-    return _monomial_image(
-        [p.eta - lam + 1.0, p.beta - lam + 1.0],
-        [1.0 - lam, p.alpha + p.beta + p.eta - lam + 1.0],
-        [[p.eta, -(p.alpha + p.beta)], [p.beta, -(p.alpha + p.eta)]],
-        lam - p.beta - 1.0,
-    )
+    """(coefficient, exponent) for the right transform of t^(lam-1): the
+    image of a power at s = 1-lam, Gamma(1-lam+beta) Gamma(1-lam+eta) /
+    (Gamma(1-lam) Gamma(1-lam+alpha+beta+eta)) * x^(lam-beta-1)."""
+    return _monomial_coefficient(p, 1.0 - lam, True), lam - p.beta - 1.0

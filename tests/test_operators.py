@@ -235,6 +235,29 @@ def test_erdelyi_kober_right_power_rule():
     assert r.value == pytest.approx(coeff * x**exponent, rel=1e-11)
 
 
+
+@pytest.mark.parametrize("family", [_RL, _EK])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_family_images_drop_their_cancelling_pair_exactly(family, side):
+    # the pair that cancels at the family's beta goes by its difference from
+    # the orders, exactly 0, where rounding may leave its two arguments apart:
+    # on the left at beta = -alpha, (lam+eta)+alpha against (lam+alpha)+eta
+    rng = np.random.default_rng(30)
+    draws = zip(rng.uniform(0.3, 1.8, 2000), rng.uniform(0.0, 2.0, 2000), rng.uniform(0.1, 2.5, 2000))
+    for alpha, eta, u in draws:
+        alpha, eta, u = float(alpha), float(eta), float(u)
+        p = SaigoParams(alpha, eta=eta, family=family)
+        if side == "left":
+            lam = u
+            coeff, _ = saigo_left_monomial(p, lam)
+            kept = ([lam], [lam + alpha]) if family is _RL else ([lam + eta], [lam + alpha + eta])
+        else:
+            lam = 1.0 - alpha - u if family is _RL else 1.0 + eta - u
+            coeff, _ = saigo_right_monomial(p, lam)
+            s = 1.0 - lam
+            kept = ([s - alpha], [s]) if family is _RL else ([s + eta], [s + alpha + eta])
+        assert coeff == gamma_ratio(*kept).value, (alpha, eta, lam)
+
 # ------------------------------------------------------- property sweeps
 
 
