@@ -115,7 +115,10 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
     estimate covers every node.
 
     A sum whose partial sum (at z*, for an array; z* is z for a float) is
-    not finite raises OverflowError.
+    not finite raises OverflowError, at the first NaN partial sum and within
+    3 terms of an infinite one: a float sum would come back inf or NaN, and
+    an array's rescale would meet inf * 0 and hand on a NaN that hides the
+    cause.
     """
     nodes = z if isinstance(z, np.ndarray) else None
     if nodes is not None:
@@ -140,6 +143,10 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
             stop = (n, 0.0, True)
             break
         s = abs(total)
+        # a NaN sum (inf - inf) meets no stop test, and a terminating
+        # series' max_terms may be large; an inf one meets it within 3 terms
+        if math.isnan(s):
+            break
         bound = tol * max(s, _TINY)
         if size <= bound:
             run += 1
@@ -152,8 +159,6 @@ def sum_series(t0, ratio, z, tol, weights=None, max_terms=MAX_TERMS) -> SeriesVa
         else:
             run = 0
         last = size
-    # a float sum would come back inf or NaN, and an array's rescale would
-    # meet inf * 0 and hand on a NaN that hides the cause
     if not math.isfinite(total):
         raise OverflowError(f"sum_series: the terms at z* = {z!r} leave the float range")
     if nodes is not None:
@@ -265,19 +270,26 @@ def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
     """sum_n y^n / (Gamma(n+1+v/k) n!) at y = -c z^2/(4k), z a float or an array.
 
     Reciprocal-gamma convention: terms at an exact pole of Gamma(n+1+v/k)
-    vanish, so the sum starts at the first n0 off the poles; near a pole
-    1/Gamma is small, not zero, and its term is kept.
+    vanish, so the sum starts at the first n0 off the poles: n0 = -v/k when
+    v/k is an integer <= -1, else 0.  Near a pole 1/Gamma is small, not
+    zero, and its term is kept.  A float y^n0 past the float range raises
+    OverflowError.
     """
     vk = kb.v / kb.k
     y = -kb.c / (4.0 * kb.k) * (z * z)
-    n0 = 0
-    while is_exact_pole(n0 + 1.0 + vk):
-        n0 += 1
+    n0 = int(-vk) if is_exact_pole(1.0 + vk) else 0
     inv = gamma_ratio([], [n0 + 1.0 + vk])  # 1/Gamma(n0+1+v/k)
     c0 = inv.sign * math.exp(inv.log_abs - log_gamma(n0 + 1.0).log_abs)
     ratio = lambda n: 1.0 / ((n + n0 + 1.0) * (n + n0 + 1.0 + vk))
     s = sum_series(c0, ratio, y, tol)
-    return s.scaled(y**n0) if n0 else s  # times 1.0 would change no bit
+    if not n0:
+        return s  # times 1.0 would change no bit
+    try:
+        return s.scaled(y**n0)
+    except OverflowError:
+        raise OverflowError(
+            f"k-Bessel series: the leading power y^{n0} at y={y!r} leaves the float range"
+        ) from None
 
 
 def kbessel_reduced_series(kb: KBesselParams, z: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -315,5 +327,13 @@ def eval_k_bessel(params: KBesselParams, z: float, tol: float = 1e-12) -> Series
             return SeriesValue(1.0, 1, 0.0, True)
         raise DomainError("eval_k_bessel: z=0 diverges for v < 0")
 
-    pref = math.exp(vk * math.log(z / (2.0 * params.k)))
+    # log(z/(2k)) from the logs where z/(2k) underflows or 2k overflows
+    r = z / (2.0 * params.k)
+    log_r = math.log(r) if 0.0 < r < math.inf else math.log(z) - math.log(2.0) - math.log(params.k)
+    try:
+        pref = math.exp(vk * log_r)
+    except OverflowError:
+        raise OverflowError(
+            f"eval_k_bessel: (z/(2k))^(v/k) at z={z!r} leaves the float range"
+        ) from None
     return _kbessel_sum(params, z, tol).scaled(pref)

@@ -610,14 +610,20 @@ def test_installed_entry_point_resolves():
 # ---------------------------------------------------------------- start-up
 
 
-def test_library_and_cli_never_import_scipy(tmp_path):
-    # scipy is a test oracle only; importing scipy.special more than
-    # doubled the package's import time
+def _child_env():
+    """The environment of a child process that imports this fracbessel."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(fracbessel.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env
+
+
+def test_library_and_cli_never_import_scipy(tmp_path):
+    # scipy is a test oracle only; importing scipy.special more than
+    # doubled the package's import time
+    env = _child_env()
     child = (
         "import sys\n"
         "import fracbessel\n"
@@ -632,3 +638,42 @@ def test_library_and_cli_never_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, cwd=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# ---------------------------------------------------------------- extreme inputs
+
+
+@pytest.mark.parametrize(
+    "argv, code, names",
+    [
+        # a terminating kernel of 1e8 + 1 terms whose partial sum goes NaN
+        (("transform", "--family", "saigo", "--side", "right", "--alpha", "1e5",
+          "--beta", "-0.5", "--eta", "1e8", "--x", "1", "--monomial", "-1"), 2,
+         "sum_series: the terms at z*"),
+        # v/k a pole of Gamma(n+1+v/k) beyond 2^53, and at -5e5
+        (("eval", "kbessel", "--z", "1", "--v", "-0.5", "--k", "1e-17"), 2,
+         "k-Bessel series: the leading power y^50000000000000000"),
+        (("eval", "kbessel", "--z", "1", "--v", "-0.5", "--k", "1e-6"), 2,
+         "k-Bessel series: the leading power y^500000"),
+        # z/(2k) below the float range
+        (("eval", "kbessel", "--z", "1e-308", "--v", "1", "--k", "1e308"), 0, ""),
+        (("eval", "kbessel", "--z", "1e5", "--c", "1e5", "--k", "1e308"), 0, ""),
+    ],
+    ids=["terminating-kernel", "kbessel-pole-2^53", "kbessel-pole-5e5", "kbessel-prefactor-z",
+         "kbessel-prefactor-c"],
+)
+def test_extreme_inputs_end_promptly(tmp_path, argv, code, names):
+    # in a child process under a timeout, so that a hang fails this test
+    # instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracbessel.cli", *argv, "--output", "json"],
+        env=_child_env(), capture_output=True, text=True, cwd=str(tmp_path), timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr[-2000:]
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("fracbessel: ") and proc.stderr.count("\n") == 1
+        assert names in proc.stderr
+    else:
+        assert proc.stderr == ""
+        assert math.isfinite(json.loads(proc.stdout)["value"])
