@@ -273,7 +273,7 @@ def saigo_right(f: Integrand, p: SaigoParams, x: float, tol: float = 1e-9) -> Qu
 
 
 # ---------------------------------------------------------------------------
-# Closed-form monomial images
+# The image of a power, and the monomial images
 # ---------------------------------------------------------------------------
 
 
@@ -290,9 +290,9 @@ def _power_image(p, s: float, right: bool) -> tuple[list, list, list]:
     Returns (numerators, denominators, differences), differences[i][j]
     being numerators[i] - denominators[j] as formed from the orders; on both
     sides the full matrix is [[beta, -(alpha+eta)], [eta, -(alpha+beta)]].
-    Each pair whose difference is exactly 0 is dropped, where rounding may
+    Each pair whose difference is exactly 0 is dropped, though rounding may
     leave its two arguments apart: the first pair at beta = 0, the second
-    at beta = -alpha."""
+    at beta = -alpha, the second numerator and first denominator at eta = 0."""
     al, be, et = p.alpha, p.beta, p.eta
     if right:
         numerators, denominators = [s + be, s + et], [s, s + al + be + et]
