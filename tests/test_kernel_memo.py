@@ -48,6 +48,9 @@ _OPS = [
     ("left", 0.2, SaigoParams(1.0, 1.0, 0.5), 1e-9),
     # AccuracyError: a tol below every piece's rounding bound
     ("left", 1.3, SaigoParams(1.3, 0.25, 1.25), 1e-17),
+    # certified only after bisecting: 155 and 217 evaluations on three parts
+    ("left", 3.7, SaigoParams(0.3, 1.46, 15.5), 1e-9),
+    ("right", 0.2, SaigoParams(0.3, 2.15, 30.2), 1e-9),
 ]
 
 # k-Bessel integrands through the harness, both sides and a reduction each
@@ -87,6 +90,32 @@ def _ops():
         draw = harness.sample_params(theorem_id, 1, seed=4)[0]
         ops += [("check", draw, x) for x in X_POINTS]
     return ops
+
+
+# The bits of ops whose results must not move with the memos' layout:
+# (op, x, value hex, estimate hex, evaluations), and for a refusal
+# ("AccuracyError", message, (value hex, estimate hex), evaluations)
+_FROZEN = [
+    (_OPS[-2], 0.5, ("0x1.39aa0e82cce3cp-7", "0x1.2c9a7eef8c651p-43", 155)),
+    (_OPS[-2], 1.0, ("0x1.726f6a695af68p-6", "0x1.6302b1e1f802ep-42", 155)),
+    (_OPS[-2], 2.0, ("0x1.b57b34bb10221p-5", "0x1.a343cbb1478dcp-41", 155)),
+    (_OPS[-1], 0.5, ("0x1.5cbde348be3d4p-9", "0x1.cd9c18687ad62p-34", 217)),
+    (_OPS[-1], 1.0, ("0x1.690a4407c7ce4p-12", "0x1.dde36cdf97443p-37", 217)),
+    (_OPS[-1], 2.0, ("0x1.75c5abc46f754p-15", "0x1.eebdb73ed122bp-40", 217)),
+    (_OPS[-3], 0.5, ("AccuracyError", "transform error estimate 1.8185306388809455e-15 exceeds tol 1e-17",
+                     ("0x1.aac57af84f498p-3", "0x1.0613f04634f90p-49"), 124)),
+    (_OPS[-3], 1.0, ("AccuracyError", "transform error estimate 1.8826609833642933e-15 exceeds tol 1e-17",
+                     ("0x1.b9d24bc7aa5c6p-3", "0x1.0f51ee40bd85ep-49"), 124)),
+    (_OPS[-3], 2.0, ("AccuracyError", "transform error estimate 1.9490528795617683e-15 exceeds tol 1e-17",
+                     ("0x1.c966fb1e40a52p-3", "0x1.18e35bfbcafd5p-49"), 124)),
+]
+
+
+@pytest.mark.parametrize("op, x, bits", _FROZEN)
+def test_bisected_and_refused_transforms_keep_their_bits(op, x, bits):
+    # cold, then warm: the same bits both times
+    assert _run((*op, x)) == bits
+    assert _run((*op, x)) == bits
 
 
 def test_warm_memo_changes_no_value_estimate_count_or_exception():
