@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -94,8 +95,18 @@ def _wright_pairs(text: str) -> tuple:
     return tuple(pairs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent notation,
+    such as -1e-3, as an argument: argparse's own pattern takes -5 and -0.5
+    for numbers but -1e-3 for an option.  Its subparsers are _Parsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracbessel",
         description=(
             "Generalized fractional transforms of the k-Bessel function: "

@@ -82,6 +82,10 @@ def kbessel_integrand(
     require_positive_finite("kbessel_integrand", "series_tol", series_tol)
     vk = kb.v / kb.k
     power = lam / kb.k - 1.0
+    if not math.isfinite(power):  # v/k is finite (KBesselParams)
+        raise OverflowError(
+            f"kbessel_integrand: lam/k = {lam!r}/{kb.k!r} leaves the float range"
+        )
     scale = math.exp(-vk * math.log(2.0 * kb.k))  # (2k)^(-v/k)
     label = f"t^({lam}/{kb.k}-1)*W[v={kb.v},c={kb.c},k={kb.k}]"
 

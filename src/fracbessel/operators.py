@@ -60,6 +60,12 @@ depends on, and reused bit for bit:
   compute, keyed by which array and the nodes' bytes: a part's series, and
   the weight power a part's rule leaves to its integrand, u^exp0 on the
   upper half and (1-u)^(alpha-1) on the lower half;
+* per (draw, exp0), exp0 the integrand's u-power at u = 0: the start plan
+  (the record's plan, at most _PLANS per draw), each part's JacobiPart and
+  start piece (quadrature.start_pieces): its nodes, the store's kernel and
+  weight-power arrays there, its rule pair and scale, and the parts'
+  checks, so every later transform of the draw and exp0, at any x and on
+  either side, integrates its start pieces with no lookup;
 * per transform (one x): the integrand's smooth part at each node set, so
   the lower-half branches of a kernel, log branch included, which integrate
   over the same nodes, evaluate it once between them;
@@ -68,11 +74,15 @@ depends on, and reused bit for bit:
 Both sides of a draw share the nodes of each half, so a transform finds the
 factors that earlier transforms of its draw computed, at any x and on either
 side, except on a piece none of them reached (a bisected piece).  A hit
-returns the array a miss computed, multiplied in the same order (kernel,
-smooth part, weight power), so results are bit-identical whether the memos
-are warm or cold; an exception is never cached.  A miss calls kernel_split,
-hyp2f1_kernel and log_gamma, and a transform its integrator, through this
-module's globals, so a wrapper placed there sees every such call.
+returns the array a miss computed, multiplied in the same order (smooth
+part, kernel, weight power: the kernel times the smooth part, as IEEE
+products commute exactly), so results are bit-identical whether the memos
+are warm or cold; an exception is never cached.  A cold plan computes a
+part's kernel, weight power and rule before any smooth part is evaluated,
+so where both a plan's factor and an earlier part's smooth part fail, the
+plan's error is the one raised.  A miss calls kernel_split, hyp2f1_kernel
+and log_gamma, and a transform its integrator, through this module's
+globals, so a wrapper placed there sees every such call.
 """
 
 from __future__ import annotations
@@ -92,7 +102,9 @@ from .integrands import Integrand
 # integrate_log_jacobi is not called here: the benchmark's tracing wraps it by
 # this module's name until the trace collector and its removal land (ROADMAP
 # items 3 and 7)
-from .quadrature import JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi
+from .quadrature import (
+    JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi, start_pieces,
+)
 
 
 class Family(str, enum.Enum):
@@ -153,9 +165,15 @@ class SaigoParams:
 # few bisected pieces.  On benchmark monomial transforms the kernel hit
 # share is 0.90 from 1 kernel up; _DRAWS leaves room for about a dozen
 # interleaved draws, each about 16 KB with a full store of 31-node arrays.
+# A draw's transforms reach one exp0 per side and integrand: two on a
+# monomial-sweep draw, one on each verify-suite draw (every one of the 60
+# kernels of the golden verify run), so _PLANS leaves room for two
+# integrands per side; a plan holds references to arrays that the store and
+# the rule cache built, and a few small tuples of its own.
 # The caches are typed, so an int order never shares an entry with a float.
 _DRAWS = 16
 _ARRAYS = 16
+_PLANS = 4
 
 
 class _Draw(NamedTuple):
@@ -164,6 +182,7 @@ class _Draw(NamedTuple):
     parts: tuple
     log_gamma_abs: float
     at: Callable[[object, bytes], np.ndarray]
+    plan: Callable[[float], tuple]
 
 
 @lru_cache(maxsize=_DRAWS, typed=True)
@@ -176,6 +195,9 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
     prefactor, alpha = c.  at(which, nodes): an array at the float64 nodes
     u packed in nodes, read-only: for an int which, that part's series; for
     which = (e, reflect), the weight power u^e, or (1-u)^e when reflect.
+    plan(exp0): the JacobiParts of a transform whose integrand has the
+    u-power exp0 at u = 0, g left None, and their start pieces, kernel and
+    weight power included (quadrature.start_pieces).
     """
     upper = KernelTerm(1.0, 0.0, False, lambda u: hyp2f1_kernel(a, b, c, 1.0 - u))
     parts = (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
@@ -191,7 +213,27 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
         v.flags.writeable = False
         return v
 
-    return _Draw(parts, log_gamma(c).log_abs, at)
+    @lru_cache(maxsize=_PLANS, typed=True)
+    def plan(exp0):
+        jparts = []
+        for i, part in enumerate(parts):
+            # the weight power the rule leaves to the integrand: u^exp0 on
+            # the upper half, (1-u)^(alpha-1) on the lower half
+            power = (c - 1.0, True) if i else (exp0, False)
+
+            # the kernel, then the weight power, multiplied in that order
+            # into the smooth part: (smooth * kernel) * power, which equals
+            # (kernel * smooth) * power bit for bit
+            def fixed(u, i=i, power=power):
+                nodes = u.tobytes()
+                return at(i, nodes), at(power, nodes)
+
+            e0 = exp0 + part.exponent
+            lo, hi, exp_lo, exp_hi = (0.0, 0.5, e0, 0.0) if i else (0.5, 1.0, 0.0, c - 1.0)
+            jparts.append(JacobiPart(None, lo, hi, exp_lo, exp_hi, part.log_factor, part.coef, fixed))
+        return tuple(jparts), start_pieces(jparts)
+
+    return _Draw(parts, log_gamma(c).log_abs, at, plan)
 
 
 def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: float, tol: float):
@@ -204,43 +246,40 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
     weight, times log(u) for a branch carrying one.  smooth must be analytic
     on [0, 1].  Raises AccuracyError when the call's estimate misses tol.
     """
-    al = p.alpha
     draw = _draw(*p.kernel)
-    # smooth at each node set this transform reaches: the lower-half
-    # branches of a connection kernel share theirs
-    smooth_at = {}
-    parts = []
-    for i, part in enumerate(draw.parts):
+    # only the lower half's parts reach u = 0, where the integral may
+    # diverge; all are checked before any is integrated
+    for i, part in enumerate(draw.parts[1:], 1):
         e0 = exp0 + part.exponent
-        # only the lower half's parts reach u = 0, where the integral may
-        # diverge; all are checked before any is integrated
-        if i and not (e0 > -1.0):
+        if not (e0 > -1.0):
             raise DomainError(
                 f"transform does not converge: kernel part {i} has u-power {e0!r} <= -1 at u = 0"
             )
-        # the weight power the rule leaves to g: u^exp0 on the upper half,
-        # (1-u)^(alpha-1) on the lower half
-        power = (al - 1.0, True) if i else (exp0, False)
-
-        def g(u, i=i, power=power):
-            nodes = u.tobytes()
-            k = draw.at(i, nodes)
-            v = smooth_at.get(nodes)
-            if v is None:
-                v = smooth_at[nodes] = smooth(u)
-            return k * v * draw.at(power, nodes)
-
-        lo, hi, exp_lo, exp_hi = (0.0, 0.5, e0, 0.0) if i else (0.5, 1.0, 0.0, al - 1.0)
-        parts.append(JacobiPart(g, lo, hi, exp_lo, exp_hi, part.log_factor, part.coef))
-    # the prefactor too, so that one past the float range costs no quadrature
+    # the prefactor too, so that one past the float range costs no quadrature;
+    # exp returns inf or nan for an inf or nan power instead of raising
     try:
         pref = math.exp((x_power - p.beta) * math.log(x) - draw.log_gamma_abs)
     except OverflowError:
+        pref = math.inf
+    if not math.isfinite(pref):
         raise OverflowError(
-            f"transform prefactor x^{x_power - p.beta!r}/Gamma({al!r}) at x={x!r} "
+            f"transform prefactor x^{x_power - p.beta!r}/Gamma({p.alpha!r}) at x={x!r} "
             "leaves the float range"
-        ) from None
-    r = integrate_jacobi(parts, tol, pref)
+        )
+    # the plan after the prefactor, whose parts integrate_jacobi checked after it
+    parts, start = draw.plan(exp0)
+    # smooth at each node set this transform reaches, once: the lower-half
+    # branches of a connection kernel share theirs
+    smooth_at = {}
+
+    def g(u):
+        nodes = u.tobytes()
+        v = smooth_at.get(nodes)
+        if v is None:
+            v = smooth_at[nodes] = smooth(u)
+        return v
+
+    r = integrate_jacobi([JacobiPart(g, *part[1:]) for part in parts], tol, pref, start)
     if not r.error_estimate <= tol * max(1.0, abs(r.value)):
         raise AccuracyError(
             f"transform error estimate {r.error_estimate!r} exceeds tol {tol!r}",

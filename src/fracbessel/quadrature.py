@@ -46,23 +46,29 @@ The integrand's own series are summed over all nodes of a call at once
 only, then rescaled to every node by one nodes-by-terms product.  Most of
 a call's cost is that per-term loop, tens of microseconds that barely grow
 with the node count.  So g is called once per piece, on the fine nodes.
-evaluations counts every node g saw.  In the operators' integrands the
-kernel part of that cost is paid once per kernel and node set, not per
-call: operators memoizes the kernel's values by node bytes, so another x
-of the same draw pays only for the integrand's own smooth part.
+evaluations counts every node g saw.  A part may leave factors that do not
+change between calls out of g, as fixed factors: the operators' kernel and
+weight power, which operators memoizes per draw, so another x of the same
+draw pays only for the integrand's own smooth part.
 
 A call integrates a list of weighted parts, coef * int_lo^hi ..., and
 returns scale times their sum: a transform's kernel parts are one call.  It
 is one loop over one QUADPACK-style heap of pieces, shared by all parts,
 under one stop test on the sum actually formed: it evaluates the pieces it
 has (first each part's one or two start pieces), tests the weighted running
-sums, and otherwise bisects the piece of largest |coef| times estimate.
-What a piece costs beyond g: one rule lookup, its nodes (mapped once per
-piece geometry and cached, read only), one 2 x 31 product for both rules,
-one 31-term sum for the rounding bound and one heap push.  A piece whose
-value or estimate is not finite raises DomainError where it is evaluated:
-bisection cannot repair it, and a NaN estimate fails every stop test, so
-bisection would run such a piece down to float resolution.
+sums, and otherwise pushes them on the heap and bisects the piece of
+largest |coef| times estimate.  A Piece holds all it needs but g's values:
+its nodes, rule pair, scale and factors.  A caller that integrates parts of
+one geometry many times with other g, as a transform does at every x of a
+draw, builds their start pieces once (start_pieces) and passes them in, as
+QAWS computes a weight's modified moments once and reuses them.  What a
+piece costs beyond g: its factors' products, one 2 x 31 product for both
+rules and one 31-term sum for the rounding bound; and unless it was passed
+in, a rule lookup, its nodes (mapped once per piece geometry and cached,
+read only) and its fixed factors.  A piece whose value or
+estimate is not finite raises DomainError where it is evaluated: bisection
+cannot repair it, and a NaN estimate fails every stop test, so bisection
+would run such a piece down to float resolution.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,7 +111,13 @@ class QuadratureResult:
 
 class JacobiPart(NamedTuple):
     """One part of a sum: coef times the integral of (hi-u)^exp_hi
-    (u-lo)^exp_lo g(u) over (lo, hi), times log(u-lo) when log_lo."""
+    (u-lo)^exp_lo g(u) over (lo, hi), times log(u-lo) when log_lo.
+
+    fixed, when given, maps nodes to a tuple of arrays at them, factors of
+    the integrand that g leaves out and that do not change between calls
+    (a transform's kernel and weight power): the integrand at the nodes is
+    g's values times each in turn, and a plan's start pieces (start_pieces)
+    hold them."""
 
     g: Callable
     lo: float
@@ -114,6 +126,25 @@ class JacobiPart(NamedTuple):
     exp_hi: float = 0.0
     log_lo: bool = False
     coef: float = 1.0
+    fixed: Optional[Callable] = None
+
+
+class Piece(NamedTuple):
+    """A piece [lo, hi] of part `part`, with what its rules need besides
+    g's values, all independent of g: the fine rule's nodes, the rule pair
+    (_rule's weights and abs_fine), the scale (h/2)^(a+b+1) of its weight's
+    exponents, and the factors the integrand multiplies g's values by, in
+    order: the part's fixed factors, then the endpoint powers (and log) the
+    rule does not absorb."""
+
+    part: int
+    lo: float
+    hi: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    abs_fine: np.ndarray
+    scale: float
+    factors: tuple
 
 
 def _sin_pi(p: np.ndarray, n: int) -> np.ndarray:
@@ -194,9 +225,10 @@ def _log_moments(e: float) -> list:
 
 
 # Exponents are new reals on every draw, so a rule is reused only within a
-# draw: on both benchmark workloads the hit share at 8 entries is within
-# 0.005 of that at 4,096 (0.723 and 0.667), while each entry holds about
-# 0.8 kB for the process's life.
+# draw, and a transform looks its start pieces' rules up once per start
+# plan: on the benchmark workloads (seed 3, traced) 16% and 0.6% of the
+# lookups hit, the misses being the same 1,034 and 1,113 as with a lookup
+# per piece, while each entry holds about 0.8 kB for the process's life.
 _RULES = 64
 
 
@@ -227,8 +259,8 @@ def _rule(a: float, b: float, log_h: float | None = None):
 
 
 # A piece's nodes depend only on its ends.  An unbisected call has one or
-# two pieces, and every transform's are [0, 1/2] and [1/2, 1], so a few
-# entries serve nearly every call.
+# two pieces, and every transform's are [0, 1/2] and [1/2, 1] (built once
+# per start plan), so a few entries serve nearly every call.
 _NODE_SETS = 16
 
 
@@ -242,36 +274,46 @@ def _nodes_on(plo: float, phi: float) -> np.ndarray:
     return u
 
 
-def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, log_lo):
-    """The coarse and fine weighted rules over [plo, phi] within [lo, hi].
-
-    g is called once, on the fine rule's nodes; the coarse rule reads the
-    first 15 values, at its own nodes.  Returns the fine value, its estimate
-    |fine - coarse| plus its rounding bound, the sum |w_i g_i| that bound is
-    taken of (scaled to the piece), and the number of nodes g saw.  Raises
-    DomainError when the value or the estimate is not finite: no bisection
-    can make such a piece meet a tolerance, and a NaN estimate fails every
-    stop test.
-    """
+def _piece(i: int, part: JacobiPart, plo: float, phi: float) -> Piece:
+    """Part i's piece [plo, phi]: its nodes, its fixed factors there, the
+    endpoint factors for a weighted end it does not touch, and the rule for
+    the ends it does touch."""
+    _, lo, hi, exp_lo, exp_hi, log_lo, _, fixed = part
     touches_lo = plo == lo
     touches_hi = phi == hi
-    aj = exp_hi if touches_hi else 0.0
-    bj = exp_lo if touches_lo else 0.0
     u = _nodes_on(plo, phi)
-    vals = g(u)
+    factors = fixed(u) if fixed else ()
     if not touches_hi and exp_hi != 0.0:
-        vals = vals * np.power(hi - u, exp_hi)
+        factors += (np.power(hi - u, exp_hi),)
     if not touches_lo:
         if exp_lo != 0.0:
-            vals = vals * np.power(u - lo, exp_lo)
+            factors += (np.power(u - lo, exp_lo),)
         if log_lo:
-            vals = vals * np.log(u - lo)
+            factors += (np.log(u - lo),)
+    aj = exp_hi if touches_hi else 0.0
+    bj = exp_lo if touches_lo else 0.0
     h = phi - plo
     weights, abs_fine = _rule(aj, bj, math.log(h) if log_lo and touches_lo else None)
-    scale = (h / 2.0) ** (aj + bj + 1.0)
-    wabs = scale * float(abs_fine.dot(np.abs(vals)))
+    return Piece(i, plo, phi, u, weights, abs_fine, (h / 2.0) ** (aj + bj + 1.0), factors)
+
+
+def _eval_pair(piece: Piece, vals) -> tuple[float, float, float]:
+    """The coarse and fine weighted rules over a piece, given g's values at
+    its nodes.
+
+    The coarse rule reads the first 15 values, at its own nodes.  Returns
+    the fine value, its estimate |fine - coarse| plus its rounding bound,
+    and the sum |w_i f_i| that bound is taken of (scaled to the piece).
+    Raises DomainError when the value or the estimate is not finite: no
+    bisection can make such a piece meet a tolerance, and a NaN estimate
+    fails every stop test.
+    """
+    for factor in piece.factors:
+        vals = vals * factor
+    scale = piece.scale
+    wabs = scale * float(piece.abs_fine.dot(np.abs(vals)))
     if math.isfinite(wabs):  # else the rules' products would meet 0 * inf
-        coarse, fine = weights.dot(vals).tolist()
+        coarse, fine = piece.weights.dot(vals).tolist()
         fine *= scale
         err = abs(fine - scale * coarse) + _ROUNDING * wabs
     else:
@@ -279,75 +321,84 @@ def _eval_pair(g, plo, phi, lo, hi, exp_lo, exp_hi, log_lo):
     if not (math.isfinite(fine) and math.isfinite(err)):
         raise DomainError(
             f"integrate_jacobi: value {fine!r} or estimate {err!r} on the piece "
-            f"[{plo!r}, {phi!r}] is not finite"
+            f"[{piece.lo!r}, {piece.hi!r}] is not finite"
         )
-    return fine, err, wabs, u.size
+    return fine, err, wabs
 
 
-def _start_pieces(i: int, part: JacobiPart) -> list:
-    """Part i's start pieces, (i, lo, hi): its whole interval, or with
-    weights at both ends its two halves.  Raises DomainError for a part no
-    rule can integrate."""
-    g, lo, hi, exp_lo, exp_hi, log_lo, coef = part
-    require_finite("integrate_jacobi", lo, hi, coef)
-    if not (hi > lo):
-        raise DomainError(f"integrate_jacobi: empty interval [{lo!r}, {hi!r}]")
-    if not (exp_lo > -1.0 and exp_hi > -1.0):
-        raise DomainError(
-            f"integrate_jacobi: endpoint exponents ({exp_lo!r}, {exp_hi!r}) "
-            "must exceed -1 for integrability"
-        )
-    if not ((exp_lo != 0.0 or log_lo) and exp_hi != 0.0):
-        return [(i, lo, hi)]
-    mid = 0.5 * (lo + hi)  # a rule carries one endpoint weight
-    if not (lo < mid < hi):
-        raise DomainError(
-            f"integrate_jacobi: [{lo!r}, {hi!r}] is too narrow to split "
-            "between its two endpoint weights"
-        )
-    return [(i, lo, mid), (i, mid, hi)]
+def start_pieces(parts) -> tuple:
+    """The parts' start pieces, part by part: each part's whole interval, or
+    with weights at both ends its two halves.  A Piece holds all but g's
+    values, so a caller that integrates parts of one geometry and fixed
+    factors many times, with other g, builds them once and passes them to
+    integrate_jacobi.  Every part is checked before any piece is built:
+    DomainError for a part no rule can integrate."""
+    spans = []
+    for i, (_, lo, hi, exp_lo, exp_hi, log_lo, coef, _) in enumerate(parts):
+        require_finite("integrate_jacobi", lo, hi, coef)
+        if not (hi > lo):
+            raise DomainError(f"integrate_jacobi: empty interval [{lo!r}, {hi!r}]")
+        if not (exp_lo > -1.0 and exp_hi > -1.0):
+            raise DomainError(
+                f"integrate_jacobi: endpoint exponents ({exp_lo!r}, {exp_hi!r}) "
+                "must exceed -1 for integrability"
+            )
+        if not ((exp_lo != 0.0 or log_lo) and exp_hi != 0.0):
+            spans.append((i, lo, hi))
+            continue
+        mid = 0.5 * (lo + hi)  # a rule carries one endpoint weight
+        if not (lo < mid < hi):
+            raise DomainError(
+                f"integrate_jacobi: [{lo!r}, {hi!r}] is too narrow to split "
+                "between its two endpoint weights"
+            )
+        spans += [(i, lo, mid), (i, mid, hi)]
+    return tuple(_piece(i, parts[i], plo, phi) for i, plo, phi in spans)
 
 
-def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0) -> QuadratureResult:
+def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0, start=None) -> QuadratureResult:
     """Adaptive integral of scale * sum(coef * part) over the JacobiParts
     parts, summed in their order.
 
     tol is absolute-or-relative, whichever is larger at the result's scale.
-    Each piece calls its part's g once, on the 31 nodes of its fine rule, so
-    evaluations is 31 per piece.  One loop evaluates the pieces it has,
-    applies the stop test to the weighted running sums, and otherwise
-    bisects the piece of largest |coef| times estimate, whichever part it
-    belongs to; all parts share MAX_INTERVALS.  The estimate is |scale|
-    times the parts' |coef|-weighted estimates, plus, on a sum of more than
-    one part, the rounding allowance of the combination (_COMBINE_EPS).  It
-    returns once that meets tol or sits on the rounding floor of the pieces'
-    weighted sums, which covers the rounding bounds inside the estimate and
-    may lie above tol.  A piece at float resolution is no longer bisected
-    but keeps its estimate in the total.  Raises AccuracyError (carrying the
-    best estimate) if the interval budget is exhausted before the estimate
-    meets tolerance, or if the estimate left over sits on pieces already at
-    float resolution; DomainError at the first piece whose value or
-    estimate is not finite; and OverflowError if the weighted sum leaves
-    the float range.
+    start is the parts' start pieces, start_pieces(parts) when None: a
+    caller may pass those of parts of the same geometry and fixed factors,
+    built once.  Each piece calls its part's g once, on the 31 nodes of its
+    fine rule, so evaluations is 31 per piece.  One loop evaluates the
+    pieces it has, applies the stop test to the weighted running sums, and
+    otherwise bisects the piece of largest |coef| times estimate, whichever
+    part it belongs to; all parts share MAX_INTERVALS.  The estimate is
+    |scale| times the parts' |coef|-weighted estimates, plus, on a sum of
+    more than one part, the rounding allowance of the combination
+    (_COMBINE_EPS).  It returns once that meets tol or sits on the rounding
+    floor of the pieces' weighted sums, which covers the rounding bounds
+    inside the estimate and may lie above tol.  A piece at float resolution
+    is no longer bisected but keeps its estimate in the total.  Raises
+    AccuracyError (carrying the best estimate) if the interval budget is
+    exhausted before the estimate meets tolerance, or if the estimate left
+    over sits on pieces already at float resolution; DomainError at the
+    first piece whose value or estimate is not finite; and OverflowError if
+    the weighted sum leaves the float range.
     """
     require_positive_finite("integrate_jacobi", "tol", tol)
     require_finite("integrate_jacobi", scale)
-    fresh = [piece for i, part in enumerate(parts) for piece in _start_pieces(i, part)]
+    fresh = start_pieces(parts) if start is None else start
     # each part's running sums of its pieces' values, estimates and
     # weighted absolute sums
     totals, errs, wabss = ([0.0] * len(parts) for _ in range(3))
     # a heap of (-|coef| * estimate, order, part, lo, hi, value, estimate,
     # weighted absolute sum), where order is evals after the piece, rising
     # with each piece, so ties pop oldest first; a piece at float resolution
-    # goes back at +inf
+    # goes back at +inf.  Pieces join it only once a stop test fails.
     heap = []
     evals = 0
     while True:
-        for i, qlo, qhi in fresh:
-            g, lo, hi, exp_lo, exp_hi, log_lo, coef = parts[i]
-            v, e, wabs, nodes = _eval_pair(g, qlo, qhi, lo, hi, exp_lo, exp_hi, log_lo)
-            evals += nodes
-            heapq.heappush(heap, (-abs(coef) * e, evals, i, qlo, qhi, v, e, wabs))
+        evaluated = []
+        for piece in fresh:
+            i = piece.part
+            v, e, wabs = _eval_pair(piece, parts[i].g(piece.nodes))
+            evals += piece.nodes.size
+            evaluated.append((-abs(parts[i].coef) * e, evals, i, piece.lo, piece.hi, v, e, wabs))
             totals[i] += v
             wabss[i] += wabs
             errs[i] += e
@@ -371,6 +422,8 @@ def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0) -> Quadrature
         # rounding floor of the pieces' weighted sums
         if err <= max(tol * max(1.0, abs(value)), _NOISE * abs(scale) * floor):
             return QuadratureResult(value, err, evals)
+        for entry in evaluated:
+            heapq.heappush(heap, entry)
         if len(heap) >= MAX_INTERVALS:
             reason = f"{MAX_INTERVALS} intervals"
             break
@@ -386,7 +439,8 @@ def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0) -> Quadrature
         totals[i] -= pval
         wabss[i] -= pwabs
         errs[i] -= perr
-        fresh = ((i, plo, mid), (i, mid, phi))
+        # built as evaluated, the second after the first
+        fresh = (_piece(i, parts[i], *span) for span in ((plo, mid), (mid, phi)))
     raise AccuracyError(
         f"integrate_jacobi: {reason} without reaching tol={tol!r} (estimate {err!r})",
         value=value,

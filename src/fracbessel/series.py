@@ -85,6 +85,11 @@ class KBesselParams:
             raise DomainError(f"KBesselParams: v must exceed -1, got {self.v!r}")
         if not (self.k > 0):
             raise DomainError(f"KBesselParams: k must be positive, got {self.k!r}")
+        # the series' order; past the float range it would sum to NaN
+        if not math.isfinite(self.v / self.k):
+            raise OverflowError(
+                f"KBesselParams: v/k = {self.v!r}/{self.k!r} leaves the float range"
+            )
 
 
 def wright_convergence_index(spec: WrightSpec) -> float:
@@ -272,10 +277,19 @@ def _kbessel_sum(kb: KBesselParams, z, tol: float) -> SeriesValue:
     Reciprocal-gamma convention: terms at an exact pole of Gamma(n+1+v/k)
     vanish, so the sum starts at the first n0 off the poles: n0 = -v/k when
     v/k is an integer <= -1, else 0.  Near a pole 1/Gamma is small, not
-    zero, and its term is kept.  A float y^n0 past the float range raises
-    OverflowError.
+    zero, and its term is kept.  A y, or a float y^n0, past the float range
+    raises OverflowError.
     """
     vk = kb.v / kb.k
+    # |y| is largest at the largest |z|: checked there first, in floats, so
+    # that no array product overflows (every term past the first would be
+    # inf or NaN)
+    z_top = float(abs(z).max()) if isinstance(z, np.ndarray) else abs(z)
+    if not math.isfinite(-kb.c / (4.0 * kb.k) * (z_top * z_top)):
+        raise OverflowError(
+            f"k-Bessel series: y = -c z^2/(4k) at c={kb.c!r}, k={kb.k!r}, "
+            f"z up to {z_top!r} leaves the float range"
+        )
     y = -kb.c / (4.0 * kb.k) * (z * z)
     n0 = int(-vk) if is_exact_pole(1.0 + vk) else 0
     inv = gamma_ratio([], [n0 + 1.0 + vk])  # 1/Gamma(n0+1+v/k)

@@ -256,6 +256,25 @@ def test_transform_beta_flag_agreement_with_family(capsys):
     assert d["beta"] == -0.5 and d["rel_difference"] <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("transform", "--family", "saigo", "--side", "left", "--alpha", "0.7", "--eta", "0.5",
+          "--x", "1", "--monomial", "1.3"), "--beta", "-1e-3"),
+        (("eval", "pfq", "--upper", "1", "--lower", "2"), "--z", "-1e-5"),
+        (("eval", "pfq", "--upper", "1", "--lower", "2"), "--z", "-2.5E+0"),
+        (("eval", "kbessel", "--z", "1"), "--v", "-.5e-1"),
+    ],
+    ids=["transform-beta", "eval-z", "eval-z-signed-exponent", "eval-v-no-leading-digit"],
+)
+def test_negative_number_in_exponent_notation_is_an_argument(capsys, argv, flag, value):
+    # argparse alone takes -1e-3 for an unknown option ("expected one
+    # argument"); it is the same number as --flag=-1e-3
+    spaced = run_json(capsys, *argv, flag, value)
+    joined = run_json(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined and math.isfinite(spaced["value"])
+
+
 @pytest.mark.parametrize("beta,eta", [("nan", "1.0"), ("0.2", "inf")])
 def test_transform_non_finite_order_exits_2(capsys, beta, eta):
     code, _, err = run(
@@ -658,9 +677,23 @@ def test_library_and_cli_never_import_scipy(tmp_path):
         # z/(2k) below the float range
         (("eval", "kbessel", "--z", "1e-308", "--v", "1", "--k", "1e308"), 0, ""),
         (("eval", "kbessel", "--z", "1e5", "--c", "1e5", "--k", "1e308"), 0, ""),
+        # v/k past the float range: once a NaN value certified with exit 0,
+        # once a raw float-to-int error, once blamed on the quadrature
+        (("eval", "kbessel", "--z", "1", "--v", "10", "--k", "1e-308"), 2,
+         "KBesselParams: v/k = 10.0/1e-308 leaves the float range"),
+        (("eval", "kbessel", "--z", "1", "--v", "-0.5", "--k", "1e-320"), 2,
+         "KBesselParams: v/k = -0.5/1e-320 leaves the float range"),
+        (("transform", "--family", "saigo", "--side", "left", "--alpha", "0.7", "--beta", "0.2",
+          "--eta", "0.5", "--x", "1", "--kbessel", "1.56", "0.074", "5e-324"), 2,
+         "KBesselParams: v/k = 1.56/5e-324 leaves the float range"),
+        # y = -c z^2/(4k) past the float range, v/k in range: once a NaN value
+        # certified with exit 0
+        (("eval", "kbessel", "--z", "1e308", "--v", "-0.1466", "--c", "2.1e44", "--k", "7.8e-46"), 2,
+         "k-Bessel series: y = -c z^2/(4k) at c=2.1e+44, k=7.8e-46, z up to 1e+308 leaves the"),
     ],
     ids=["terminating-kernel", "kbessel-pole-2^53", "kbessel-pole-5e5", "kbessel-prefactor-z",
-         "kbessel-prefactor-c"],
+         "kbessel-prefactor-c", "kbessel-order-nan-value", "kbessel-order-int-conversion",
+         "kbessel-order-transform", "kbessel-series-argument"],
 )
 def test_extreme_inputs_end_promptly(tmp_path, argv, code, names):
     # in a child process under a timeout, so that a hang fails this test

@@ -91,3 +91,20 @@ def test_reduction_without_its_exponent_names_the_integrand(declared, reduce, si
     message = f"integrand 'only one side' has no declared {side} exponent"
     with pytest.raises(DomainError, match=message):
         reduce(f, np.array([0.5]))
+
+
+def test_kbessel_orders_and_arguments_past_the_float_range_are_refused_by_name():
+    # v/k, lam/k and y = -c z^2/(4k) past the float range: each an
+    # OverflowError naming it, never a NaN series or a bare conversion error
+    with pytest.raises(OverflowError, match=r"KBesselParams: v/k = 10\.0/1e-308 leaves"):
+        KBesselParams(v=10.0, c=1.0, k=1e-308)
+    with pytest.raises(OverflowError, match=r"KBesselParams: v/k = -0\.5/1e-320 leaves"):
+        KBesselParams(v=-0.5, c=1.0, k=1e-320)
+    kb = KBesselParams(v=0.0, c=1.0, k=1e-308)
+    with pytest.raises(OverflowError, match=r"kbessel_integrand: lam/k = 10\.0/1e-308 leaves"):
+        kbessel_integrand(kb, lam=10.0)
+    f = kbessel_integrand(kb, lam=1e-308)
+    with pytest.raises(OverflowError, match=r"y = -c z\^2/\(4k\) at c=1\.0, k=1e-308, z up to 10\.0"):
+        f.reduced_at_zero(np.array([0.5, 10.0]))
+    with pytest.raises(OverflowError, match=r"y = -c z\^2/\(4k\) at c=1\.0, k=1e-308, z up to 10\.0"):
+        eval_k_bessel(kb, 10.0)

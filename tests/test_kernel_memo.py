@@ -164,9 +164,16 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
         saigo_left(monomial(1.3), SaigoParams(0.8, 0.2, 1.1 + i / 64), 1.0)
     for i in range(24):
         draw.at(0, np.linspace(0.5, 1.0, 5 + i).tobytes())
-    for info in (operators._draw.cache_info(), draw.at.cache_info()):
+    # and more u-powers at 0 than it holds start plans for
+    for i in range(24):
+        draw.plan(0.3 + i / 64)
+    for info in (operators._draw.cache_info(), draw.at.cache_info(), draw.plan.cache_info()):
         assert info.maxsize is not None
         assert info.currsize == info.maxsize, info
+
+    # the plans live in the draw's record: emptying the records empties them
+    operators._draw.cache_clear()
+    assert operators._draw(*p.kernel).plan.cache_info().currsize == 0
 
 
 def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
@@ -201,11 +208,15 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
     assert log_gamma_args == [p.alpha]
     # three kernel arrays (one per part, shared by both sides) and three
     # weight powers (u^exp0 on each side, the lower half's (1-u)^(alpha-1)),
-    # each built by the first transform that needs it and found by every
-    # later one, at two lookups per part, six a transform
+    # each built by the first plan that needs it and found by the other:
+    # each side's plan looks up two arrays per part, six a plan, and the
+    # later transforms of a side read its plan, not the record's store
     info = draw.at.cache_info()
-    assert (info.misses, info.hits) == (3 + 3, 6 * 6 - 6)
+    assert (info.misses, info.hits) == (3 + 3, 2 * 6 - 6)
     assert info.maxsize is not None and info.maxsize <= 64
+    # one plan per side, each built once and read by the side's other two x
+    info = draw.plan.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 2)
     nodes = np.linspace(0.0, 0.5, 5).tobytes()
     assert not draw.at((0.3, False), nodes).flags.writeable
 

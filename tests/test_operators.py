@@ -810,6 +810,19 @@ def test_prefactor_out_of_float_range_refused_before_quadrature(monkeypatch, tra
         transform(monomial(lam), SaigoParams(0.5, family=_RL), x)
 
 
+@pytest.mark.parametrize("lam, x", [(1e308, 10.0), (math.inf, 1.0)], ids=["inf", "nan"])
+def test_prefactor_of_an_infinite_power_refused_before_quadrature(monkeypatch, lam, x):
+    # (x_power - beta) * log x is inf (1e308 * log 10) or NaN (inf * log 1),
+    # where exp returns inf or NaN instead of raising: the prefactor is
+    # refused by name, before the plan or any part
+    def integrate(*args):
+        raise AssertionError("a part was integrated")
+
+    monkeypatch.setattr(operators, "integrate_jacobi", integrate)
+    with pytest.raises(OverflowError, match=r"transform prefactor x\^.*/Gamma\(0\.5\) at x="):
+        saigo_left(monomial(lam), SaigoParams(0.5, family=_RL), x)
+
+
 def test_value_out_of_float_range_raises_overflow_error():
     # the prefactor, x^2.1/Gamma(0.1) = 5.4e307, is finite, and the integral
     # B(0.1, 3) = 9.3 takes the value past 1e308: an OverflowError that

@@ -137,10 +137,12 @@ def test_float_resolution_piece_keeps_its_estimate():
         return np.where(u > 1.0, 1.0, 0.0)
 
     lo, hi = 1.0, math.nextafter(1.0, 2.0)
-    _, piece_err, _, _ = quadrature._eval_pair(g, lo, hi, lo, hi, -0.5, 0.0, False)
+    part = JacobiPart(g, lo, hi, exp_lo=-0.5)
+    piece = quadrature._piece(0, part, lo, hi)
+    _, piece_err, _ = quadrature._eval_pair(piece, g(piece.nodes))
     assert piece_err > 1e-10
     with pytest.raises(AccuracyError, match="float resolution") as info:
-        integrate_jacobi([JacobiPart(g, lo, hi, exp_lo=-0.5)], tol=1e-14)
+        integrate_jacobi([part], tol=1e-14)
     assert info.value.error_estimate == piece_err
 
 
