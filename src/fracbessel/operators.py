@@ -61,13 +61,15 @@ depends on, and reused bit for bit:
   the weight power a part's rule leaves to its integrand, u^exp0 on the
   upper half and (1-u)^(alpha-1) on the lower half;
 * per (draw, exp0), exp0 the integrand's u-power at u = 0: the start plan
-  (the record's plan, at most _PLANS per draw), each part's JacobiPart and
-  start piece (quadrature.start_pieces): its nodes, the store's kernel and
-  weight-power arrays there, its rule pair and scale, and the parts'
-  checks, so every later transform of the draw and exp0, at any x and on
-  either side, integrates its start pieces with no lookup;
-* per transform (one x): the integrand's smooth part at each node set, so
-  the lower-half branches of a kernel, log branch included, which integrate
+  (the record's plans, at most _PLANS per draw, the oldest dropped first),
+  each part's JacobiPart and start piece (quadrature.start_pieces): its
+  nodes, the store's kernel and weight-power arrays there, its rule pair
+  and scale, and the parts' checks, so every later transform of the draw
+  and exp0, at any x and on either side, integrates its start pieces with
+  no lookup;
+* per transform (one x): the integrand's smooth part at each node set, as
+  the call's g, which integrate_jacobi evaluates once per node set, so the
+  lower-half branches of a kernel, log branch included, which integrate
   over the same nodes, evaluate it once between them;
 * per piece: the nodes, which quadrature maps once per piece geometry.
 
@@ -170,7 +172,8 @@ class SaigoParams:
 # kernels of the golden verify run), so _PLANS leaves room for two
 # integrands per side; a plan holds references to arrays that the store and
 # the rule cache built, and a few small tuples of its own.
-# The caches are typed, so an int order never shares an entry with a float.
+# The caches are typed, so an int order never shares an entry with a float;
+# the plans are not, as an int exp0 builds the same plan as its float.
 _DRAWS = 16
 _ARRAYS = 16
 _PLANS = 4
@@ -183,6 +186,7 @@ class _Draw(NamedTuple):
     log_gamma_abs: float
     at: Callable[[object, bytes], np.ndarray]
     plan: Callable[[float], tuple]
+    plans: dict
 
 
 @lru_cache(maxsize=_DRAWS, typed=True)
@@ -197,7 +201,7 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
     which = (e, reflect), the weight power u^e, or (1-u)^e when reflect.
     plan(exp0): the JacobiParts of a transform whose integrand has the
     u-power exp0 at u = 0, g left None, and their start pieces, kernel and
-    weight power included (quadrature.start_pieces).
+    weight power included (quadrature.start_pieces), kept in plans by exp0.
     """
     upper = KernelTerm(1.0, 0.0, False, lambda u: hyp2f1_kernel(a, b, c, 1.0 - u))
     parts = (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
@@ -213,8 +217,12 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
         v.flags.writeable = False
         return v
 
-    @lru_cache(maxsize=_PLANS, typed=True)
+    plans = {}
+
     def plan(exp0):
+        hit = plans.get(exp0)
+        if hit is not None:
+            return hit
         jparts = []
         for i, part in enumerate(parts):
             # the weight power the rule leaves to the integrand: u^exp0 on
@@ -231,9 +239,13 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
             e0 = exp0 + part.exponent
             lo, hi, exp_lo, exp_hi = (0.0, 0.5, e0, 0.0) if i else (0.5, 1.0, 0.0, c - 1.0)
             jparts.append(JacobiPart(None, lo, hi, exp_lo, exp_hi, part.log_factor, part.coef, fixed))
-        return tuple(jparts), start_pieces(jparts)
+        hit = tuple(jparts), start_pieces(jparts)
+        if len(plans) == _PLANS:  # the oldest goes
+            del plans[next(iter(plans))]
+        plans[exp0] = hit
+        return hit
 
-    return _Draw(parts, log_gamma(c).log_abs, at, plan)
+    return _Draw(parts, log_gamma(c).log_abs, at, plan, plans)
 
 
 def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: float, tol: float):
@@ -268,18 +280,9 @@ def _transform_core(p: SaigoParams, exp0: float, x_power: float, smooth, x: floa
         )
     # the plan after the prefactor, whose parts integrate_jacobi checked after it
     parts, start = draw.plan(exp0)
-    # smooth at each node set this transform reaches, once: the lower-half
-    # branches of a connection kernel share theirs
-    smooth_at = {}
-
-    def g(u):
-        nodes = u.tobytes()
-        v = smooth_at.get(nodes)
-        if v is None:
-            v = smooth_at[nodes] = smooth(u)
-        return v
-
-    r = integrate_jacobi([JacobiPart(g, *part[1:]) for part in parts], tol, pref, start)
+    # smooth is every part's g, once per node set: the lower-half branches
+    # of a connection kernel share theirs
+    r = integrate_jacobi(parts, tol, pref, start, smooth)
     if not r.error_estimate <= tol * max(1.0, abs(r.value)):
         raise AccuracyError(
             f"transform error estimate {r.error_estimate!r} exceeds tol {tol!r}",

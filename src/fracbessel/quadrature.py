@@ -45,11 +45,14 @@ The integrand's own series are summed over all nodes of a call at once
 (series.sum_series): the terms are formed one by one at the largest node
 only, then rescaled to every node by one nodes-by-terms product.  Most of
 a call's cost is that per-term loop, tens of microseconds that barely grow
-with the node count.  So g is called once per piece, on the fine nodes.
-evaluations counts every node g saw.  A part may leave factors that do not
-change between calls out of g, as fixed factors: the operators' kernel and
-weight power, which operators memoizes per draw, so another x of the same
-draw pays only for the integrand's own smooth part.
+with the node count.  So g is called once per piece, on the fine nodes,
+and a g that several parts share (the call's g) once per node set they
+share: a transform's lower-half branches integrate the same smooth part
+over the same nodes.  evaluations counts 31 per piece all the same.  A part
+may leave factors that do not change between calls out of g, as fixed
+factors: the operators' kernel and weight power, which operators memoizes
+per draw, so another x of the same draw pays only for the integrand's own
+smooth part.
 
 A call integrates a list of weighted parts, coef * int_lo^hi ..., and
 returns scale times their sum: a transform's kernel parts are one call.  It
@@ -63,12 +66,13 @@ one geometry many times with other g, as a transform does at every x of a
 draw, builds their start pieces once (start_pieces) and passes them in, as
 QAWS computes a weight's modified moments once and reuses them.  What a
 piece costs beyond g: its factors' products, one 2 x 31 product for both
-rules and one 31-term sum for the rounding bound; and unless it was passed
-in, a rule lookup, its nodes (mapped once per piece geometry and cached,
-read only) and its fixed factors.  A piece whose value or
-estimate is not finite raises DomainError where it is evaluated: bisection
-cannot repair it, and a NaN estimate fails every stop test, so bisection
-would run such a piece down to float resolution.
+rules and one 31-term sum for the rounding bound.  A start piece passed in
+costs nothing more, and goes on the heap only if the first stop test
+fails; any other piece also pays a rule lookup, its nodes (mapped once per
+piece geometry and cached, read only) and its fixed factors.  A piece whose
+value or estimate is not finite raises DomainError where it is evaluated:
+bisection cannot repair it, and a NaN estimate fails every stop test, so
+bisection would run such a piece down to float resolution.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ class QuadratureResult:
 
 class JacobiPart(NamedTuple):
     """One part of a sum: coef times the integral of (hi-u)^exp_hi
-    (u-lo)^exp_lo g(u) over (lo, hi), times log(u-lo) when log_lo.
+    (u-lo)^exp_lo g(u) over (lo, hi), times log(u-lo) when log_lo.  g is
+    None in a part that takes the call's g (integrate_jacobi).
 
     fixed, when given, maps nodes to a tuple of arrays at them, factors of
     the integrand that g leaves out and that do not change between calls
@@ -308,12 +313,12 @@ def _eval_pair(piece: Piece, vals) -> tuple[float, float, float]:
     bisection can make such a piece meet a tolerance, and a NaN estimate
     fails every stop test.
     """
-    for factor in piece.factors:
+    _, lo, hi, _, weights, abs_fine, scale, factors = piece
+    for factor in factors:
         vals = vals * factor
-    scale = piece.scale
-    wabs = scale * float(piece.abs_fine.dot(np.abs(vals)))
+    wabs = scale * float(abs_fine.dot(np.abs(vals)))
     if math.isfinite(wabs):  # else the rules' products would meet 0 * inf
-        coarse, fine = piece.weights.dot(vals).tolist()
+        coarse, fine = weights.dot(vals).tolist()
         fine *= scale
         err = abs(fine - scale * coarse) + _ROUNDING * wabs
     else:
@@ -321,7 +326,7 @@ def _eval_pair(piece: Piece, vals) -> tuple[float, float, float]:
     if not (math.isfinite(fine) and math.isfinite(err)):
         raise DomainError(
             f"integrate_jacobi: value {fine!r} or estimate {err!r} on the piece "
-            f"[{piece.lo!r}, {piece.hi!r}] is not finite"
+            f"[{lo!r}, {hi!r}] is not finite"
         )
     return fine, err, wabs
 
@@ -356,16 +361,20 @@ def start_pieces(parts) -> tuple:
     return tuple(_piece(i, parts[i], plo, phi) for i, plo, phi in spans)
 
 
-def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0, start=None) -> QuadratureResult:
+def integrate_jacobi(
+    parts, tol: float = 1e-9, scale: float = 1.0, start=None, g=None
+) -> QuadratureResult:
     """Adaptive integral of scale * sum(coef * part) over the JacobiParts
     parts, summed in their order.
 
     tol is absolute-or-relative, whichever is larger at the result's scale.
     start is the parts' start pieces, start_pieces(parts) when None: a
     caller may pass those of parts of the same geometry and fixed factors,
-    built once.  Each piece calls its part's g once, on the 31 nodes of its
-    fine rule, so evaluations is 31 per piece.  One loop evaluates the
-    pieces it has, applies the stop test to the weighted running sums, and
+    built once.  g, when given, is the g of every part whose own g is None,
+    called once per node set: pieces of such parts on the same nodes (the
+    same array) share its values.  Each piece reads its part's g on the 31
+    nodes of its fine rule, so evaluations is 31 per piece.  One loop
+    evaluates the pieces it has, applies the stop test to the weighted running sums, and
     otherwise bisects the piece of largest |coef| times estimate, whichever
     part it belongs to; all parts share MAX_INTERVALS.  The estimate is
     |scale| times the parts' |coef|-weighted estimates, plus, on a sum of
@@ -385,7 +394,11 @@ def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0, start=None) -
     fresh = start_pieces(parts) if start is None else start
     # each part's running sums of its pieces' values, estimates and
     # weighted absolute sums
-    totals, errs, wabss = ([0.0] * len(parts) for _ in range(3))
+    n = len(parts)
+    totals, errs, wabss = [0.0] * n, [0.0] * n, [0.0] * n
+    # the shared g's values by the identity of their nodes, each entry
+    # holding its nodes, so that no identity is reused during the call
+    shared = {}
     # a heap of (-|coef| * estimate, order, part, lo, hi, value, estimate,
     # weighted absolute sum), where order is evals after the piece, rising
     # with each piece, so ties pop oldest first; a piece at float resolution
@@ -395,10 +408,18 @@ def integrate_jacobi(parts, tol: float = 1e-9, scale: float = 1.0, start=None) -
     while True:
         evaluated = []
         for piece in fresh:
-            i = piece.part
-            v, e, wabs = _eval_pair(piece, parts[i].g(piece.nodes))
-            evals += piece.nodes.size
-            evaluated.append((-abs(parts[i].coef) * e, evals, i, piece.lo, piece.hi, v, e, wabs))
+            i, plo, phi, nodes = piece[:4]
+            part = parts[i]
+            if part.g is not None:
+                vals = part.g(nodes)
+            else:
+                entry = shared.get(id(nodes))
+                if entry is None:
+                    entry = shared[id(nodes)] = (nodes, g(nodes))
+                vals = entry[1]
+            v, e, wabs = _eval_pair(piece, vals)
+            evals += nodes.size
+            evaluated.append((-abs(part.coef) * e, evals, i, plo, phi, v, e, wabs))
             totals[i] += v
             wabss[i] += wabs
             errs[i] += e

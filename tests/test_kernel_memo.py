@@ -167,13 +167,15 @@ def test_memo_computes_each_kernel_once_per_draw_and_stays_bounded(monkeypatch):
     # and more u-powers at 0 than it holds start plans for
     for i in range(24):
         draw.plan(0.3 + i / 64)
-    for info in (operators._draw.cache_info(), draw.at.cache_info(), draw.plan.cache_info()):
+    for info in (operators._draw.cache_info(), draw.at.cache_info()):
         assert info.maxsize is not None
         assert info.currsize == info.maxsize, info
+    # the record keeps its latest _PLANS start plans
+    assert list(draw.plans) == [0.3 + i / 64 for i in range(24 - operators._PLANS, 24)]
 
     # the plans live in the draw's record: emptying the records empties them
     operators._draw.cache_clear()
-    assert operators._draw(*p.kernel).plan.cache_info().currsize == 0
+    assert operators._draw(*p.kernel).plans == {}
 
 
 def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
@@ -195,6 +197,14 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
         return log_gamma(z)
 
     monkeypatch.setattr(operators, "log_gamma", counting_log_gamma)
+    plans_built = []
+    start_pieces = operators.start_pieces
+
+    def counting_start_pieces(parts):
+        plans_built.append(len(parts))
+        return start_pieces(parts)
+
+    monkeypatch.setattr(operators, "start_pieces", counting_start_pieces)
     f_left = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
     f_right = Integrand(fn=lambda t: t**-0.4, exponent_at_infinity=-0.4, smooth_at_infinity=ones)
     p = SaigoParams(0.8, 0.2, 1.1)
@@ -215,8 +225,7 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
     assert (info.misses, info.hits) == (3 + 3, 2 * 6 - 6)
     assert info.maxsize is not None and info.maxsize <= 64
     # one plan per side, each built once and read by the side's other two x
-    info = draw.plan.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * 2)
+    assert plans_built == [3, 3] and len(draw.plans) == 2
     nodes = np.linspace(0.0, 0.5, 5).tobytes()
     assert not draw.at((0.3, False), nodes).flags.writeable
 
