@@ -374,9 +374,9 @@ def integrate_jacobi(
     called once per node set: pieces of such parts on the same nodes (the
     same array) share its values.  Each piece reads its part's g on the 31
     nodes of its fine rule, so evaluations is 31 per piece.  One loop
-    evaluates the pieces it has, applies the stop test to the weighted running sums, and
-    otherwise bisects the piece of largest |coef| times estimate, whichever
-    part it belongs to; all parts share MAX_INTERVALS.  The estimate is
+    evaluates the pieces it has, applies the stop test to the weighted
+    running sums, and otherwise bisects the piece of largest |coef| times
+    estimate, whichever part it belongs to; all parts share MAX_INTERVALS.  The estimate is
     |scale| times the parts' |coef|-weighted estimates, plus, on a sum of
     more than one part, the rounding allowance of the combination
     (_COMBINE_EPS).  It returns once that meets tol or sits on the rounding
