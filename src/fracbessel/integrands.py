@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, require_positive_finite
+from .errors import DomainError, require_finite, require_positive_finite
 from .series import KBesselParams, kbessel_reduced_series
 
 
@@ -80,9 +80,10 @@ def kbessel_integrand(
     (declared exponent at infinity is lam/k - 1 - v/k).
     """
     require_positive_finite("kbessel_integrand", "series_tol", series_tol)
+    require_finite("kbessel_integrand", lam)
     vk = kb.v / kb.k
     power = lam / kb.k - 1.0
-    if not math.isfinite(power):  # v/k is finite (KBesselParams)
+    if not math.isfinite(power):  # lam and v/k are finite (KBesselParams)
         raise OverflowError(
             f"kbessel_integrand: lam/k = {lam!r}/{kb.k!r} leaves the float range"
         )

@@ -62,7 +62,7 @@ depends on, and reused bit for bit:
   upper half and (1-u)^(alpha-1) on the lower half;
 * per (draw, exp0), exp0 the integrand's u-power at u = 0: the start plan
   (the record's plans, at most _PLANS per draw, the oldest dropped first),
-  each part's JacobiPart and start piece (quadrature.start_pieces): its
+  each part's JacobiPart and start piece (quadrature._start_pieces): its
   nodes, the store's kernel and weight-power arrays there, its rule pair
   and scale, and the parts' checks, so every later transform of the draw
   and exp0, at any x and on either side, integrates its start pieces with
@@ -79,12 +79,13 @@ side, except on a piece none of them reached (a bisected piece).  A hit
 returns the array a miss computed, multiplied in the same order (smooth
 part, kernel, weight power: the kernel times the smooth part, as IEEE
 products commute exactly), so results are bit-identical whether the memos
-are warm or cold; an exception is never cached.  A cold plan computes a
-part's kernel, weight power and rule before any smooth part is evaluated,
-so where both a plan's factor and an earlier part's smooth part fail, the
-plan's error is the one raised.  A miss calls kernel_split, hyp2f1_kernel
-and log_gamma, and a transform its integrator, through this module's
-globals, so a wrapper placed there sees every such call.
+are warm or cold; an exception is never cached.  A cold plan computes
+every part's kernel, weight power and rule before any smooth part is
+evaluated, so where a plan's factor and the smooth part both fail, the
+plan's error is the one raised, though the smooth part's nodes come first
+in the integration.  A miss calls kernel_split, hyp2f1_kernel and
+log_gamma, and a transform its integrator, through this module's globals,
+so a wrapper placed there sees every such call.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ from .integrands import Integrand
 # this module's name until the trace collector and its removal land (ROADMAP
 # items 3 and 7)
 from .quadrature import (
-    JacobiPart, QuadratureResult, integrate_jacobi, integrate_log_jacobi, start_pieces,
+    JacobiPart, QuadratureResult, _start_pieces, integrate_jacobi, integrate_log_jacobi,
 )
 
 
@@ -201,7 +202,7 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
     which = (e, reflect), the weight power u^e, or (1-u)^e when reflect.
     plan(exp0): the JacobiParts of a transform whose integrand has the
     u-power exp0 at u = 0, g left None, and their start pieces, kernel and
-    weight power included (quadrature.start_pieces), kept in plans by exp0.
+    weight power included (quadrature._start_pieces), kept in plans by exp0.
     """
     upper = KernelTerm(1.0, 0.0, False, lambda u: hyp2f1_kernel(a, b, c, 1.0 - u))
     parts = (upper, *kernel_split(a, b, c, gamma, c_minus_a, c_minus_b))
@@ -239,7 +240,7 @@ def _draw(a, b, c, gamma, c_minus_a, c_minus_b) -> _Draw:
             e0 = exp0 + part.exponent
             lo, hi, exp_lo, exp_hi = (0.0, 0.5, e0, 0.0) if i else (0.5, 1.0, 0.0, c - 1.0)
             jparts.append(JacobiPart(None, lo, hi, exp_lo, exp_hi, part.log_factor, part.coef, fixed))
-        hit = tuple(jparts), start_pieces(jparts)
+        hit = tuple(jparts), _start_pieces(jparts)
         if len(plans) == _PLANS:  # the oldest goes
             del plans[next(iter(plans))]
         plans[exp0] = hit

@@ -45,14 +45,13 @@ The integrand's own series are summed over all nodes of a call at once
 (series.sum_series): the terms are formed one by one at the largest node
 only, then rescaled to every node by one nodes-by-terms product.  Most of
 a call's cost is that per-term loop, tens of microseconds that barely grow
-with the node count.  So g is called once per piece, on the fine nodes,
-and a g that several parts share (the call's g) once per node set they
-share: a transform's lower-half branches integrate the same smooth part
-over the same nodes.  evaluations counts 31 per piece all the same.  A part
-may leave factors that do not change between calls out of g, as fixed
-factors: the operators' kernel and weight power, which operators memoizes
-per draw, so another x of the same draw pays only for the integrand's own
-smooth part.
+with the node count.  So a g is called once per node set, on the fine
+nodes, whichever parts' pieces share them: a transform's lower-half
+branches integrate the same smooth part (the call's g) over the same
+nodes.  evaluations counts 31 per piece all the same.  A part may leave
+factors that do not change between calls out of g, as fixed factors: the
+operators' kernel and weight power, which operators memoizes per draw, so
+another x of the same draw pays only for the integrand's own smooth part.
 
 A call integrates a list of weighted parts, coef * int_lo^hi ..., and
 returns scale times their sum: a transform's kernel parts are one call.  It
@@ -60,16 +59,16 @@ is one loop over one QUADPACK-style heap of pieces, shared by all parts,
 under one stop test on the sum actually formed: it evaluates the pieces it
 has (first each part's one or two start pieces), tests the weighted running
 sums, and otherwise pushes them on the heap and bisects the piece of
-largest |coef| times estimate.  A Piece holds all it needs but g's values:
-its nodes, rule pair, scale and factors.  A caller that integrates parts of
-one geometry many times with other g, as a transform does at every x of a
-draw, builds their start pieces once (start_pieces) and passes them in, as
-QAWS computes a weight's modified moments once and reuses them.  What a
-piece costs beyond g: its factors' products, one 2 x 31 product for both
-rules and one 31-term sum for the rounding bound.  A start piece passed in
-costs nothing more, and goes on the heap only if the first stop test
-fails; any other piece also pays a rule lookup, its nodes (mapped once per
-piece geometry and cached, read only) and its fixed factors.  A piece whose
+largest |coef| times estimate.  A piece (_Piece) holds all it needs but
+g's values: its nodes, rule pair, scale and factors.  The operators
+integrate parts of one geometry many times with other g, at every x of a
+draw, so they build their start pieces once (_start_pieces) and pass them
+in, as QAWS computes a weight's modified moments once and reuses them.
+What a piece costs beyond g: its factors' products, one 2 x 31 product for
+both rules and one 31-term sum for the rounding bound.  A start piece
+passed in costs nothing more, and goes on the heap only if the first stop
+test fails; any other piece also pays a rule lookup, its nodes (mapped
+once per piece geometry and cached, read only) and its fixed factors.  A piece whose
 value or estimate is not finite raises DomainError where it is evaluated:
 bisection cannot repair it, and a NaN estimate fails every stop test, so
 bisection would run such a piece down to float resolution.
@@ -121,8 +120,8 @@ class JacobiPart(NamedTuple):
     fixed, when given, maps nodes to a tuple of arrays at them, factors of
     the integrand that g leaves out and that do not change between calls
     (a transform's kernel and weight power): the integrand at the nodes is
-    g's values times each in turn, and a plan's start pieces (start_pieces)
-    hold them."""
+    g's values times each in turn, and start pieces built once for many
+    calls hold them."""
 
     g: Callable
     lo: float
@@ -134,7 +133,7 @@ class JacobiPart(NamedTuple):
     fixed: Optional[Callable] = None
 
 
-class Piece(NamedTuple):
+class _Piece(NamedTuple):
     """A piece [lo, hi] of part `part`, with what its rules need besides
     g's values, all independent of g: the fine rule's nodes, the rule pair
     (_rule's weights and abs_fine), the scale (h/2)^(a+b+1) of its weight's
@@ -279,7 +278,7 @@ def _nodes_on(plo: float, phi: float) -> np.ndarray:
     return u
 
 
-def _piece(i: int, part: JacobiPart, plo: float, phi: float) -> Piece:
+def _piece(i: int, part: JacobiPart, plo: float, phi: float) -> _Piece:
     """Part i's piece [plo, phi]: its nodes, its fixed factors there, the
     endpoint factors for a weighted end it does not touch, and the rule for
     the ends it does touch."""
@@ -299,10 +298,10 @@ def _piece(i: int, part: JacobiPart, plo: float, phi: float) -> Piece:
     bj = exp_lo if touches_lo else 0.0
     h = phi - plo
     weights, abs_fine = _rule(aj, bj, math.log(h) if log_lo and touches_lo else None)
-    return Piece(i, plo, phi, u, weights, abs_fine, (h / 2.0) ** (aj + bj + 1.0), factors)
+    return _Piece(i, plo, phi, u, weights, abs_fine, (h / 2.0) ** (aj + bj + 1.0), factors)
 
 
-def _eval_pair(piece: Piece, vals) -> tuple[float, float, float]:
+def _eval_pair(piece: _Piece, vals) -> tuple[float, float, float]:
     """The coarse and fine weighted rules over a piece, given g's values at
     its nodes.
 
@@ -331,9 +330,9 @@ def _eval_pair(piece: Piece, vals) -> tuple[float, float, float]:
     return fine, err, wabs
 
 
-def start_pieces(parts) -> tuple:
+def _start_pieces(parts) -> tuple:
     """The parts' start pieces, part by part: each part's whole interval, or
-    with weights at both ends its two halves.  A Piece holds all but g's
+    with weights at both ends its two halves.  A piece holds all but g's
     values, so a caller that integrates parts of one geometry and fixed
     factors many times, with other g, builds them once and passes them to
     integrate_jacobi.  Every part is checked before any piece is built:
@@ -368,18 +367,18 @@ def integrate_jacobi(
     parts, summed in their order.
 
     tol is absolute-or-relative, whichever is larger at the result's scale.
-    start is the parts' start pieces, start_pieces(parts) when None: a
+    start is the parts' start pieces, _start_pieces(parts) when None: a
     caller may pass those of parts of the same geometry and fixed factors,
-    built once.  g, when given, is the g of every part whose own g is None,
-    called once per node set: pieces of such parts on the same nodes (the
-    same array) share its values.  Each piece reads its part's g on the 31
-    nodes of its fine rule, so evaluations is 31 per piece.  One loop
-    evaluates the pieces it has, applies the stop test to the weighted
-    running sums, and otherwise bisects the piece of largest |coef| times
-    estimate, whichever part it belongs to; all parts share MAX_INTERVALS.  The estimate is
-    |scale| times the parts' |coef|-weighted estimates, plus, on a sum of
-    more than one part, the rounding allowance of the combination
-    (_COMBINE_EPS).  It returns once that meets tol or sits on the rounding
+    built once.  g, when given, is the g of every part whose own g is None.
+    Each piece reads its part's g on the 31 nodes of its fine rule, so
+    evaluations is 31 per piece, and each g is called once per node set:
+    pieces whose parts take the same g on the same nodes (the same array)
+    share its values.  One loop evaluates the pieces it has, applies the
+    stop test to the weighted running sums, and otherwise bisects the piece
+    of largest |coef| times estimate, whichever part it belongs to; all
+    parts share MAX_INTERVALS.  The estimate is |scale| times the parts'
+    |coef|-weighted estimates, plus, on a sum of more than one part, the
+    rounding allowance of the combination (_COMBINE_EPS).  It returns once that meets tol or sits on the rounding
     floor of the pieces' weighted sums, which covers the rounding bounds
     inside the estimate and may lie above tol.  A piece at float resolution
     is no longer bisected but keeps its estimate in the total.  Raises
@@ -391,13 +390,14 @@ def integrate_jacobi(
     """
     require_positive_finite("integrate_jacobi", "tol", tol)
     require_finite("integrate_jacobi", scale)
-    fresh = start_pieces(parts) if start is None else start
+    fresh = _start_pieces(parts) if start is None else start
     # each part's running sums of its pieces' values, estimates and
     # weighted absolute sums
     n = len(parts)
     totals, errs, wabss = [0.0] * n, [0.0] * n, [0.0] * n
-    # the shared g's values by the identity of their nodes, each entry
-    # holding its nodes, so that no identity is reused during the call
+    # g's values by the identities of g and the nodes, each entry holding
+    # its nodes, so that no identity is reused during the call (the parts
+    # and the caller hold the g's)
     shared = {}
     # a heap of (-|coef| * estimate, order, part, lo, hi, value, estimate,
     # weighted absolute sum), where order is evals after the piece, rising
@@ -410,14 +410,12 @@ def integrate_jacobi(
         for piece in fresh:
             i, plo, phi, nodes = piece[:4]
             part = parts[i]
-            if part.g is not None:
-                vals = part.g(nodes)
-            else:
-                entry = shared.get(id(nodes))
-                if entry is None:
-                    entry = shared[id(nodes)] = (nodes, g(nodes))
-                vals = entry[1]
-            v, e, wabs = _eval_pair(piece, vals)
+            fn = g if part.g is None else part.g
+            key = id(fn), id(nodes)
+            entry = shared.get(key)
+            if entry is None:
+                entry = shared[key] = (nodes, fn(nodes))
+            v, e, wabs = _eval_pair(piece, entry[1])
             evals += nodes.size
             evaluated.append((-abs(part.coef) * e, evals, i, plo, phi, v, e, wabs))
             totals[i] += v

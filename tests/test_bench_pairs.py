@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic pairs: quartiles, wins,
-the bound and the gain rule (wins >= 9 of 10 and the medians apart by more
-than the parent's interquartile range).  No benchmark runs here."""
+the bound and the gain rule (at least 10 pairs, wins >= 9 of 10 and the
+medians apart by more than the parent's interquartile range).  No benchmark
+runs here."""
 
 import importlib.util
 import math
@@ -48,6 +49,19 @@ def test_eight_wins_or_a_gap_inside_the_spread_is_no_gain():
     change = [p + 1.0 for p in parent]
     (row,) = bench_pairs.summarize(_pairs(parent, change, "ops_per_s"), [_RATE])
     assert row["wins"] == 10 and not row["gain"]
+
+
+def test_fewer_than_ten_pairs_are_no_gain():
+    # every pair won by far, but a run missing its metric leaves 9 pairs
+    parent = [100.0 + i for i in range(10)]
+    pairs = _pairs(parent, [200.0] * 10, "ops_per_s")
+    (row,) = bench_pairs.summarize(pairs, [_RATE])
+    assert row["n"] == 10 and row["gain"]
+    pairs[4] = ({}, pairs[4][1])
+    (row,) = bench_pairs.summarize(pairs, [_RATE])
+    assert row["n"] == 9 and row["wins"] == 9 and not row["gain"]
+    (row,) = bench_pairs.summarize(pairs[:3], [_RATE])
+    assert row["wins"] == 3 and not row["gain"]
 
 
 def test_lower_is_better_and_ties_are_no_wins():

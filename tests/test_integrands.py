@@ -103,6 +103,10 @@ def test_kbessel_orders_and_arguments_past_the_float_range_are_refused_by_name()
     kb = KBesselParams(v=0.0, c=1.0, k=1e-308)
     with pytest.raises(OverflowError, match=r"kbessel_integrand: lam/k = 10\.0/1e-308 leaves"):
         kbessel_integrand(kb, lam=10.0)
+    # a lam that is not finite is no overflow of lam/k: refused as such
+    for lam in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"kbessel_integrand: parameters must be finite"):
+            kbessel_integrand(KBesselParams(v=0.5, c=1.0, k=1.0), lam=lam)
     f = kbessel_integrand(kb, lam=1e-308)
     with pytest.raises(OverflowError, match=r"y = -c z\^2/\(4k\) at c=1\.0, k=1e-308, z up to 10\.0"):
         f.reduced_at_zero(np.array([0.5, 10.0]))

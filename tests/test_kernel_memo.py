@@ -198,13 +198,13 @@ def test_each_factor_is_computed_once_at_its_scope(monkeypatch):
 
     monkeypatch.setattr(operators, "log_gamma", counting_log_gamma)
     plans_built = []
-    start_pieces = operators.start_pieces
+    start_pieces = operators._start_pieces
 
     def counting_start_pieces(parts):
         plans_built.append(len(parts))
         return start_pieces(parts)
 
-    monkeypatch.setattr(operators, "start_pieces", counting_start_pieces)
+    monkeypatch.setattr(operators, "_start_pieces", counting_start_pieces)
     f_left = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=ones)
     f_right = Integrand(fn=lambda t: t**-0.4, exponent_at_infinity=-0.4, smooth_at_infinity=ones)
     p = SaigoParams(0.8, 0.2, 1.1)
@@ -257,3 +257,33 @@ def test_log_branch_shares_the_lower_half_nodes():
     # one array per part (the upper half's kernel and each lower-half
     # branch), and the two weight powers
     assert draw.at.cache_info().misses == len(draw.parts) + 2
+
+
+def test_a_cold_plan_raises_its_factors_error_before_a_smooth_parts(monkeypatch):
+    # a cold plan computes every part's kernel and weight power before any
+    # smooth part is evaluated: where a later part's kernel series and the
+    # smooth part both fail, the kernel's error is the one raised, though
+    # the upper half's smooth part comes first in the integration
+    split = operators.kernel_split
+
+    def failing_split(*args):
+        def series(u):
+            raise DomainError("the lower-half branch fails")
+
+        first, *rest = split(*args)
+        return (dataclasses.replace(first, series=series), *rest)
+
+    def smooth(t):
+        raise DomainError("the smooth part fails")
+
+    monkeypatch.setattr(operators, "kernel_split", failing_split)
+    f = Integrand(fn=lambda t: t**0.3, exponent_at_zero=0.3, smooth_at_zero=smooth)
+    p = SaigoParams(0.8, 0.2, 1.1)
+    for x in X_POINTS:  # cold, then with the plan's failure never cached
+        with pytest.raises(DomainError, match="the lower-half branch fails"):
+            saigo_left(f, p, x)
+    # once the plan builds, the smooth part's own error is raised
+    monkeypatch.setattr(operators, "kernel_split", split)
+    clear_memos()
+    with pytest.raises(DomainError, match="the smooth part fails"):
+        saigo_left(f, p, 1.0)

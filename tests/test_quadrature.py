@@ -603,6 +603,19 @@ def test_heap_bisects_the_part_of_largest_weighted_estimate():
     assert abs(r.value - (1.0 + 1e6) * math.sin(40.0) / 40.0) <= r.error_estimate
 
 
+def test_a_g_is_called_once_per_node_set_its_parts_share():
+    # two parts with one g on the same interval share its values, whether
+    # it is their own g or the call's; a part on other nodes calls it again
+    g, seen = _counting(np.cos)
+    parts = [JacobiPart(g, 0.0, 1.0), JacobiPart(g, 0.0, 1.0, -0.5, coef=2.0)]
+    r = integrate_jacobi(parts)
+    assert seen == [FINE] and r.evaluations == 2 * FINE
+    assert integrate_jacobi([p._replace(g=None) for p in parts], g=g) == r
+    assert seen == [FINE, FINE]
+    integrate_jacobi([parts[0], JacobiPart(g, 0.0, 0.5)])
+    assert seen == [FINE, FINE, FINE, FINE]
+
+
 def test_parts_share_the_piece_budget(monkeypatch):
     # MAX_INTERVALS bounds the heap of all parts together: two start pieces,
     # then two per bisection until the heap holds 5, so 8 pieces in all,

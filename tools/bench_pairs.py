@@ -1,23 +1,25 @@
 """Alternating benchmark pairs: a git ref against the working tree.
 
-    python tools/bench_pairs.py [--ref HEAD] [--workloads W1,W2] [--pairs 10]
-                                [--seconds 45] [--seed 21] [--work-dir DIR]
+    python tools/bench_pairs.py [--ref HEAD] [--workloads W1,W2] [--seed 21]
+                                [--work-dir DIR]
 
 Run from the repository root.  Exports REF with `git archive` into a fresh
-directory, then for each workload and each pair i runs
+directory, then for each workload and each of 10 pairs i runs
 
     python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
-once in that export (the parent) and once in the working tree (the change),
-the parent first in even pairs and the change first in odd ones, so a drift
-in the machine's speed favours neither side.  For each workload it prints,
-per end-to-end metric of BENCHMARK.json, the parent's and the change's
-median and quartiles, the change's wins (pairs where it is better in the
-metric's direction; a tie is no win), the change of the median against the
-metric's bound, and whether the pairs show a gain: wins >= 9 of 10 (as a
-share of the pairs), and the medians apart by more than the parent's
-interquartile range, in the better direction.  A VM's speed drifts between
-runs, so only alternating pairs compare two trees.
+with T the run_seconds of BENCHMARK.json, once in that export (the
+parent) and once in the working tree (the change), the parent first in
+even pairs and the change first in odd ones, so a drift in the machine's
+speed favours neither side.  For each workload it prints, per end-to-end
+metric of BENCHMARK.json, the parent's and the change's median and
+quartiles, the change's wins (pairs where it is better in the metric's
+direction; a tie is no win), the change of the median against the
+metric's bound, and whether the pairs show a gain: at least 10 pairs with
+the metric, wins >= 9 of 10 (as a share of the pairs), and the medians
+apart by more than the parent's interquartile range, in the better
+direction.  A VM's speed drifts between runs, so only alternating pairs
+compare two trees.
 
 Exit code 0 when every run of both trees completed with no failed op and
 no metric's median is worse than the parent's by more than its bound, 1
@@ -39,7 +41,8 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# a gain needs at least this share of wins: 9 of 10 pairs
+# a gain needs at least this many pairs, and this share of wins: 9 of 10
+PAIRS = 10
 WIN_SHARE = 0.9
 
 
@@ -57,7 +60,8 @@ def summarize(pairs: list, metrics: list) -> list:
     metric values, one per pair.  metrics: BENCHMARK.json's end_to_end
     entries (name, better, bound).  A row: name, n, the parent's and the
     change's quartiles, wins, the median's relative change, whether that
-    is worse than the bound, and whether the pairs show a gain."""
+    is worse than the bound, and whether the pairs show a gain (never on
+    fewer than PAIRS pairs)."""
     rows = []
     for metric in metrics:
         name = metric["name"]
@@ -81,7 +85,8 @@ def summarize(pairs: list, metrics: list) -> list:
             "wins": wins,
             "rel_change": rel,
             "worse_beyond_bound": -sign * rel > metric["bound"],
-            "gain": wins >= WIN_SHARE * len(got) and sign * diff > parent[2] - parent[0],
+            "gain": (len(got) >= PAIRS and wins >= WIN_SHARE * len(got)
+                     and sign * diff > parent[2] - parent[0]),
         })
     return rows
 
@@ -129,15 +134,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--ref", default="HEAD", help="the parent: a git ref (default HEAD)")
     ap.add_argument("--workloads", default=None, help="comma-separated (default: all of BENCHMARK.json)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=None, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--seed", type=int, default=21, help="seed of the first pair; pair i runs at seed+i")
     ap.add_argument("--work-dir", default=None, help="where the export goes (default: a temporary directory)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     work = pathlib.Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.work_dir))
     ok = True
     try:
@@ -146,7 +149,7 @@ def main(argv=None) -> int:
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {}
                 for side in order:
